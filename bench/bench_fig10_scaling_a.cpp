@@ -6,9 +6,6 @@
 // shared configuration but reduces execution time for many pipelines, and
 // "the ratio of SOMA ranks to pipelines does not have much effect".
 
-#include <cstdlib>
-#include <cstring>
-
 #include "bench_util.hpp"
 #include "experiments/ddmd_experiment.hpp"
 
@@ -38,14 +35,7 @@ int main(int argc, char** argv) {
   // `--fault-seed N` reruns the sweep on a lossy fabric (1% drops, 2% latency
   // spikes) with client retry + buffer-and-replay enabled. Without the flag
   // the fabric is perfect and the output is byte-identical to earlier builds.
-  std::uint64_t fault_seed = 0;
-  bool faults_enabled = false;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-seed") == 0) {
-      fault_seed = std::strtoull(argv[i + 1], nullptr, 10);
-      faults_enabled = true;
-    }
-  }
+  const bench::FaultSeedArg fault = bench::parse_fault_seed(argc, argv);
 
   struct Row {
     int soma_nodes;
@@ -68,16 +58,7 @@ int main(int argc, char** argv) {
       config.storage = storage;
       config.batching = batching;
       config.replication = replication;
-      if (faults_enabled) {
-        config.faults.enabled = true;
-        config.faults.fault_seed = fault_seed;
-        config.faults.drop_probability = 0.01;
-        config.faults.spike_probability = 0.02;
-        config.reliability.retry.max_attempts = 4;
-        config.reliability.retry.timeout = Duration::milliseconds(100);
-        config.reliability.buffer_on_failure = true;
-        config.reliability.probe_period = Duration::seconds(5);
-      }
+      bench::apply_lossy_fabric(config, fault);
       const DdmdResult result = run_ddmd_experiment(config);
       net_drops += result.net_drops;
       rpc_retries += result.rpc_retries;
@@ -155,8 +136,8 @@ int main(int argc, char** argv) {
                 bench::fmt_pct((ratio_max - ratio_min) / ratio_min) + ")"
           : "NO (" + bench::fmt_pct((ratio_max - ratio_min) / ratio_min) + ")");
 
-  if (faults_enabled) {
-    bench::section(("fault injection (seed " + std::to_string(fault_seed) +
+  if (fault.enabled) {
+    bench::section(("fault injection (seed " + std::to_string(fault.seed) +
                     ")")
                        .c_str());
     std::printf("  network drops:    %llu\n",

@@ -10,7 +10,6 @@
 // the output is byte-identical to earlier builds.
 
 #include <cstdlib>
-#include <cstring>
 
 #include "bench_util.hpp"
 #include "experiments/ddmd_experiment.hpp"
@@ -36,17 +35,10 @@ int main(int argc, char** argv) {
   const core::ReplicationConfig replication =
       bench::parse_replication(argc, argv);
 
+  const bench::FaultSeedArg fault = bench::parse_fault_seed(argc, argv);
+
   int max_scale = 512;
-  std::uint64_t fault_seed = 0;
-  bool faults_enabled = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      fault_seed = std::strtoull(argv[++i], nullptr, 10);
-      faults_enabled = true;
-    } else {
-      max_scale = std::atoi(argv[i]);
-    }
-  }
+  for (int i = 1; i < argc; ++i) max_scale = std::atoi(argv[i]);
 
   struct Config {
     const char* name;
@@ -78,16 +70,7 @@ int main(int argc, char** argv) {
       experiment.storage = storage;
       experiment.batching = batching;
       experiment.replication = replication;
-      if (faults_enabled) {
-        experiment.faults.enabled = true;
-        experiment.faults.fault_seed = fault_seed;
-        experiment.faults.drop_probability = 0.01;
-        experiment.faults.spike_probability = 0.02;
-        experiment.reliability.retry.max_attempts = 4;
-        experiment.reliability.retry.timeout = Duration::milliseconds(100);
-        experiment.reliability.buffer_on_failure = true;
-        experiment.reliability.probe_period = Duration::seconds(5);
-      }
+      bench::apply_lossy_fabric(experiment, fault);
       const DdmdResult result = run_ddmd_experiment(experiment);
       net_drops += result.net_drops;
       rpc_retries += result.rpc_retries;
@@ -161,8 +144,8 @@ int main(int argc, char** argv) {
                              "yes", shared_large > shared_small ? "yes" : "NO");
   }
 
-  if (faults_enabled) {
-    bench::section(("fault injection (seed " + std::to_string(fault_seed) +
+  if (fault.enabled) {
+    bench::section(("fault injection (seed " + std::to_string(fault.seed) +
                     ")")
                        .c_str());
     std::printf("  network drops:    %llu\n",

@@ -24,26 +24,15 @@ int main(int argc, char** argv) {
   // Fig. 10 fault profile. Absent, the fabric is perfect and the output is
   // byte-identical to earlier builds.
   const bench::FaultSeedArg fault = bench::parse_fault_seed(argc, argv);
-  auto apply_faults = [&](OpenFoamExperimentConfig& config) {
-    if (!fault.enabled) return;
-    config.faults.enabled = true;
-    config.faults.fault_seed = fault.seed;
-    config.faults.drop_probability = 0.01;
-    config.faults.spike_probability = 0.02;
-    config.reliability.retry.max_attempts = 4;
-    config.reliability.retry.timeout = Duration::milliseconds(100);
-    config.reliability.buffer_on_failure = true;
-    config.reliability.probe_period = Duration::seconds(5);
-  };
 
   auto tuning = OpenFoamExperimentConfig::tuning();
   tuning.storage = storage;
   tuning.batching = batching;
-  apply_faults(tuning);
+  bench::apply_lossy_fabric(tuning, fault);
   auto overload = OpenFoamExperimentConfig::overloaded();
   overload.storage = storage;
   overload.batching = batching;
-  apply_faults(overload);
+  bench::apply_lossy_fabric(overload, fault);
 
   TextTable table({"Experiment", "Tuning", "Overload"});
   table.add_row({"Number of Tasks",

@@ -24,17 +24,6 @@ int main(int argc, char** argv) {
   // buffer-and-replay — the Fig. 10 fault profile. Absent, the fabric is
   // perfect and the output is byte-identical to earlier builds.
   const bench::FaultSeedArg fault = bench::parse_fault_seed(argc, argv);
-  auto apply_faults = [&](DdmdExperimentConfig& config) {
-    if (!fault.enabled) return;
-    config.faults.enabled = true;
-    config.faults.fault_seed = fault.seed;
-    config.faults.drop_probability = 0.01;
-    config.faults.spike_probability = 0.02;
-    config.reliability.retry.max_attempts = 4;
-    config.reliability.retry.timeout = Duration::milliseconds(100);
-    config.reliability.buffer_on_failure = true;
-    config.reliability.probe_period = Duration::seconds(5);
-  };
 
   TextTable table({"Experiment", "Phases (n)", "Pipelines (m)", "App Nodes",
                    "SOMA Nodes", "Cores/Sim", "Train Tasks", "Cores/Train",
@@ -53,11 +42,11 @@ int main(int argc, char** argv) {
   auto tuning_config = DdmdExperimentConfig::tuning();
   tuning_config.storage = storage;
   tuning_config.batching = batching;
-  apply_faults(tuning_config);
+  bench::apply_lossy_fabric(tuning_config, fault);
   auto adaptive_config = DdmdExperimentConfig::adaptive();
   adaptive_config.storage = storage;
   adaptive_config.batching = batching;
-  apply_faults(adaptive_config);
+  bench::apply_lossy_fabric(adaptive_config, fault);
   const DdmdResult tuning = run_ddmd_experiment(tuning_config);
   const DdmdResult adaptive = run_ddmd_experiment(adaptive_config);
 

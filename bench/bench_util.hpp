@@ -79,10 +79,10 @@ inline core::BatchingConfig parse_publish_batch(int& argc, char** argv) {
 }
 
 /// Result of `parse_fault_seed`: whether `--fault-seed <N>` was present, and
-/// the seed if so. The caller picks the fault profile (drop/spike rates,
-/// retry policy) and prints its own fault section — the profiles differ per
-/// bench and benches that must stay byte-identical to calibrated baselines
-/// print nothing when the flag is absent, so this helper stays silent.
+/// the seed if so. The caller applies it with apply_lossy_fabric and prints
+/// its own fault section; benches that must stay byte-identical to
+/// calibrated baselines print nothing when the flag is absent, so this
+/// helper stays silent.
 struct FaultSeedArg {
   bool enabled = false;
   std::uint64_t seed = 1;
@@ -101,6 +101,23 @@ inline FaultSeedArg parse_fault_seed(int& argc, char** argv) {
     break;
   }
   return arg;
+}
+
+/// When `--fault-seed` was given, put an experiment config on the lossy
+/// fabric every fault-seeded bench shares: 1% drops and 2% latency spikes
+/// seeded from the flag, with client retry (4 attempts, 100 ms timeout) and
+/// buffer-and-replay (5 s probe). Leaves the config untouched otherwise.
+template <typename ExperimentConfig>
+void apply_lossy_fabric(ExperimentConfig& config, const FaultSeedArg& fault) {
+  if (!fault.enabled) return;
+  config.faults.enabled = true;
+  config.faults.fault_seed = fault.seed;
+  config.faults.drop_probability = 0.01;
+  config.faults.spike_probability = 0.02;
+  config.reliability.retry.max_attempts = 4;
+  config.reliability.retry.timeout = Duration::milliseconds(100);
+  config.reliability.buffer_on_failure = true;
+  config.reliability.probe_period = Duration::seconds(5);
 }
 
 /// Consume a `--replication <factor>` argument pair from argv, if present,

@@ -18,7 +18,7 @@ class JsonParser {
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   Node parse() {
-    Node node = parse_value();
+    Node node = parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) {
       fail("trailing characters after JSON value");
@@ -161,7 +161,7 @@ class JsonParser {
     return node;
   }
 
-  Node parse_object() {
+  Node parse_object(std::size_t depth) {
     expect('{');
     Node node;
     if (peek() == '}') {
@@ -172,7 +172,7 @@ class JsonParser {
     while (true) {
       const std::string key = parse_string();
       expect(':');
-      node.child(key) = parse_value();
+      node.child(key) = parse_value(depth + 1);
       const char next = peek();
       if (next == ',') {
         ++pos_;
@@ -187,9 +187,10 @@ class JsonParser {
     return node;
   }
 
-  Node parse_value() {
+  Node parse_value(std::size_t depth) {
+    if (depth > Node::kMaxDepth) fail("nesting too deep");
     const char c = peek();
-    if (c == '{') return parse_object();
+    if (c == '{') return parse_object(depth);
     if (c == '[') return parse_array();
     if (c == '"') {
       Node node;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -120,6 +121,15 @@ class Reader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  /// A u32 element count, rejected if `min_bytes` per element cannot fit in
+  /// the bytes left (so a reserve sized from it is bounded by the buffer).
+  std::uint32_t count(std::size_t min_bytes) {
+    const std::uint32_t n = u32();
+    if (n > (buffer_.size() - offset_) / min_bytes) {
+      throw soma::LookupError("Node::unpack: count exceeds buffer");
+    }
+    return n;
+  }
   std::string string() {
     const std::uint32_t n = u32();
     need(n);
@@ -154,44 +164,6 @@ std::string_view type_name(Node::Type type) {
   return "?";
 }
 
-Node::Node(const Node& other) { *this = other; }
-
-Node& Node::operator=(const Node& other) {
-  if (this == &other) return *this;
-  value_ = other.value_;
-  clear_children();
-  children_.reserve(other.children_.size());
-  for (std::size_t i = 0; i < other.children_.size(); ++i) {
-    children_.push_back(std::make_unique<Node>(*other.children_[i]));
-    child_names_.push_back(other.child_names_[i]);
-    child_index_.emplace(other.child_names_[i], i);
-  }
-  packed_size_cache_ = other.packed_size_cache_;
-  return *this;
-}
-
-Node::Node(Node&& other) noexcept
-    : value_(std::move(other.value_)),
-      children_(std::move(other.children_)),
-      child_names_(std::move(other.child_names_)),
-      child_index_(std::move(other.child_index_)),
-      packed_size_cache_(other.packed_size_cache_) {
-  // The moved-from node is valid-but-unspecified; its stale cache must not
-  // survive into any later reuse.
-  other.packed_size_cache_ = kSizeNotCached;
-}
-
-Node& Node::operator=(Node&& other) noexcept {
-  if (this == &other) return *this;
-  value_ = std::move(other.value_);
-  children_ = std::move(other.children_);
-  child_names_ = std::move(other.child_names_);
-  child_index_ = std::move(other.child_index_);
-  packed_size_cache_ = other.packed_size_cache_;
-  other.packed_size_cache_ = kSizeNotCached;
-  return *this;
-}
-
 Node::Type Node::type() const {
   if (!children_.empty()) return Type::kObject;
   switch (value_.index()) {
@@ -205,36 +177,29 @@ Node::Type Node::type() const {
   return Type::kEmpty;
 }
 
-void Node::clear_children() {
-  children_.clear();
-  child_names_.clear();
-  child_index_.clear();
-  invalidate_size();
-}
-
 void Node::reset() {
-  clear_value();
-  clear_children();
+  value_ = std::monostate{};
+  children_.clear();
 }
 
 void Node::set(std::int64_t value) {
-  clear_children();
+  children_.clear();
   value_ = value;
 }
 void Node::set(double value) {
-  clear_children();
+  children_.clear();
   value_ = value;
 }
 void Node::set(std::string value) {
-  clear_children();
+  children_.clear();
   value_ = std::move(value);
 }
 void Node::set(std::vector<std::int64_t> values) {
-  clear_children();
+  children_.clear();
   value_ = std::move(values);
 }
 void Node::set(std::vector<double> values) {
-  clear_children();
+  children_.clear();
   value_ = std::move(values);
 }
 
@@ -272,26 +237,19 @@ double Node::to_float64() const {
 Node& Node::child(std::string_view name) {
   if (Node* existing = find_child(name)) return *existing;
   // Becoming an object discards any leaf value this node held.
-  clear_value();
-  children_.push_back(std::make_unique<Node>());
-  child_names_.emplace_back(name);
-  child_index_.emplace(std::string(name), children_.size() - 1);
-  invalidate_size();
-  return *children_.back();
+  value_ = std::monostate{};
+  return children_.emplace_back(Child{std::string(name), Node{}}).node;
 }
 
 const Node* Node::find_child(std::string_view name) const {
-  const auto it = child_index_.find(std::string(name));
-  if (it == child_index_.end()) return nullptr;
-  return children_[it->second].get();
+  for (const Child& c : children_) {
+    if (c.name == name) return &c.node;
+  }
+  return nullptr;
 }
 
 Node* Node::find_child(std::string_view name) {
-  const auto it = child_index_.find(std::string(name));
-  if (it == child_index_.end()) return nullptr;
-  // The caller may mutate through the returned reference.
-  invalidate_size();
-  return children_[it->second].get();
+  return const_cast<Node*>(std::as_const(*this).find_child(name));
 }
 
 Node& Node::fetch(std::string_view path) {
@@ -325,40 +283,28 @@ bool Node::has_path(std::string_view path) const {
 }
 
 bool Node::remove_child(std::string_view name) {
-  const auto it = child_index_.find(std::string(name));
-  if (it == child_index_.end()) return false;
-  invalidate_size();
-  const std::size_t index = it->second;
-  children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(index));
-  child_names_.erase(child_names_.begin() +
-                     static_cast<std::ptrdiff_t>(index));
-  child_index_.erase(it);
-  // Reindex the children that shifted down.
-  for (auto& [key, value] : child_index_) {
-    if (value > index) --value;
-  }
+  const auto it = std::ranges::find(children_, name, &Child::name);
+  if (it == children_.end()) return false;
+  children_.erase(it);
   return true;
 }
 
 const Node& Node::child_at(std::size_t index) const {
   check(index < children_.size(), "child_at: index out of range");
-  return *children_[index];
+  return children_[index].node;
 }
 
 Node& Node::child_at(std::size_t index) {
   check(index < children_.size(), "child_at: index out of range");
-  invalidate_size();
-  return *children_[index];
+  return children_[index].node;
 }
 
 void Node::update(const Node& other) {
   if (other.is_object()) {
-    for (std::size_t i = 0; i < other.children_.size(); ++i) {
-      child(other.child_names_[i]).update(*other.children_[i]);
-    }
+    for (const Child& c : other.children_) child(c.name).update(c.node);
   } else if (!other.is_empty()) {
-    clear_children();
     value_ = other.value_;
+    children_.clear();
   }
 }
 
@@ -366,8 +312,8 @@ bool Node::operator==(const Node& other) const {
   if (value_ != other.value_) return false;
   if (children_.size() != other.children_.size()) return false;
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (child_names_[i] != other.child_names_[i]) return false;
-    if (!(*children_[i] == *other.children_[i])) return false;
+    if (children_[i].name != other.children_[i].name) return false;
+    if (!(children_[i].node == other.children_[i].node)) return false;
   }
   return true;
 }
@@ -375,20 +321,19 @@ bool Node::operator==(const Node& other) const {
 std::size_t Node::leaf_count() const {
   if (is_leaf()) return 1;
   std::size_t total = 0;
-  for (const auto& c : children_) total += c->leaf_count();
+  for (const Child& c : children_) total += c.node.leaf_count();
   return total;
 }
 
 std::size_t Node::packed_size() const {
-  if (packed_size_cache_ != kSizeNotCached) return packed_size_cache_;
   std::size_t total = 1;  // tag
   switch (type()) {
     case Type::kEmpty:
       break;
     case Type::kObject:
       total += 4;
-      for (std::size_t i = 0; i < children_.size(); ++i) {
-        total += 4 + child_names_[i].size() + children_[i]->packed_size();
+      for (const Child& c : children_) {
+        total += 4 + c.name.size() + c.node.packed_size();
       }
       break;
     case Type::kInt64:
@@ -405,7 +350,6 @@ std::size_t Node::packed_size() const {
       total += 4 + 8 * as_float64_array().size();
       break;
   }
-  packed_size_cache_ = total;
   return total;
 }
 
@@ -485,9 +429,9 @@ std::byte* Node::pack_into(std::byte* p) const {
     case Type::kObject:
       *p++ = static_cast<std::byte>(Tag::kObject);
       p = store_u32(p, static_cast<std::uint32_t>(children_.size()));
-      for (std::size_t i = 0; i < children_.size(); ++i) {
-        p = store_string(p, child_names_[i]);
-        p = children_[i]->pack_into(p);
+      for (const Child& c : children_) {
+        p = store_string(p, c.name);
+        p = c.node.pack_into(p);
       }
       break;
     case Type::kInt64:
@@ -538,25 +482,21 @@ std::vector<std::byte> Node::pack() const {
 }
 
 Node Node::unpack_one(std::span<const std::byte> buffer,
-                      std::size_t& offset) {
+                      std::size_t& offset, std::size_t depth) {
+  if (depth > kMaxDepth) throw soma::LookupError("Node::unpack: too deep");
   Reader reader(buffer, offset);
   Node node;
   switch (static_cast<Tag>(reader.u8())) {
     case Tag::kEmpty:
       break;
     case Tag::kObject: {
-      const std::uint32_t n = reader.u32();
-      // Child count is known up front; a bounded reserve avoids rehash and
-      // regrowth churn while staying safe against hostile counts.
-      const std::uint32_t plausible =
-          std::min<std::uint32_t>(n, static_cast<std::uint32_t>(std::min<
-                                         std::size_t>(buffer.size(), 1u << 20)));
-      node.children_.reserve(plausible);
-      node.child_names_.reserve(plausible);
-      node.child_index_.reserve(plausible);
+      // Each child takes at least a name length and a tag (5 B).
+      const std::uint32_t n = reader.count(5);
+      node.children_.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         std::string name = reader.string();
-        node.child(name) = unpack_one(buffer, offset);
+        // A repeated name keeps its first position and takes the last value.
+        node.child(name) = unpack_one(buffer, offset, depth + 1);
       }
       break;
     }
@@ -570,7 +510,7 @@ Node Node::unpack_one(std::span<const std::byte> buffer,
       node.set(reader.string());
       break;
     case Tag::kInt64Array: {
-      const std::uint32_t n = reader.u32();
+      const std::uint32_t n = reader.count(8);
       std::vector<std::int64_t> values;
       values.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -580,7 +520,7 @@ Node Node::unpack_one(std::span<const std::byte> buffer,
       break;
     }
     case Tag::kFloat64Array: {
-      const std::uint32_t n = reader.u32();
+      const std::uint32_t n = reader.count(8);
       std::vector<double> values;
       values.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) values.push_back(reader.f64());
@@ -595,7 +535,7 @@ Node Node::unpack_one(std::span<const std::byte> buffer,
 
 Node Node::unpack(std::span<const std::byte> buffer) {
   std::size_t offset = 0;
-  Node node = unpack_one(buffer, offset);
+  Node node = unpack_one(buffer, offset, 0);
   if (offset != buffer.size()) {
     throw soma::LookupError("Node::unpack: trailing bytes");
   }

@@ -4,7 +4,11 @@
 // a namespace tag ("RP", "PROC", "TAU", "APP"), below that are source tags
 // (task uid, hostname), and leaves carry typed values. See paper §2.3.2,
 // Listings 1 and 2. The model supports:
-//   * object nodes with ordered, named children,
+//   * object nodes with ordered, named children, held by value in one
+//     insertion-ordered vector and found by linear scan (the widest object
+//     any bench builds, RpMonitor's `events` node at 512 pipelines, has 6685
+//     children, and all three benchmark workloads ran faster without a
+//     hash index),
 //   * leaf nodes of type int64 / float64 / string / int64[] / float64[],
 //   * path access ("RP/task.000000/1698435412.606"),
 //   * deep merge (`update`), equality, JSON rendering, and a compact binary
@@ -13,11 +17,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -35,12 +38,9 @@ class Node {
     kFloat64Array,
   };
 
-  Node() = default;
-  Node(const Node& other);
-  Node(Node&& other) noexcept;
-  Node& operator=(const Node& other);
-  Node& operator=(Node&& other) noexcept;
-  ~Node() = default;
+  /// Deepest nesting unpack() and parse_json() accept (the root is depth 0);
+  /// deeper input throws LookupError, bounding the decoders' recursion.
+  static constexpr std::size_t kMaxDepth = 256;
 
   // ---- type ----
   [[nodiscard]] Type type() const;
@@ -71,6 +71,11 @@ class Node {
   [[nodiscard]] double to_float64() const;
 
   // ---- hierarchy ----
+  // Children live by value in one vector, so a Node& or Node* obtained from
+  // child(), operator[], fetch(), find_child() or child_at() is invalidated
+  // when a sibling is inserted or removed, as with any std::vector element.
+  // Re-look a child up after adding its siblings.
+
   /// Child by name, created (empty) if absent. Converts this node to an
   /// object, discarding any leaf value.
   Node& child(std::string_view name);
@@ -89,12 +94,10 @@ class Node {
   /// Remove a direct child; returns true if it existed.
   bool remove_child(std::string_view name);
 
-  [[nodiscard]] std::size_t number_of_children() const {
-    return children_.size();
-  }
-  [[nodiscard]] const std::vector<std::string>& child_names() const {
-    return child_names_;
-  }
+  [[nodiscard]] std::size_t number_of_children() const;
+  /// Random-access view of the child names in insertion order;
+  /// `child_names()[i]` is a `const std::string&`.
+  [[nodiscard]] auto child_names() const;
   /// Child access by insertion index (with bounds check).
   [[nodiscard]] const Node& child_at(std::size_t index) const;
   [[nodiscard]] Node& child_at(std::size_t index);
@@ -116,13 +119,8 @@ class Node {
   // ---- introspection ----
   /// Total number of leaf values in the subtree.
   [[nodiscard]] std::size_t leaf_count() const;
-  /// Serialized size in bytes (matches pack() exactly). Memoized: the first
-  /// call walks the subtree, repeat calls are O(1) until the node is mutated.
-  /// Any non-const child access (child(), operator[], fetch(), mutable
-  /// find_child()/child_at()) conservatively invalidates this node's cache,
-  /// since the caller may mutate through the returned reference. Unsupported:
-  /// holding a mutable child pointer across a packed_size() call on an
-  /// ancestor and mutating through it afterwards.
+  /// Serialized size in bytes (matches pack() exactly). Walks the subtree on
+  /// every call; nothing is cached, so no mutation can leave it stale.
   [[nodiscard]] std::size_t packed_size() const;
 
   // ---- serialization ----
@@ -138,31 +136,37 @@ class Node {
   void pack(std::vector<std::byte>& out) const;
   [[nodiscard]] std::vector<std::byte> pack() const;
   /// Parse a buffer produced by pack(). Throws LookupError on malformed
-  /// input (truncation, unknown tags).
+  /// input (truncation, unknown tags, a count the remaining bytes cannot
+  /// hold, nesting deeper than kMaxDepth).
   static Node unpack(std::span<const std::byte> buffer);
 
  private:
+  struct Child;
   using Value = std::variant<std::monostate, std::int64_t, double, std::string,
                              std::vector<std::int64_t>, std::vector<double>>;
 
-  static constexpr std::size_t kSizeNotCached = ~std::size_t{0};
-
-  void clear_value() { value_ = std::monostate{}; }
-  void clear_children();
-  void invalidate_size() { packed_size_cache_ = kSizeNotCached; }
   /// Write this subtree's pack() encoding at `p` (which must have
   /// packed_size() bytes of room); returns one past the last byte written.
   std::byte* pack_into(std::byte* p) const;
   static Node unpack_one(std::span<const std::byte> buffer,
-                         std::size_t& offset);
+                         std::size_t& offset, std::size_t depth);
 
   Value value_;
-  // Insertion-ordered children with an index for O(1) name lookup.
-  std::vector<std::unique_ptr<Node>> children_;
-  std::vector<std::string> child_names_;
-  std::unordered_map<std::string, std::size_t> child_index_;
-  mutable std::size_t packed_size_cache_ = kSizeNotCached;
+  std::vector<Child> children_;  // insertion order; names are unique
 };
+
+struct Node::Child {
+  std::string name;
+  Node node;
+};
+
+inline std::size_t Node::number_of_children() const {
+  return children_.size();
+}
+
+inline auto Node::child_names() const {
+  return std::views::transform(children_, &Child::name);
+}
 
 /// Human-readable name of a node type ("int64", "object", ...).
 std::string_view type_name(Node::Type type);

@@ -149,6 +149,13 @@ struct Reader {
     offset += 8;
     return v;
   }
+  /// Reject an element count whose `min_bytes` per element cannot fit in
+  /// the bytes left, so a reserve sized from it is bounded by the body.
+  void fits(std::uint32_t count, std::size_t min_bytes) const {
+    if (count > (buffer.size() - offset) / min_bytes) {
+      throw soma::LookupError("wire: batch count exceeds body");
+    }
+  }
   std::string_view str(std::size_t n) {
     need(n);
     const auto* p = reinterpret_cast<const char*>(buffer.data() + offset);
@@ -206,11 +213,15 @@ BatchView decode_batch_body(std::span<const std::byte> body) {
   view.ns = reader.str(reader.u32());
   const std::uint32_t record_count = reader.u32();
   const std::uint32_t dict_count = reader.u32();
+  // A dictionary entry takes at least its length (4 B), a record at least
+  // its index, timestamp and payload length (16 B).
+  reader.fits(dict_count, 4);
   std::vector<std::string_view> dict;
   dict.reserve(dict_count);
   for (std::uint32_t i = 0; i < dict_count; ++i) {
     dict.push_back(reader.str(reader.u32()));
   }
+  reader.fits(record_count, 16);
   view.records.reserve(record_count);
   for (std::uint32_t i = 0; i < record_count; ++i) {
     BatchRecordView record;

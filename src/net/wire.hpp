@@ -143,7 +143,8 @@ struct BatchView {
 };
 
 /// Decode a batch body (the `body` span of a decoded frame header). Throws
-/// soma::LookupError on truncation or a dictionary index out of range.
+/// soma::LookupError on truncation, a count the body cannot hold, or a
+/// dictionary index out of range.
 [[nodiscard]] BatchView decode_batch_body(std::span<const std::byte> body);
 
 }  // namespace soma::net::wire

@@ -108,6 +108,25 @@ TEST(BatchWireTest, TruncatedBodyThrows) {
   }
 }
 
+TEST(BatchWireTest, ImpossibleCountsThrowBeforeAllocating) {
+  // Empty namespace, then {record count, dictionary count}: each body claims
+  // ~2^31 dictionary entries or records in a handful of bytes.
+  auto body_with = [](std::uint32_t records, std::uint32_t dict) {
+    std::vector<std::byte> body;
+    for (const std::uint32_t v : {0u, records, dict}) {
+      for (int i = 0; i < 4; ++i) {
+        body.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+      }
+    }
+    return body;
+  };
+  EXPECT_THROW(net::wire::decode_batch_body(body_with(0, 0x7fffffff)),
+               LookupError);
+  EXPECT_THROW(net::wire::decode_batch_body(body_with(0x7fffffff, 0)),
+               LookupError);
+  EXPECT_EQ(net::wire::decode_batch_body(body_with(0, 0)).records.size(), 0u);
+}
+
 // ---------- PublishBatcher flush policy ----------
 
 class PublishBatcherTest : public ::testing::Test {

@@ -243,6 +243,16 @@ TEST(NodeJsonTest, StringEscaping) {
   EXPECT_EQ(node.to_json(), "\"a\\\"b\\\\c\\nd\"");
 }
 
+TEST(NodeJsonTest, DeeplyNestedObjectThrows) {
+  constexpr std::size_t kLevels = 1'000'000;
+  std::string json;
+  json.reserve(kLevels * 6 + 1);
+  for (std::size_t i = 0; i < kLevels; ++i) json += "{\"a\":";
+  json += '1';
+  json.append(kLevels, '}');
+  EXPECT_THROW(Node::parse_json(json), LookupError);
+}
+
 TEST(NodeJsonTest, PrettyPrintContainsNewlines) {
   Node node;
   node.fetch("a/b").set(std::int64_t{1});
@@ -284,8 +294,8 @@ TEST(NodeSerdeTest, PackedSizeMatchesPack) {
 }
 
 TEST(NodeSerdeTest, PackedSizeCacheTracksMutation) {
-  // packed_size() is memoized; every mutation path must invalidate the cache
-  // so the memoized value never disagrees with the actual encoding.
+  // packed_size() must agree with the actual encoding after every mutation
+  // path.
   Node node;
   node.fetch("a/b").set(std::int64_t{1});
   EXPECT_EQ(node.packed_size(), node.pack().size());  // prime the cache
@@ -325,6 +335,107 @@ TEST(NodeSerdeTest, PackedSizeCacheSurvivesCopyAndMove) {
   // The moved-from node is reusable and must not report the stale size.
   node.fetch("x").set(std::int64_t{1});
   EXPECT_EQ(node.packed_size(), node.pack().size());
+}
+
+TEST(NodeSerdeTest, MutationThroughHeldChildAfterAncestorPackedSize) {
+  // A pointer obtained before an ancestor's packed_size() stays usable for
+  // mutation; the ancestor's size and encoding must still agree afterwards.
+  Node root;
+  root.fetch("a").set(std::int64_t{1});
+  root.fetch("b/c").set(2.0);
+  Node* a = root.find_child("a");
+  Node* c = root.find_child("b")->find_child("c");
+  (void)root.packed_size();
+  a->set(std::string(100, 'x'));
+  c->set(std::vector<double>(50, 1.0));
+  EXPECT_EQ(root.packed_size(), root.pack().size());
+  std::vector<std::byte> wire;
+  EXPECT_NO_THROW(wire = root.pack());
+  EXPECT_EQ(Node::unpack(wire), root);
+}
+
+// Little-endian frame builders for hand-made unpack inputs.
+void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void put_object_header(std::vector<std::byte>& out, std::uint32_t children) {
+  out.push_back(std::byte{1});  // object tag
+  put_u32(out, children);
+}
+
+void put_name(std::vector<std::byte>& out, std::string_view name) {
+  put_u32(out, static_cast<std::uint32_t>(name.size()));
+  for (char ch : name) out.push_back(static_cast<std::byte>(ch));
+}
+
+void put_int64_leaf(std::vector<std::byte>& out, std::int64_t v) {
+  out.push_back(std::byte{2});  // int64 tag
+  put_u32(out, static_cast<std::uint32_t>(v));
+  put_u32(out, 0);
+}
+
+TEST(NodeSerdeTest, RepeatedChildNameKeepsFirstPositionWithLastValue) {
+  std::vector<std::byte> wire;
+  put_object_header(wire, 3);
+  put_name(wire, "a");
+  put_int64_leaf(wire, 1);
+  put_name(wire, "b");
+  put_int64_leaf(wire, 2);
+  put_name(wire, "a");
+  put_int64_leaf(wire, 3);
+  const Node node = Node::unpack(wire);
+  ASSERT_EQ(node.number_of_children(), 2u);
+  EXPECT_EQ(node.child_names()[0], "a");
+  EXPECT_EQ(node.child_names()[1], "b");
+  EXPECT_EQ(node.child_at(0).as_int64(), 3);
+  EXPECT_EQ(node.child_at(1).as_int64(), 2);
+}
+
+TEST(NodeSerdeTest, ImpossibleCountThrowsBeforeAllocating) {
+  // Tag + u32 count claiming ~2^31 elements in a 5-byte frame.
+  for (const std::byte tag : {std::byte{5}, std::byte{6}, std::byte{1}}) {
+    const std::vector<std::byte> wire{tag, std::byte{0xff}, std::byte{0xff},
+                                      std::byte{0xff}, std::byte{0x7f}};
+    EXPECT_THROW(Node::unpack(wire), LookupError)
+        << "tag " << static_cast<int>(tag);
+  }
+  // Two int64 elements need 16 bytes; 15 are present.
+  std::vector<std::byte> wire{std::byte{5}};
+  put_u32(wire, 2);
+  wire.resize(wire.size() + 15);
+  EXPECT_THROW(Node::unpack(wire), LookupError);
+}
+
+TEST(NodeSerdeTest, NestingDeeperThanLimitThrows) {
+  // 2M nested single-child objects with empty names around an empty leaf.
+  constexpr std::size_t kLevels = 2'000'000;
+  std::vector<std::byte> wire;
+  wire.reserve(kLevels * 9 + 1);
+  for (std::size_t i = 0; i < kLevels; ++i) {
+    put_object_header(wire, 1);
+    put_name(wire, "");
+  }
+  wire.push_back(std::byte{0});
+  EXPECT_THROW(Node::unpack(wire), LookupError);
+}
+
+TEST(NodeSerdeTest, NestingAtLimitRoundTrips) {
+  Node deepest;
+  Node* cursor = &deepest;
+  for (std::size_t i = 0; i < Node::kMaxDepth; ++i) {
+    cursor = &cursor->child("d");
+  }
+  cursor->set(std::int64_t{7});
+  EXPECT_EQ(Node::unpack(deepest.pack()), deepest);
+  EXPECT_EQ(Node::parse_json(deepest.to_json()), deepest);
+
+  Node too_deep;
+  too_deep.child("d") = deepest;
+  EXPECT_THROW(Node::unpack(too_deep.pack()), LookupError);
+  EXPECT_THROW(Node::parse_json(too_deep.to_json()), LookupError);
 }
 
 TEST(NodeSerdeTest, TruncatedBufferThrows) {

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       table.add_row({std::to_string(scale), config.name,
                      bench::fmt_summary(summary), bench::fmt(summary.median),
                      bench::fmt(summary.p95),
-                     (delta >= 0 ? "+" : "") + bench::fmt(delta) + "%"});
+                     bench::fmt_signed_pct(delta)});
     }
   }
   std::printf("%s", table.to_string().c_str());
@@ -104,8 +104,8 @@ int main(int argc, char** argv) {
         (it->second.mean / none->second.mean - 1.0) * 100.0;
     bench::paper_vs_measured(
         (std::to_string(scale) + " nodes").c_str(),
-        "+" + bench::fmt(paper) + "%",
-        (measured >= 0 ? "+" : "") + bench::fmt(measured) + "%");
+        bench::fmt_signed_pct(paper),
+        bench::fmt_signed_pct(measured));
   }
 
   bench::section("paper-vs-measured: frequent-shared vs baseline");
@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
         (it->second.mean / none->second.mean - 1.0) * 100.0;
     bench::paper_vs_measured(
         (std::to_string(scale) + " nodes").c_str(),
-        (paper >= 0 ? "+" : "") + bench::fmt(paper) + "%",
-        (measured >= 0 ? "+" : "") + bench::fmt(measured) + "%");
+        bench::fmt_signed_pct(paper),
+        bench::fmt_signed_pct(measured));
   }
 
   bench::section("shape checks");

@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <string>
+
 #include "bench_micro_main.hpp"
 #include "common/rng.hpp"
 #include "datamodel/node.hpp"
@@ -59,6 +62,34 @@ void BM_Unpack(benchmark::State& state) {
                           static_cast<std::int64_t>(wire.size()));
 }
 BENCHMARK(BM_Unpack)->Arg(8)->Arg(42);
+
+// RpMonitor's `events` node at 512 pipelines: one object with a child per
+// task uid (6685), each holding its timestamped events. The widest object
+// any bench decodes, where decode used to scan all earlier siblings per
+// child.
+Node make_events_like(int tasks) {
+  Node events;
+  for (int i = 0; i < tasks; ++i) {
+    char uid[16];
+    std::snprintf(uid, sizeof(uid), "task.%06d", i);
+    Node& task = events[uid];
+    task[std::to_string(1698435412606003000LL + i)].set("rank_start");
+    task[std::to_string(1698435422606003000LL + i)].set("rank_stop");
+  }
+  return events;
+}
+
+void BM_UnpackEvents(benchmark::State& state) {
+  const Node node = make_events_like(static_cast<int>(state.range(0)));
+  const auto wire = node.pack();
+  for (auto _ : state) {
+    Node back = Node::unpack(wire);
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_UnpackEvents)->Arg(6685);
 
 void BM_PathFetch(benchmark::State& state) {
   Node node = make_proc_like(42);

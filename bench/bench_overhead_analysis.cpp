@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                      bench::fmt(monitored.mean_ack_latency_ms, 3),
                      bench::fmt(monitored.max_ack_latency_ms, 3),
                      bench::fmt(monitored.soma_max_queue_delay_ms, 3),
-                     (overhead >= 0 ? "+" : "") + bench::fmt(overhead) + "%"});
+                     bench::fmt_signed_pct(overhead)});
     }
   }
   std::printf("%s", table.to_string().c_str());

@@ -156,6 +156,14 @@ inline std::string fmt_pct(double fraction, int precision = 1) {
   return format_seconds(fraction * 100.0, precision) + "%";
 }
 
+/// A percentage with its sign always shown: "+2.1%", "-6.5%".
+inline std::string fmt_signed_pct(double percent, int precision = 1) {
+  std::string out = percent >= 0 ? "+" : "";
+  out += fmt(percent, precision);
+  out += '%';
+  return out;
+}
+
 /// One row of a summary distribution: mean ± σ [min, max].
 inline std::string fmt_summary(const Summary& s) {
   return fmt(s.mean) + " ± " + fmt(s.stddev) + "  [" + fmt(s.min) + ", " +

@@ -41,12 +41,11 @@ int main() {
 
     deployment->deploy([&] {
       // The "MD application": a 30-minute task stepping a 2M-atom system.
-      rp::TaskDescription md;
-      md.uid = "md.run42";
-      md.ranks = 42;
-      md.label = "md";
-      md.fixed_duration = Duration::minutes(30.0);
-      session.submit(md);
+      session.submit(rp::TaskDescription{
+          .uid = "md.run42",
+          .ranks = 42,
+          .fixed_duration = Duration::minutes(30.0),
+          .label = "md"});
 
       // Its SOMA instrumentation: every simulated minute, report the
       // figure of merit and progress, as the paper's MD example would.

@@ -1,8 +1,11 @@
 #include "datamodel/node.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -90,6 +93,21 @@ std::byte* store_string(std::byte* p, const std::string& s) {
   return p + s.size();
 }
 
+// Little-endian loads; a byte swap only on a big-endian host.
+std::uint32_t from_little_endian(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap32(v);
+  }
+  return v;
+}
+
+std::uint64_t from_little_endian(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap64(v);
+  }
+  return v;
+}
+
 class Reader {
  public:
   Reader(std::span<const std::byte> buffer, std::size_t& offset)
@@ -100,20 +118,14 @@ class Reader {
     return static_cast<std::uint8_t>(buffer_[offset_++]);
   }
   std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(buffer_[offset_++]) << (8 * i);
-    }
-    return v;
+    std::uint32_t v;
+    copy_out(&v, sizeof(v));
+    return from_little_endian(v);
   }
   std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(buffer_[offset_++]) << (8 * i);
-    }
-    return v;
+    std::uint64_t v;
+    copy_out(&v, sizeof(v));
+    return from_little_endian(v);
   }
   double f64() {
     const std::uint64_t bits = u64();
@@ -130,13 +142,31 @@ class Reader {
     }
     return n;
   }
-  std::string string() {
+  /// A length-prefixed string, viewed in the buffer.
+  std::string_view text() {
     const std::uint32_t n = u32();
     need(n);
-    std::string s(n, '\0');
-    std::memcpy(s.data(), buffer_.data() + offset_, n);
+    const std::string_view s(
+        reinterpret_cast<const char*>(buffer_.data() + offset_), n);
     offset_ += n;
     return s;
+  }
+  /// A counted array of 8-byte little-endian words (int64 or float64), read
+  /// in one copy.
+  template <typename T>
+  std::vector<T> words() {
+    static_assert(sizeof(T) == sizeof(std::uint64_t));
+    std::vector<T> values(count(sizeof(T)));
+    copy_out(values.data(), values.size() * sizeof(T));
+    if constexpr (std::endian::native == std::endian::big) {
+      for (T& v : values) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        bits = from_little_endian(bits);
+        std::memcpy(&v, &bits, sizeof(bits));
+      }
+    }
+    return values;
   }
 
  private:
@@ -144,6 +174,11 @@ class Reader {
     if (offset_ + n > buffer_.size()) {
       throw soma::LookupError("Node::unpack: truncated buffer");
     }
+  }
+  void copy_out(void* out, std::size_t n) {
+    need(n);
+    if (n > 0) std::memcpy(out, buffer_.data() + offset_, n);
+    offset_ += n;
   }
   std::span<const std::byte> buffer_;
   std::size_t& offset_;
@@ -238,7 +273,7 @@ Node& Node::child(std::string_view name) {
   if (Node* existing = find_child(name)) return *existing;
   // Becoming an object discards any leaf value this node held.
   value_ = std::monostate{};
-  return children_.emplace_back(Child{std::string(name), Node{}}).node;
+  return children_.emplace_back(std::string(name)).node;
 }
 
 const Node* Node::find_child(std::string_view name) const {
@@ -356,16 +391,15 @@ std::size_t Node::packed_size() const {
 namespace {
 void to_json_impl(const Node& node, std::ostringstream& out, int indent,
                   int depth) {
-  const std::string pad =
-      indent > 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                          static_cast<std::size_t>(depth + 1),
-                                      ' ')
-                 : "";
-  const std::string close_pad =
-      indent > 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                          static_cast<std::size_t>(depth),
-                                      ' ')
-                 : "";
+  // "\n" plus the indent of this level (close_pad) or of its children (pad).
+  std::string pad;
+  std::string close_pad;
+  if (indent > 0) {
+    const auto width = static_cast<std::size_t>(indent);
+    close_pad.append(1, '\n').append(width * static_cast<std::size_t>(depth),
+                                     ' ');
+    pad.append(close_pad).append(width, ' ');
+  }
   switch (node.type()) {
     case Node::Type::kEmpty:
       out << "null";
@@ -467,7 +501,10 @@ std::byte* Node::pack_into(std::byte* p) const {
 }
 
 void Node::pack(std::vector<std::byte>& out) const {
-  const std::size_t size = packed_size();
+  pack(out, packed_size());
+}
+
+void Node::pack(std::vector<std::byte>& out, std::size_t size) const {
   const std::size_t base = out.size();
   out.resize(base + size);
   std::byte* end = pack_into(out.data() + base);
@@ -481,61 +518,92 @@ std::vector<std::byte> Node::pack() const {
   return out;
 }
 
-Node Node::unpack_one(std::span<const std::byte> buffer,
-                      std::size_t& offset, std::size_t depth) {
+void Node::unpack_into(Node& node, std::span<const std::byte> buffer,
+                       std::size_t& offset, std::size_t depth) {
   if (depth > kMaxDepth) throw soma::LookupError("Node::unpack: too deep");
   Reader reader(buffer, offset);
-  Node node;
   switch (static_cast<Tag>(reader.u8())) {
     case Tag::kEmpty:
       break;
     case Tag::kObject: {
       // Each child takes at least a name length and a tag (5 B).
       const std::uint32_t n = reader.count(5);
+      // Reserved up front, so `c` stays put while its subtree decodes.
       node.children_.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
-        std::string name = reader.string();
-        // A repeated name keeps its first position and takes the last value.
-        node.child(name) = unpack_one(buffer, offset, depth + 1);
+        Child& c = node.children_.emplace_back(std::string(reader.text()));
+        unpack_into(c.node, buffer, offset, depth + 1);
       }
+      node.merge_repeated_children();
       break;
     }
     case Tag::kInt64:
-      node.set(static_cast<std::int64_t>(reader.u64()));
+      node.value_ = static_cast<std::int64_t>(reader.u64());
       break;
     case Tag::kFloat64:
-      node.set(reader.f64());
+      node.value_ = reader.f64();
       break;
     case Tag::kString:
-      node.set(reader.string());
+      node.value_.emplace<std::string>(reader.text());
       break;
-    case Tag::kInt64Array: {
-      const std::uint32_t n = reader.count(8);
-      std::vector<std::int64_t> values;
-      values.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        values.push_back(static_cast<std::int64_t>(reader.u64()));
-      }
-      node.set(std::move(values));
+    case Tag::kInt64Array:
+      node.value_ = reader.words<std::int64_t>();
       break;
-    }
-    case Tag::kFloat64Array: {
-      const std::uint32_t n = reader.count(8);
-      std::vector<double> values;
-      values.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) values.push_back(reader.f64());
-      node.set(std::move(values));
+    case Tag::kFloat64Array:
+      node.value_ = reader.words<double>();
       break;
-    }
     default:
       throw soma::LookupError("Node::unpack: unknown tag");
   }
-  return node;
+}
+
+void Node::merge_repeated_children() {
+  const std::size_t n = children_.size();
+  if (n < 2) return;
+  // Distinct name hashes prove distinct names. Sorting them costs
+  // O(n log n) and needs no index kept on the node.
+  std::vector<std::size_t> hashes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    hashes[i] = std::hash<std::string_view>{}(children_[i].name);
+  }
+  std::ranges::sort(hashes);
+  if (std::ranges::adjacent_find(hashes) == hashes.end()) return;
+
+  // A hash tie: find the real repeats by sorting positions by name. The
+  // sort is stable, so each run of equal names lists its positions in
+  // order: the first keeps its place and takes the last one's value.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::stable_sort(order, std::less<>{},
+                           [this](std::size_t i) -> const std::string& {
+                             return children_[i].name;
+                           });
+  std::vector<char> drop(n, 0);
+  for (std::size_t run = 0; run < n;) {
+    std::size_t end = run + 1;
+    while (end < n &&
+           children_[order[end]].name == children_[order[run]].name) {
+      drop[order[end++]] = 1;
+    }
+    if (end - run > 1) {
+      children_[order[run]].node = std::move(children_[order[end - 1]].node);
+    }
+    run = end;
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (drop[i] != 0) continue;
+    if (kept != i) children_[kept] = std::move(children_[i]);
+    ++kept;
+  }
+  children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  children_.end());
 }
 
 Node Node::unpack(std::span<const std::byte> buffer) {
   std::size_t offset = 0;
-  Node node = unpack_one(buffer, offset, 0);
+  Node node;
+  unpack_into(node, buffer, offset, 0);
   if (offset != buffer.size()) {
     throw soma::LookupError("Node::unpack: trailing bytes");
   }

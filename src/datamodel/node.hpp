@@ -134,10 +134,15 @@ class Node {
 
   /// Compact binary wire format (tag/length/value). Appends to `out`.
   void pack(std::vector<std::byte>& out) const;
+  /// pack() for a caller that has already walked packed_size() (to size a
+  /// frame around the body): `size` must equal packed_size().
+  void pack(std::vector<std::byte>& out, std::size_t size) const;
   [[nodiscard]] std::vector<std::byte> pack() const;
   /// Parse a buffer produced by pack(). Throws LookupError on malformed
   /// input (truncation, unknown tags, a count the remaining bytes cannot
-  /// hold, nesting deeper than kMaxDepth).
+  /// hold, nesting deeper than kMaxDepth). Decodes in place in linear time
+  /// plus an O(n log n) repeated-name check per object; a repeated name
+  /// keeps its first position and takes its last value.
   static Node unpack(std::span<const std::byte> buffer);
 
  private:
@@ -148,8 +153,12 @@ class Node {
   /// Write this subtree's pack() encoding at `p` (which must have
   /// packed_size() bytes of room); returns one past the last byte written.
   std::byte* pack_into(std::byte* p) const;
-  static Node unpack_one(std::span<const std::byte> buffer,
-                         std::size_t& offset, std::size_t depth);
+  /// Decode one encoded subtree at `offset` into the empty `node`.
+  static void unpack_into(Node& node, std::span<const std::byte> buffer,
+                          std::size_t& offset, std::size_t depth);
+  /// Collapse repeated child names the way child(name) = value would have:
+  /// each name keeps its first position and takes its last value.
+  void merge_repeated_children();
 
   Value value_;
   std::vector<Child> children_;  // insertion order; names are unique

@@ -97,7 +97,8 @@ namespace {
 entk::Pipeline build_pipeline(const DdmdExperimentConfig& config,
                               int pipeline_index) {
   entk::Pipeline pipeline;
-  pipeline.name = "p" + std::to_string(pipeline_index);
+  pipeline.name = "p";
+  pipeline.name += std::to_string(pipeline_index);
   for (int phase = 0; phase < config.phases; ++phase) {
     const DdmdPhaseConfig& pc = config.phase_config(phase);
     const auto stage_specs = workloads::ddmd_phase_stages(

@@ -10,14 +10,16 @@ namespace soma::net {
 namespace {
 
 // Encode one frame: header + body packed straight behind it. One allocation,
-// exactly frame_size bytes; no envelope tree on either side of the wire.
+// exactly frame_size bytes, and one walk of the body for its size; no
+// envelope tree on either side of the wire.
 std::vector<std::byte> encode_frame(wire::Kind kind, std::uint64_t request_id,
                                     std::string_view rpc,
                                     const datamodel::Node& body) {
+  const std::size_t body_size = body.packed_size();
   std::vector<std::byte> frame;
-  frame.reserve(wire::frame_size(kind, rpc.size(), body.packed_size()));
+  frame.reserve(wire::frame_size(kind, rpc.size(), body_size));
   wire::append_header(frame, kind, request_id, rpc);
-  body.pack(frame);
+  body.pack(frame, body_size);
   return frame;
 }
 
@@ -206,7 +208,7 @@ void Engine::handle_request(const Address& from, std::uint64_t request_id,
         datamodel::Node response;
         const auto it = handlers_.find(rpc);
         if (it != handlers_.end()) {
-          response = it->second(from, args);
+          response = it->second(from, std::move(args));
         } else {
           SOMA_WARN() << "rpc engine " << address_ << ": unknown rpc '" << rpc
                       << "'";

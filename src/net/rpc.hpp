@@ -105,8 +105,11 @@ struct EngineStats {
 class Engine {
  public:
   /// A server-side handler: caller address + request payload -> response.
+  /// The engine moves the decoded request into `args`, so a handler may
+  /// take it by value and move parts of it on (as soma.publish does with
+  /// the record); a handler declared with `const Node&` works unchanged.
   using Handler = std::function<datamodel::Node(const Address& caller,
-                                                const datamodel::Node& args)>;
+                                                datamodel::Node args)>;
   /// A client-side completion callback.
   using ResponseCallback = std::function<void(datamodel::Node response)>;
   /// Fired when a call exhausts its retry budget without a response.

@@ -1,6 +1,6 @@
 #include "rp/session.hpp"
 
-#include <algorithm>
+#include <cstdio>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -71,14 +71,11 @@ void Session::bootstrap_agent(const batch::Allocation& allocation) {
     executor_->launch(task);
   });
   executor_->set_on_start([this](const std::shared_ptr<Task>& task) {
-    const auto listeners = start_listeners_;
-    for (const auto& listener : listeners) listener(task);
+    dispatch(start_listeners_, task);
   });
   executor_->set_on_complete([this](const std::shared_ptr<Task>& task) {
     scheduler_->task_completed(*task);
-    // Copy: a listener may register further listeners while we iterate.
-    const auto listeners = completion_listeners_;
-    for (const auto& listener : listeners) listener(task);
+    dispatch(completion_listeners_, task);
   });
 
   tmgr_to_agent_ = std::make_unique<comm::Channel<std::shared_ptr<Task>>>(
@@ -131,7 +128,7 @@ std::shared_ptr<Task> Session::submit(TaskDescription description) {
     std::snprintf(buffer, sizeof(buffer), "task.%06zu", tasks_.size());
     description.uid = buffer;
   }
-  if (find_task(description.uid) != nullptr) {
+  if (!task_index_.try_emplace(description.uid, tasks_.size()).second) {
     throw ConfigError("duplicate task uid: " + description.uid);
   }
 
@@ -160,10 +157,14 @@ void Session::add_task_start_listener(
 }
 
 std::shared_ptr<Task> Session::find_task(const std::string& uid) const {
-  const auto it =
-      std::find_if(tasks_.begin(), tasks_.end(),
-                   [&](const auto& t) { return t->uid() == uid; });
-  return it == tasks_.end() ? nullptr : *it;
+  const auto it = task_index_.find(uid);
+  return it == task_index_.end() ? nullptr : tasks_[it->second];
+}
+
+void Session::dispatch(const std::deque<Listener>& listeners,
+                       const std::shared_ptr<Task>& task) {
+  const std::size_t count = listeners.size();
+  for (std::size_t i = 0; i < count; ++i) listeners[i](task);
 }
 
 AgentScheduler& Session::scheduler() {

@@ -16,10 +16,12 @@
 // shared and exclusive placement policies of §4.3.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "batch/batch.hpp"
@@ -151,11 +153,18 @@ class Session {
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<comm::Channel<std::shared_ptr<Task>>> tmgr_to_agent_;
 
+  using Listener = std::function<void(const std::shared_ptr<Task>&)>;
+  /// Call the listeners registered before this event, by index: a deque
+  /// keeps them in place while one registers another, and the new one
+  /// fires from the next event on.
+  static void dispatch(const std::deque<Listener>& listeners,
+                       const std::shared_ptr<Task>& task);
+
   std::vector<std::shared_ptr<Task>> tasks_;
-  std::vector<std::function<void(const std::shared_ptr<Task>&)>>
-      completion_listeners_;
-  std::vector<std::function<void(const std::shared_ptr<Task>&)>>
-      start_listeners_;
+  /// uid -> index into tasks_.
+  std::unordered_map<std::string, std::size_t> task_index_;
+  std::deque<Listener> completion_listeners_;
+  std::deque<Listener> start_listeners_;
   std::vector<std::vector<CoreId>> agent_core_claims_;
   bool finalized_ = false;
 };

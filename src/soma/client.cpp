@@ -53,9 +53,14 @@ const net::Address& SomaClient::rank_for(const std::string& source) const {
   return instance_ranks_[rank_index_for(source)];
 }
 
-bool SomaClient::degraded() const {
-  return std::any_of(rank_down_.begin(), rank_down_.end(),
-                     [](char down) { return down != 0; });
+void SomaClient::set_rank_down(std::size_t rank_index, bool down) {
+  if ((rank_down_[rank_index] != 0) == down) return;
+  rank_down_[rank_index] = down ? 1 : 0;
+  if (down) {
+    ++ranks_down_;
+  } else {
+    --ranks_down_;
+  }
 }
 
 void SomaClient::publish(const std::string& source, datamodel::Node data,
@@ -228,7 +233,7 @@ void SomaClient::on_publish_failure(std::size_t rank_index,
                                     std::function<void()> on_ack,
                                     bool from_batch) {
   ++stats_.publish_failures;
-  rank_down_[rank_index] = 1;
+  set_rank_down(rank_index, true);
   SOMA_DEBUG() << "soma client " << address() << ": collector "
                << instance_ranks_[rank_index] << " unresponsive";
   if (reliability_.buffer_on_failure) {
@@ -288,7 +293,7 @@ void SomaClient::probe_tick() {
         instance_ranks_[i], "soma.ping", datamodel::Node{},
         [this, i](const datamodel::Node& /*reply*/) {
           probe_in_flight_[i] = 0;
-          rank_down_[i] = 0;
+          set_rank_down(i, false);
           SOMA_DEBUG() << "soma client " << address() << ": collector "
                        << instance_ranks_[i] << " recovered";
           flush_buffer();

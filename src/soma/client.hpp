@@ -115,7 +115,7 @@ class SomaClient {
 
   /// True while at least one target rank is considered down (the client is
   /// buffering or failing over). Monitors report this as degraded ticks.
-  [[nodiscard]] bool degraded() const;
+  [[nodiscard]] bool degraded() const { return ranks_down_ > 0; }
   /// Publishes currently parked awaiting collector recovery.
   [[nodiscard]] std::size_t buffered_pending() const { return buffer_.size(); }
 
@@ -165,6 +165,8 @@ class SomaClient {
   /// Replay buffered publishes whose target rank is back up, oldest first.
   void flush_buffer();
   void ensure_probe_running();
+  /// Mark a target rank down or back up, keeping ranks_down_ in step.
+  void set_rank_down(std::size_t rank_index, bool down);
   void probe_tick();
 
   net::Network& network_;
@@ -175,6 +177,7 @@ class SomaClient {
   std::unique_ptr<net::Engine> engine_;
   std::unique_ptr<PublishBatcher> batcher_;  ///< null when batching is off
   std::vector<char> rank_down_;       // 1 = considered down
+  std::size_t ranks_down_ = 0;        // count of 1s in rank_down_
   std::vector<char> probe_in_flight_; // 1 = ping outstanding
   std::deque<Buffered> buffer_;
   std::uint64_t next_buffer_seq_ = 0;

@@ -79,12 +79,13 @@ const InstanceInfo& SomaService::instance(Namespace ns) const {
 void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
   engine.define("soma.publish", [this, shard_index](
                                     const net::Address& /*caller*/,
-                                    const datamodel::Node& args) {
+                                    datamodel::Node args) {
     const Namespace ns =
         parse_namespace(args.fetch_existing("ns").as_string());
     const std::string& source = args.fetch_existing("source").as_string();
+    // The request is ours: move the record out of it rather than copy it.
     datamodel::Node data;
-    if (const auto* payload = args.find_child("data")) data = *payload;
+    if (auto* payload = args.find_child("data")) data = std::move(*payload);
     ++publishes_received_;
     // Replayed publishes (buffered by a client while this rank was down)
     // carry their original publish time in "t"; honor it so the stored

@@ -1,12 +1,20 @@
 // Unit + property tests for the Conduit-like hierarchical data model.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "datamodel/node.hpp"
+#include "test_names.hpp"
 
 namespace soma::datamodel {
 namespace {
+
+using testutil::numbered;
 
 TEST(NodeTest, DefaultIsEmpty) {
   Node node;
@@ -392,6 +400,106 @@ TEST(NodeSerdeTest, RepeatedChildNameKeepsFirstPositionWithLastValue) {
   EXPECT_EQ(node.child_names()[1], "b");
   EXPECT_EQ(node.child_at(0).as_int64(), 3);
   EXPECT_EQ(node.child_at(1).as_int64(), 2);
+}
+
+TEST(NodeSerdeTest, RepeatInWideObjectKeepsFirstPositionWithLastValue) {
+  // 100 children; "c3" is repeated at position 97.
+  std::vector<std::byte> wire;
+  put_object_header(wire, 100);
+  for (int i = 0; i < 100; ++i) {
+    put_name(wire, numbered("c", i == 97 ? 3 : i));
+    put_int64_leaf(wire, i);
+  }
+  const Node node = Node::unpack(wire);
+  ASSERT_EQ(node.number_of_children(), 99u);
+  for (std::size_t i = 0; i < 99; ++i) {
+    const int original = i < 97 ? static_cast<int>(i) : static_cast<int>(i) + 1;
+    EXPECT_EQ(node.child_names()[i], numbered("c", original));
+    EXPECT_EQ(node.child_at(i).as_int64(), i == 3 ? 97 : original);
+  }
+}
+
+TEST(NodeSerdeTest, NameRepeatedThreeTimesTakesLastValue) {
+  // "x" at positions 0, 2 and 4; the first one is an object, which the
+  // last (leaf) value replaces whole.
+  Node first;
+  first["k"].set(std::int64_t{7});
+  std::vector<std::byte> wire;
+  put_object_header(wire, 6);
+  put_name(wire, "x");
+  first.pack(wire);
+  const char* rest[] = {"a", "x", "b", "x", "c"};
+  for (int i = 0; i < 5; ++i) {
+    put_name(wire, rest[i]);
+    put_int64_leaf(wire, i + 1);
+  }
+  const Node node = Node::unpack(wire);
+  ASSERT_EQ(node.number_of_children(), 4u);
+  EXPECT_EQ(node.child_names()[0], "x");
+  EXPECT_EQ(node.child_names()[1], "a");
+  EXPECT_EQ(node.child_names()[2], "b");
+  EXPECT_EQ(node.child_names()[3], "c");
+  EXPECT_EQ(node.child_at(0).as_int64(), 4);
+  EXPECT_EQ(node.child_at(1).as_int64(), 1);
+  EXPECT_EQ(node.child_at(2).as_int64(), 3);
+  EXPECT_EQ(node.child_at(3).as_int64(), 5);
+}
+
+TEST(NodeSerdeTest, ObjectOfOnlyRepeatsCollapsesToOneChild) {
+  std::vector<std::byte> wire;
+  put_object_header(wire, 5000);
+  for (int i = 0; i < 5000; ++i) {
+    put_name(wire, "a");
+    put_int64_leaf(wire, i);
+  }
+  const Node node = Node::unpack(wire);
+  ASSERT_EQ(node.number_of_children(), 1u);
+  EXPECT_EQ(node.child_at(0).as_int64(), 4999);
+}
+
+TEST(NodeSerdeTest, EventsSizedObjectRoundTripsByteForByte) {
+  // As wide as RpMonitor's `events` node at 512 pipelines: one child per
+  // task uid, each holding its timestamped events.
+  Node events;
+  for (int i = 0; i < 6685; ++i) {
+    char uid[16];
+    std::snprintf(uid, sizeof(uid), "task.%06d", i);
+    Node& task = events[uid];
+    task[std::to_string(1698435412606000000LL + i)].set("rank_start");
+    task[std::to_string(1698435413606000000LL + i)].set("rank_stop");
+  }
+  const std::vector<std::byte> bytes = events.pack();
+  const Node back = Node::unpack(bytes);
+  EXPECT_EQ(back.number_of_children(), 6685u);
+  EXPECT_EQ(back, events);
+  EXPECT_EQ(back.pack(), bytes);
+}
+
+TEST(NodeSerdeTest, NumericArraysKeepBitPatterns) {
+  const std::vector<std::uint64_t> float_bits = {
+      0x7ff8000000000123ULL,  // quiet NaN with a payload
+      0xfff8000000000000ULL,  // negative quiet NaN
+      0x8000000000000000ULL,  // -0.0
+      0x0000000000000001ULL,  // smallest subnormal
+      0x3ff8000000000000ULL,  // 1.5
+  };
+  std::vector<double> floats;
+  for (std::uint64_t bits : float_bits) {
+    floats.push_back(std::bit_cast<double>(bits));
+  }
+  Node node;
+  node["f"].set(floats);
+  node["i"].set(std::vector<std::int64_t>{
+      std::numeric_limits<std::int64_t>::min(), -1, 0,
+      std::numeric_limits<std::int64_t>::max()});
+  const Node back = Node::unpack(node.pack());
+  const std::vector<double>& f = back.fetch_existing("f").as_float64_array();
+  ASSERT_EQ(f.size(), float_bits.size());
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f[i]), float_bits[i]) << i;
+  }
+  EXPECT_EQ(back.fetch_existing("i").as_int64_array(),
+            node.fetch_existing("i").as_int64_array());
 }
 
 TEST(NodeSerdeTest, ImpossibleCountThrowsBeforeAllocating) {

@@ -1,11 +1,16 @@
 // Unit tests for the EnTK layer: pipelines, stage barriers, concurrency.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "entk/entk.hpp"
+#include "test_names.hpp"
 
 namespace soma::entk {
 namespace {
+
+using testutil::numbered;
 
 rp::SessionConfig session_config(int nodes = 3) {
   rp::SessionConfig config;
@@ -166,11 +171,11 @@ TEST(EnTkTest, ManyPipelinesAllComplete) {
   AppManager manager(session);
   for (int p = 0; p < 10; ++p) {
     Pipeline pipeline;
-    pipeline.name = "p" + std::to_string(p);
+    pipeline.name = numbered("p", p);
     for (int s = 0; s < 3; ++s) {
       pipeline.stages.push_back(
-          Stage{"s" + std::to_string(s),
-                {simple_task("t" + std::to_string(p) + "." + std::to_string(s),
+          Stage{numbered("s", s),
+                {simple_task(numbered("t", p) + "." + std::to_string(s),
                              5.0 + p)}});
     }
     manager.add_pipeline(std::move(pipeline));

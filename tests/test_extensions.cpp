@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "analysis/anomaly.hpp"
 #include "common/error.hpp"
@@ -11,9 +12,12 @@
 #include "soma/app_instrument.hpp"
 #include "soma/export.hpp"
 #include "soma/service.hpp"
+#include "test_names.hpp"
 
 namespace soma {
 namespace {
+
+using testutil::numbered;
 
 // ---------- JSON parsing ----------
 
@@ -282,7 +286,7 @@ TEST(AnomalyTest, MedianAbsoluteDeviation) {
 TEST(AnomalyTest, DetectsStraggler) {
   std::vector<analysis::TaskSample> samples;
   for (int i = 0; i < 19; ++i) {
-    samples.push_back({"t" + std::to_string(i), "of-82",
+    samples.push_back({numbered("t", i), "of-82",
                        200.0 + (i % 5)});
   }
   samples.push_back({"slow", "of-82", 340.0});
@@ -296,7 +300,7 @@ TEST(AnomalyTest, DetectsStraggler) {
 TEST(AnomalyTest, DetectsUnexpectedlyFast) {
   std::vector<analysis::TaskSample> samples;
   for (int i = 0; i < 19; ++i) {
-    samples.push_back({"t" + std::to_string(i), "g", 100.0 + (i % 7)});
+    samples.push_back({numbered("t", i), "g", 100.0 + (i % 7)});
   }
   samples.push_back({"fast", "g", 8.0});
   const auto anomalies = analysis::detect_task_anomalies(samples, 3.0);
@@ -309,8 +313,8 @@ TEST(AnomalyTest, GroupsIsolated) {
   // another configuration is faster.
   std::vector<analysis::TaskSample> samples;
   for (int i = 0; i < 10; ++i) {
-    samples.push_back({"a" + std::to_string(i), "of-20", 500.0 + i});
-    samples.push_back({"b" + std::to_string(i), "of-164", 200.0 + i});
+    samples.push_back({numbered("a", i), "of-20", 500.0 + i});
+    samples.push_back({numbered("b", i), "of-164", 200.0 + i});
   }
   EXPECT_TRUE(analysis::detect_task_anomalies(samples, 3.0).empty());
 }

@@ -24,6 +24,7 @@
 #include "soma/export.hpp"
 #include "soma/namespaces.hpp"
 #include "soma/service.hpp"
+#include "soma/storage_backend.hpp"
 #include "soma/store.hpp"
 
 namespace soma {
@@ -603,6 +604,64 @@ TEST(FaultReplayTest, BufferOverflowEvictsOldest) {
   EXPECT_EQ(client.stats().buffered, 6u);
   EXPECT_EQ(client.stats().dropped_overflow, 2u);
   EXPECT_EQ(service.publishes_received(), 0u);
+}
+
+TEST(FaultReplayTest, DegradedFollowsEachFailureAndRecovery) {
+  // Two ranks, one source homed on each. Both ranks go down (rank 0 with two
+  // publishes in flight, so it fails twice), the probe brings both back,
+  // then one goes down again: degraded() must follow every step, not just
+  // the first failure.
+  sim::Simulation simulation;
+  net::Network network{simulation, net::NetworkConfig{}};
+  ServiceConfig service_config;
+  service_config.namespaces = {Namespace::kHardware};
+  service_config.ranks_per_namespace = 2;
+  SomaService service(network, {0}, service_config);
+  const auto& ranks = service.instance(Namespace::kHardware).ranks;
+  std::string source_on[2];
+  for (int i = 0; source_on[0].empty() || source_on[1].empty(); ++i) {
+    const std::string source = "cn" + std::to_string(i);
+    source_on[core::route_source(source, 2)] = source;
+  }
+  net::FaultInjector& injector = network.install_faults(net::FaultConfig{});
+  injector.crash_endpoint(ranks[0], SimTime::from_seconds(0.5),
+                          SimTime::from_seconds(3.0));
+  injector.crash_endpoint(ranks[1], SimTime::from_seconds(0.5),
+                          SimTime::from_seconds(3.0));
+  injector.crash_endpoint(ranks[1], SimTime::from_seconds(5.0),
+                          SimTime::from_seconds(7.0));
+
+  ClientReliability reliability;
+  reliability.retry.max_attempts = 1;
+  reliability.retry.timeout = Duration::milliseconds(10);
+  reliability.buffer_on_failure = true;
+  reliability.probe_period = Duration::seconds(1);
+  SomaClient client(network, 1, 6000, Namespace::kHardware, ranks,
+                    reliability);
+
+  simulation.schedule_at(SimTime::from_seconds(1.0), [&] {
+    client.publish(source_on[0], value_node(1.0));
+    client.publish(source_on[0], value_node(1.5));
+    client.publish(source_on[1], value_node(2.0));
+  });
+  simulation.schedule_at(SimTime::from_seconds(5.5), [&] {
+    client.publish(source_on[1], value_node(3.0));
+  });
+  std::vector<std::pair<double, bool>> seen;
+  for (double at : {0.9, 1.1, 2.5, 3.5, 5.6, 8.5}) {
+    simulation.schedule_at(SimTime::from_seconds(at), [&, at] {
+      seen.emplace_back(at, client.degraded());
+    });
+  }
+  simulation.run_until(SimTime::from_seconds(10.0));
+
+  const std::vector<std::pair<double, bool>> expected = {
+      {0.9, false}, {1.1, true},  {2.5, true},
+      {3.5, false}, {5.6, true},  {8.5, false}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(client.stats().publish_failures, 4u);
+  EXPECT_EQ(client.stats().replayed, 4u);
+  EXPECT_EQ(service.publishes_received(), 4u);
 }
 
 TEST(FaultFailoverTest, PublishesRedirectToLiveRank) {

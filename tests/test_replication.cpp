@@ -461,7 +461,9 @@ TEST_P(ReplicationRecoveryTest, RecoveredRankServesCompletePrimaryReads) {
   for (std::size_t i = 0; i < series.size(); ++i) {
     EXPECT_EQ(series[i]->data.fetch_existing("v").as_float64(),
               static_cast<double>(i));
-    if (i > 0) EXPECT_LE(series[i - 1]->time, series[i]->time);
+    if (i > 0) {
+      EXPECT_LE(series[i - 1]->time, series[i]->time);
+    }
   }
   // Its replicas healed too: the other primary re-shipped its log, and the
   // recovered rank's own log re-replicated to its successor.

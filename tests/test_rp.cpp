@@ -79,6 +79,21 @@ TEST(TaskTest, EventLog) {
   EXPECT_FALSE(task.launch_duration().has_value());
 }
 
+TEST(TaskTest, FirstOccurrenceWins) {
+  Task task(TaskDescription{.uid = "t"});
+  EXPECT_EQ(task.state_entered(TaskState::kNew), SimTime::zero());
+  task.record_event(events::kRankStart, SimTime::from_seconds(2.0));
+  task.record_event(events::kRankStart, SimTime::from_seconds(3.0));
+  task.record_event("custom_event", SimTime::from_seconds(4.0));
+  task.record_event("custom_event", SimTime::from_seconds(5.0));
+  EXPECT_EQ(task.event_time(events::kRankStart), SimTime::from_seconds(2.0));
+  EXPECT_EQ(task.event_time(std::string("rank_start")),
+            SimTime::from_seconds(2.0));
+  EXPECT_EQ(task.event_time("custom_event"), SimTime::from_seconds(4.0));
+  EXPECT_FALSE(task.event_time("never_recorded").has_value());
+  EXPECT_EQ(task.event_log().size(), 4u);
+}
+
 TEST(TaskTest, ProfileMirroring) {
   ProfileStore store;
   Task task(TaskDescription{.uid = "task.x"});
@@ -458,6 +473,82 @@ TEST(SessionTest, StartListenerFiresAtRankStart) {
   });
   session.run();
   EXPECT_EQ(started, *task->event_time(events::kRankStart));
+}
+
+// A listener registered while listeners are being dispatched misses the
+// event in progress and fires from the next one on. The listeners capture
+// one pointer, so std::function stores them inline: a listener container
+// that moved its elements while one runs would free the running closure,
+// which ASan reports. Registering 64 grows the container mid-dispatch.
+struct LateListeners {
+  Session* session = nullptr;
+  std::string registered_by;
+  std::vector<std::string> calls;
+};
+
+TEST(SessionTest, StartListenerAddedDuringDispatchFiresFromNextStart) {
+  Session session(small_session_config());
+  LateListeners late{.session = &session};
+  session.add_task_start_listener(
+      [late = &late](const std::shared_ptr<Task>& task) {
+        if (!late->registered_by.empty()) return;
+        late->registered_by = task->uid();
+        for (int i = 0; i < 64; ++i) {
+          late->session->add_task_start_listener(
+              [late](const std::shared_ptr<Task>& t) {
+                late->calls.push_back(t->uid());
+              });
+        }
+      });
+  session.start([&] {
+    session.submit(TaskDescription{.uid = "first", .ranks = 1});
+    session.submit(TaskDescription{.uid = "second", .ranks = 1});
+  });
+  session.run();
+  const std::string other =
+      late.registered_by == "first" ? "second" : "first";
+  ASSERT_EQ(late.calls.size(), 64u);
+  for (const std::string& uid : late.calls) EXPECT_EQ(uid, other);
+}
+
+TEST(SessionTest, CompletionListenerAddedDuringDispatchFiresFromNextCompletion) {
+  Session session(small_session_config());
+  LateListeners late{.session = &session};
+  session.add_task_completion_listener(
+      [late = &late](const std::shared_ptr<Task>& task) {
+        if (!late->registered_by.empty()) return;
+        late->registered_by = task->uid();
+        for (int i = 0; i < 64; ++i) {
+          late->session->add_task_completion_listener(
+              [late](const std::shared_ptr<Task>& t) {
+                late->calls.push_back(t->uid());
+              });
+        }
+      });
+  session.start([&] {
+    session.submit(TaskDescription{
+        .uid = "first", .ranks = 1, .fixed_duration = Duration::seconds(1.0)});
+    session.submit(TaskDescription{.uid = "second",
+                                   .ranks = 1,
+                                   .fixed_duration = Duration::seconds(5.0)});
+  });
+  session.run();
+  const std::string other =
+      late.registered_by == "first" ? "second" : "first";
+  ASSERT_EQ(late.calls.size(), 64u);
+  for (const std::string& uid : late.calls) EXPECT_EQ(uid, other);
+}
+
+TEST(SessionTest, FindTaskByUid) {
+  Session session(small_session_config());
+  session.start([&] {
+    const auto a = session.submit(TaskDescription{.uid = "a", .ranks = 1});
+    const auto b = session.submit(TaskDescription{.ranks = 1});
+    EXPECT_EQ(session.find_task("a"), a);
+    EXPECT_EQ(session.find_task(b->uid()), b);
+    EXPECT_EQ(session.find_task("missing"), nullptr);
+  });
+  session.run();
 }
 
 TEST(SessionTest, DuplicateUidRejected) {

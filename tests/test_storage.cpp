@@ -556,7 +556,9 @@ TEST(ShardCountersTest, CountersFollowRouting) {
   std::uint64_t total_records = 0;
   for (const auto& counter : store.shard_counters()) {
     total_records += counter.records;
-    if (counter.records > 0) EXPECT_GT(counter.bytes, 0u);
+    if (counter.records > 0) {
+      EXPECT_GT(counter.bytes, 0u);
+    }
   }
   EXPECT_EQ(total_records, store.total_records());
   // namespace-major, shard-minor: 4 namespaces x 2 shards.

@@ -4,14 +4,10 @@
 // frequent-exclusive ("frequent" = publish every 10 s instead of 60 s).
 // (paper §4.3; x-axis of the figure is log-scaled application nodes.)
 //
-// Pass a maximum scale as argv[1] (e.g. "128") to truncate the sweep.
-// `--fault-seed N` reruns the sweep on a lossy fabric (1% drops, 2% latency
-// spikes) with client retry + buffer-and-replay enabled; without the flag
-// the output is byte-identical to earlier builds.
+// Pass a maximum scale (at least 64, e.g. "128") to truncate the sweep; it
+// takes the stack flags of bench_stack.hpp too.
 
-#include <cstdlib>
-
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/ddmd_experiment.hpp"
 
 using namespace soma;
@@ -21,24 +17,14 @@ int main(int argc, char** argv) {
   bench::header("Figure 11",
                 "DDMD Scaling B: pipeline-runtime distributions per config");
 
-  // `--store-backend log` swaps the storage backend under the sharded
-  // store; the default map backend keeps output byte-identical.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
-
-  // `--publish-batch N` coalesces client publishes into N-record batch
-  // frames; absent, batching is off and output stays byte-identical.
-  const core::BatchingConfig batching = bench::parse_publish_batch(argc, argv);
-
-  // `--replication F` replicates every shard to F-1 successor ranks; absent,
-  // replication is off and output stays byte-identical. Spliced out before
-  // the positional max-scale parse below.
-  const core::ReplicationConfig replication =
-      bench::parse_replication(argc, argv);
-
-  const bench::FaultSeedArg fault = bench::parse_fault_seed(argc, argv);
-
+  const char* max_scale_arg = nullptr;
+  const StackConfig stack = bench::parse_stack(argc, argv, &max_scale_arg);
   int max_scale = 512;
-  for (int i = 1; i < argc; ++i) max_scale = std::atoi(argv[i]);
+  if (max_scale_arg != nullptr) {
+    max_scale =
+        static_cast<int>(bench::parse_count("max scale", max_scale_arg));
+    if (max_scale < 64) bench::usage_error("max scale must be at least 64");
+  }
 
   struct Config {
     const char* name;
@@ -53,10 +39,7 @@ int main(int argc, char** argv) {
       {"frequent-exclusive", SomaMode::kExclusive, 10.0},
   };
 
-  std::uint64_t net_drops = 0, rpc_retries = 0, publish_failures = 0;
-  std::uint64_t replayed = 0, failovers = 0;
-  std::uint64_t records_replicated = 0, resync_records = 0, crash_wipes = 0;
-  std::uint64_t ranks_recovered = 0;
+  std::vector<StackTotals> totals;
 
   std::map<std::pair<int, std::string>, Summary> results;
   TextTable table({"app nodes", "config", "pipeline time (s)", "median",
@@ -67,20 +50,9 @@ int main(int argc, char** argv) {
     for (const auto& config : configs) {
       auto experiment = DdmdExperimentConfig::scaling_b(
           scale, config.mode, Duration::seconds(config.period_s));
-      experiment.storage = storage;
-      experiment.batching = batching;
-      experiment.replication = replication;
-      bench::apply_lossy_fabric(experiment, fault);
+      experiment.stack() = stack;
       const DdmdResult result = run_ddmd_experiment(experiment);
-      net_drops += result.net_drops;
-      rpc_retries += result.rpc_retries;
-      publish_failures += result.publish_failures;
-      replayed += result.replayed_publishes;
-      failovers += result.failovers;
-      records_replicated += result.records_replicated;
-      resync_records += result.resync_records;
-      crash_wipes += result.crash_wipes;
-      ranks_recovered += result.ranks_recovered;
+      totals.push_back(result.totals);
       const Summary summary = summarize(result.pipeline_seconds);
       results[{scale, config.name}] = summary;
       if (std::string(config.name) == "none") none_mean = summary.mean;
@@ -144,33 +116,6 @@ int main(int argc, char** argv) {
                              "yes", shared_large > shared_small ? "yes" : "NO");
   }
 
-  if (fault.enabled) {
-    bench::section(("fault injection (seed " + std::to_string(fault.seed) +
-                    ")")
-                       .c_str());
-    std::printf("  network drops:    %llu\n",
-                static_cast<unsigned long long>(net_drops));
-    std::printf("  rpc retries:      %llu\n",
-                static_cast<unsigned long long>(rpc_retries));
-    std::printf("  publish failures: %llu\n",
-                static_cast<unsigned long long>(publish_failures));
-    std::printf("  replayed:         %llu\n",
-                static_cast<unsigned long long>(replayed));
-    std::printf("  failovers:        %llu\n",
-                static_cast<unsigned long long>(failovers));
-  }
-  if (replication.enabled()) {
-    bench::section(
-        ("replication (factor " + std::to_string(replication.factor) + ")")
-            .c_str());
-    std::printf("  records replicated: %llu\n",
-                static_cast<unsigned long long>(records_replicated));
-    std::printf("  resync records:     %llu\n",
-                static_cast<unsigned long long>(resync_records));
-    std::printf("  crash wipes:        %llu\n",
-                static_cast<unsigned long long>(crash_wipes));
-    std::printf("  ranks recovered:    %llu\n",
-                static_cast<unsigned long long>(ranks_recovered));
-  }
+  bench::print_stack_sections(stack, totals);
   return 0;
 }

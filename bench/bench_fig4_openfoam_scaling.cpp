@@ -5,7 +5,7 @@
 // execution-time distributions. The paper's finding: "there is limited
 // benefit to scaling the OpenFOAM tasks beyond two nodes" (82 ranks).
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/openfoam_experiment.hpp"
 
 using namespace soma;
@@ -14,11 +14,10 @@ using namespace soma::experiments;
 int main(int argc, char** argv) {
   bench::header("Figure 4", "OpenFOAM task strong scaling (overloaded run)");
 
-  // `--store-backend log` swaps the storage backend under the sharded store.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   auto config = OpenFoamExperimentConfig::overloaded();
-  config.storage = storage;
+  config.stack() = stack;
   const OpenFoamResult result = run_openfoam_experiment(config);
 
   TextTable table({"MPI ranks", "nodes", "instances", "exec time (s)",

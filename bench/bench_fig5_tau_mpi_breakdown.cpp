@@ -8,7 +8,7 @@
 
 #include <map>
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/openfoam_experiment.hpp"
 
 using namespace soma;
@@ -18,12 +18,11 @@ int main(int argc, char** argv) {
   bench::header("Figure 5",
                 "TAU profile: per-rank MPI time of one 164-rank task");
 
-  // `--store-backend log` swaps the storage backend under the sharded store.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   // The tuning run is enough: it publishes one 164-rank profile.
   auto config = OpenFoamExperimentConfig::tuning();
-  config.storage = storage;
+  config.stack() = stack;
   const OpenFoamResult result = run_openfoam_experiment(config);
   const profiler::TauProfile& profile = result.sample_profile;
   if (profile.ranks.empty()) {

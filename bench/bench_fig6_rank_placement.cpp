@@ -7,7 +7,7 @@
 // nodes (smaller runs tended to execute later, when nodes were less
 // contended), with a weaker effect at 41 ranks.
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/openfoam_experiment.hpp"
 
 using namespace soma;
@@ -17,15 +17,14 @@ int main(int argc, char** argv) {
   bench::header("Figure 6",
                 "OpenFOAM execution time by node spread (20 / 41 ranks)");
 
-  // `--store-backend log` swaps the storage backend under the sharded store.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   // Aggregate several seeds: one overloaded run yields few distinct spread
   // groups, and the figure is a distribution.
   std::map<std::pair<int, int>, std::vector<double>> by_spread;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     auto config = OpenFoamExperimentConfig::overloaded(seed);
-    config.storage = storage;
+    config.stack() = stack;
     const OpenFoamResult result = run_openfoam_experiment(config);
     for (const auto& [key, times] : result.by_spread) {
       auto& bucket = by_spread[key];

@@ -9,7 +9,7 @@
 
 #include <algorithm>
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/openfoam_experiment.hpp"
 
 using namespace soma;
@@ -19,11 +19,10 @@ int main(int argc, char** argv) {
   bench::header("Figure 7",
                 "per-node CPU utilization, OpenFOAM tuning workflow");
 
-  // `--store-backend log` swaps the storage backend under the sharded store.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   auto config = OpenFoamExperimentConfig::tuning();
-  config.storage = storage;
+  config.stack() = stack;
   const OpenFoamResult result = run_openfoam_experiment(config);
 
   // Time-bucketed utilization chart, one row per sample time, one column

@@ -6,7 +6,7 @@
 // observation: the 164-rank task first occupies every core, then the other
 // three tasks run simultaneously.
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/openfoam_experiment.hpp"
 
 using namespace soma;
@@ -30,13 +30,12 @@ void report(const char* name, const OpenFoamResult& result) {
 int main(int argc, char** argv) {
   bench::header("Figure 8", "RP resource utilization maps (OpenFOAM)");
 
-  // `--store-backend log` swaps the storage backend under the sharded store.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   auto overload_config = OpenFoamExperimentConfig::overloaded();
-  overload_config.storage = storage;
+  overload_config.stack() = stack;
   auto tuning_config = OpenFoamExperimentConfig::tuning();
-  tuning_config.storage = storage;
+  tuning_config.stack() = stack;
   const OpenFoamResult overload = run_openfoam_experiment(overload_config);
   const OpenFoamResult tuning = run_openfoam_experiment(tuning_config);
 

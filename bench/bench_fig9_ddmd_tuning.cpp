@@ -6,7 +6,7 @@
 // cores that can be used per task, CPU utilization remains low" because the
 // two longest stages do their work on the GPU.
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/ddmd_experiment.hpp"
 
 using namespace soma;
@@ -15,11 +15,10 @@ using namespace soma::experiments;
 int main(int argc, char** argv) {
   bench::header("Figure 9", "DDMD mini-app tuning: CPU utilization per phase");
 
-  // `--store-backend log` swaps the storage backend under the sharded store.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   auto config = DdmdExperimentConfig::tuning();
-  config.storage = storage;
+  config.stack() = stack;
   const DdmdResult result = run_ddmd_experiment(config);
 
   TextTable table({"phase", "cores/sim", "cores/train", "span (s)",

@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
            1.0) *
           100.0;
       table.add_row({std::to_string(scale), bench::fmt(period, 0),
-                     std::to_string(monitored.soma_publishes),
-                     bench::fmt(monitored.mean_ack_latency_ms, 3),
-                     bench::fmt(monitored.max_ack_latency_ms, 3),
-                     bench::fmt(monitored.soma_max_queue_delay_ms, 3),
+                     std::to_string(monitored.totals.soma_publishes),
+                     bench::fmt(monitored.totals.mean_ack_latency_ms, 3),
+                     bench::fmt(monitored.totals.max_ack_latency_ms, 3),
+                     bench::fmt(monitored.totals.max_queue_delay_ms, 3),
                      bench::fmt_signed_pct(overhead)});
     }
   }

@@ -4,7 +4,7 @@
 // Table 1 lays them out, then runs both and reports the realized counts so
 // the configuration is demonstrably what executed.
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/openfoam_experiment.hpp"
 
 using namespace soma;
@@ -13,26 +13,12 @@ using namespace soma::experiments;
 int main(int argc, char** argv) {
   bench::header("Table 1", "OpenFOAM experiment summary");
 
-  // `--store-backend log` swaps the storage backend under the sharded store.
-  const core::StorageConfig storage = bench::parse_store_backend(argc, argv);
-
-  // `--publish-batch N` coalesces client publishes; off by default.
-  const core::BatchingConfig batching = bench::parse_publish_batch(argc, argv);
-
-  // `--fault-seed N` reruns both configurations on a lossy fabric (1% drops,
-  // 2% latency spikes) with client retry + buffer-and-replay enabled — the
-  // Fig. 10 fault profile. Absent, the fabric is perfect and the output is
-  // byte-identical to earlier builds.
-  const bench::FaultSeedArg fault = bench::parse_fault_seed(argc, argv);
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   auto tuning = OpenFoamExperimentConfig::tuning();
-  tuning.storage = storage;
-  tuning.batching = batching;
-  bench::apply_lossy_fabric(tuning, fault);
+  tuning.stack() = stack;
   auto overload = OpenFoamExperimentConfig::overloaded();
-  overload.storage = storage;
-  overload.batching = batching;
-  bench::apply_lossy_fabric(overload, fault);
+  overload.stack() = stack;
 
   TextTable table({"Experiment", "Tuning", "Overload"});
   table.add_row({"Number of Tasks",
@@ -56,51 +42,19 @@ int main(int argc, char** argv) {
   TextTable realized({"run", "tasks done", "SOMA publishes", "TAU profiles",
                       "hosts monitored", "makespan (s)"});
   realized.add_row({"tuning", std::to_string(tuning_result.tasks.size()),
-                    std::to_string(tuning_result.soma_publishes),
+                    std::to_string(tuning_result.totals.soma_publishes),
                     std::to_string(tuning_result.tau_profiles),
                     std::to_string(tuning_result.node_utilization.size()),
                     bench::fmt(tuning_result.makespan_seconds)});
   realized.add_row({"overload", std::to_string(overload_result.tasks.size()),
-                    std::to_string(overload_result.soma_publishes),
+                    std::to_string(overload_result.totals.soma_publishes),
                     std::to_string(overload_result.tau_profiles),
                     std::to_string(overload_result.node_utilization.size()),
                     bench::fmt(overload_result.makespan_seconds)});
   std::printf("%s", realized.to_string().c_str());
 
-  bench::section("store shard balance (records routed per service rank)");
-  TextTable shards({"run", "shards", "records/shard min", "max", "imbalance"});
-  const std::pair<const char*, const OpenFoamResult*> shard_runs[] = {
-      {"tuning", &tuning_result}, {"overload", &overload_result}};
-  for (const auto& [name, r] : shard_runs) {
-    const double imbalance =
-        r->shard_records_min == 0
-            ? 0.0
-            : static_cast<double>(r->shard_records_max) /
-                  static_cast<double>(r->shard_records_min);
-    shards.add_row({name, std::to_string(r->store_shards),
-                    std::to_string(r->shard_records_min),
-                    std::to_string(r->shard_records_max),
-                    r->store_shards > 1 ? bench::fmt(imbalance, 2) + "x"
-                                        : "n/a"});
-  }
-  std::printf("%s", shards.to_string().c_str());
-
-  if (fault.enabled) {
-    bench::section(
-        ("fault injection (seed " + std::to_string(fault.seed) + ")").c_str());
-    TextTable faults({"run", "net drops", "rpc retries", "publish failures",
-                      "replayed", "failovers"});
-    const std::pair<const char*, const OpenFoamResult*> fault_runs[] = {
-        {"tuning", &tuning_result}, {"overload", &overload_result}};
-    for (const auto& [name, r] : fault_runs) {
-      faults.add_row({name, std::to_string(r->net_drops),
-                      std::to_string(r->rpc_retries),
-                      std::to_string(r->publish_failures),
-                      std::to_string(r->replayed_publishes),
-                      std::to_string(r->failovers)});
-    }
-    std::printf("%s", faults.to_string().c_str());
-  }
+  bench::print_run_tables(stack, {{"tuning", tuning_result.totals},
+                                  {"overload", overload_result.totals}});
 
   bench::paper_vs_measured("tuning tasks", "4",
                            std::to_string(tuning_result.tasks.size()));

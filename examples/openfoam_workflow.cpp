@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   std::printf("\nworkflow finished: makespan %.1f s, %llu SOMA publishes, "
               "%llu TAU profiles\n",
               result.makespan_seconds,
-              static_cast<unsigned long long>(result.soma_publishes),
+              static_cast<unsigned long long>(result.totals.soma_publishes),
               static_cast<unsigned long long>(result.tau_profiles));
 
   std::printf("\n[1] task strong scaling (what an adaptive RP would use to "

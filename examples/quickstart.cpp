@@ -111,12 +111,11 @@ int main(int /*argc*/, char** argv) {
   }
   std::printf("%s", util.to_string().c_str());
 
+  const experiments::StackTotals totals = deployment->reliability_totals();
   std::printf("\nSOMA service: %llu publishes, max queue delay %.3f ms, "
               "mean ack %.3f ms\n",
-              static_cast<unsigned long long>(
-                  deployment->service().publishes_received()),
-              deployment->service().max_queue_delay().to_seconds() * 1e3,
-              deployment->mean_client_ack_latency_ms());
+              static_cast<unsigned long long>(totals.soma_publishes),
+              totals.max_queue_delay_ms, totals.mean_ack_latency_ms);
 
   // Post-mortem: archive the store for tools/soma_inspect.
   const std::string path = output_path(argv[0], "quickstart_store.jsonl");

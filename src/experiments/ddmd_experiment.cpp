@@ -5,7 +5,6 @@
 #include "analysis/advisor.hpp"
 #include "common/error.hpp"
 #include "entk/entk.hpp"
-#include "net/fault.hpp"
 
 namespace soma::experiments {
 
@@ -140,16 +139,7 @@ DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config) {
   // Fault injection is installed before anything touches the network so the
   // per-link streams cover the whole run. An absent injector (the default)
   // keeps the fabric perfect and the run byte-identical to pre-fault builds.
-  if (config.faults.enabled) {
-    net::FaultConfig fault_config;
-    fault_config.seed = config.faults.fault_seed;
-    fault_config.default_link.drop_probability =
-        config.faults.drop_probability;
-    fault_config.default_link.spike_probability =
-        config.faults.spike_probability;
-    fault_config.default_link.spike_latency = config.faults.spike_latency;
-    session.network().install_faults(fault_config);
-  }
+  if (config.faults) session.network().install_faults(*config.faults);
 
   std::unique_ptr<SomaDeployment> deployment;
   std::unique_ptr<entk::AppManager> app_manager;
@@ -216,17 +206,13 @@ DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config) {
   session.run();
   check(run_finished.has_value(), "ddmd experiment did not finish");
 
-  result.net_drops = session.network().messages_dropped();
-  if (const net::FaultInjector* faults = session.network().faults()) {
-    result.net_latency_spikes = faults->stats().latency_spikes;
-  }
-
   // ---- extract results ----
   for (const auto& pipeline_result : app_manager->results()) {
     result.pipeline_seconds.push_back(pipeline_result.duration_seconds());
   }
   result.pipeline_summary = summarize(result.pipeline_seconds);
   result.makespan_seconds = (*run_finished - *run_started).to_seconds();
+  result.totals = deployment->reliability_totals();
 
   if (deployment->deployed()) {
     const core::StoreView store = deployment->service().store_view();
@@ -245,26 +231,6 @@ DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config) {
         }
       }
     }
-    result.soma_publishes = deployment->service().publishes_received();
-    result.soma_max_queue_delay_ms =
-        deployment->service().max_queue_delay().to_seconds() * 1e3;
-    result.mean_ack_latency_ms = deployment->mean_client_ack_latency_ms();
-    result.max_ack_latency_ms = deployment->max_client_ack_latency_ms();
-    result.replayed_publishes = deployment->service().replayed_publishes();
-    const SomaDeployment::ReliabilityTotals totals =
-        deployment->reliability_totals();
-    result.rpc_retries = totals.rpc_retries;
-    result.publish_failures = totals.publish_failures;
-    result.failovers = totals.failovers;
-    result.store_shards = totals.store_shards;
-    result.shard_records_min = totals.shard_records_min;
-    result.shard_records_max = totals.shard_records_max;
-    result.records_replicated = totals.records_replicated;
-    result.resync_records = totals.resync_records;
-    result.crash_wipes = totals.crash_wipes;
-    result.ranks_recovered = totals.ranks_recovered;
-    result.replica_lag_records = totals.replica_lag_records;
-
     // Fig. 9: mean utilization of the *application* nodes within each phase
     // of pipeline 0 (stage spans come in groups of four per phase).
     const auto& pipeline0 = app_manager->results().front();

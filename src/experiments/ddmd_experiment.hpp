@@ -31,11 +31,7 @@ struct DdmdPhaseConfig {
   int cores_per_train_task = 7;
 };
 
-/// Historical name of the shared fault profile (experiments/deployment.hpp);
-/// the OpenFOAM runner uses the same profile under the shared name.
-using DdmdFaults = FaultProfile;
-
-struct DdmdExperimentConfig {
+struct DdmdExperimentConfig : StackConfig {
   int pipelines = 1;
   int phases = 1;
   int app_nodes = 2;
@@ -53,21 +49,6 @@ struct DdmdExperimentConfig {
 
   workloads::DdmdParams params{};
   std::uint64_t seed = 1;
-
-  /// Network fault injection + client reliability for the run.
-  DdmdFaults faults{};
-  core::ClientReliability reliability{};
-
-  /// Shard replication + crash recovery for the SOMA service (factor 1 =
-  /// off, the byte-identical default).
-  core::ReplicationConfig replication{};
-
-  /// Storage layer of the SOMA service (backend kind, shards; the default
-  /// auto-shards one per rank with the map backend).
-  core::StorageConfig storage{};
-
-  /// Publish coalescing for every monitoring client (off by default).
-  core::BatchingConfig batching{};
 
   // Presets matching Table 2.
   static DdmdExperimentConfig tuning(std::uint64_t seed = 1);
@@ -109,31 +90,8 @@ struct DdmdResult {
   /// Advice recorded between phases (Adaptive experiment).
   std::vector<std::string> adaptive_advice;
 
-  // SOMA accounting.
-  std::uint64_t soma_publishes = 0;
-  double soma_max_queue_delay_ms = 0.0;
-  double mean_ack_latency_ms = 0.0;
-  double max_ack_latency_ms = 0.0;
-
-  // Fault/reliability accounting (all zero in fault-free runs).
-  std::uint64_t net_drops = 0;
-  std::uint64_t net_latency_spikes = 0;
-  std::uint64_t rpc_retries = 0;
-  std::uint64_t publish_failures = 0;
-  std::uint64_t replayed_publishes = 0;
-  std::uint64_t failovers = 0;
-
-  // Shard balance of the service store (Table 2 summary rows).
-  int store_shards = 0;
-  std::uint64_t shard_records_min = 0;
-  std::uint64_t shard_records_max = 0;
-
-  // Replication accounting (all zero when replication is off).
-  std::uint64_t records_replicated = 0;
-  std::uint64_t resync_records = 0;
-  std::uint64_t crash_wipes = 0;
-  std::uint64_t ranks_recovered = 0;
-  std::uint64_t replica_lag_records = 0;
+  /// What the SOMA stack counted (net_drops also with mode none).
+  StackTotals totals;
 };
 
 DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config);

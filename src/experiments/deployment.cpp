@@ -257,32 +257,6 @@ std::uint64_t SomaDeployment::tau_profiles_published() const {
   return total;
 }
 
-double SomaDeployment::mean_client_ack_latency_ms() const {
-  Duration total;
-  std::uint64_t acked = 0;
-  auto accumulate = [&](const core::SomaClient* client) {
-    if (client == nullptr) return;
-    total += client->stats().total_ack_latency;
-    acked += client->stats().acked;
-  };
-  accumulate(rp_monitor_client_.get());
-  for (const auto& client : hw_clients_) accumulate(client.get());
-  for (const auto& client : tau_clients_) accumulate(client.get());
-  return acked == 0 ? 0.0 : total.to_seconds() * 1e3 / double(acked);
-}
-
-double SomaDeployment::max_client_ack_latency_ms() const {
-  Duration worst;
-  auto consider = [&](const core::SomaClient* client) {
-    if (client == nullptr) return;
-    worst = std::max(worst, client->stats().max_ack_latency);
-  };
-  consider(rp_monitor_client_.get());
-  for (const auto& client : hw_clients_) consider(client.get());
-  for (const auto& client : tau_clients_) consider(client.get());
-  return worst.to_seconds() * 1e3;
-}
-
 std::unique_ptr<core::SomaClient> SomaDeployment::make_client(
     core::Namespace ns, NodeId node) {
   check(service_ != nullptr, "SOMA service not deployed");
@@ -303,53 +277,54 @@ std::vector<const core::SomaClient*> SomaDeployment::clients() const {
   return all;
 }
 
-SomaDeployment::ReliabilityTotals SomaDeployment::reliability_totals() const {
-  ReliabilityTotals totals;
+StackTotals SomaDeployment::reliability_totals() const {
+  StackTotals totals;
+  totals.net_drops = session_.network().messages_dropped();
+  Duration ack_latency;
+  Duration max_ack_latency;
+  std::uint64_t acked = 0;
   for (const core::SomaClient* client : clients()) {
     const core::SomaClient::ClientStats& s = client->stats();
     totals.publish_failures += s.publish_failures;
-    totals.buffered += s.buffered;
-    totals.replayed += s.replayed;
     totals.failovers += s.failovers;
     totals.dropped_overflow += s.dropped_overflow;
     totals.dropped_batch_records += s.dropped_batch_records;
     totals.batches_sent += s.batches_sent;
-    const net::EngineStats& e = client->engine_stats();
-    totals.rpc_retries += e.retries;
-    totals.rpc_timeouts += e.timeouts;
-    totals.rpc_calls_failed += e.calls_failed;
+    totals.rpc_retries += client->engine_stats().retries;
+    ack_latency += s.total_ack_latency;
+    max_ack_latency = std::max(max_ack_latency, s.max_ack_latency);
+    acked += s.acked;
   }
-  if (service_ != nullptr) {
-    const core::DataStore& store = service_->store();
-    totals.store_shards = store.shard_count();
-    // Records/bytes per shard index, summed over namespaces, then min/max
-    // over shards: the shard-balance figure Table 1/2 summaries report.
-    std::vector<std::uint64_t> records(
-        static_cast<std::size_t>(store.shard_count()), 0);
-    std::vector<std::uint64_t> bytes(records.size(), 0);
-    for (const core::ShardCounters& c : store.shard_counters()) {
-      records[static_cast<std::size_t>(c.shard)] += c.records;
-      bytes[static_cast<std::size_t>(c.shard)] += c.bytes;
-    }
-    const auto [rec_min, rec_max] =
-        std::minmax_element(records.begin(), records.end());
-    const auto [byte_min, byte_max] =
-        std::minmax_element(bytes.begin(), bytes.end());
-    totals.shard_records_min = *rec_min;
-    totals.shard_records_max = *rec_max;
-    totals.shard_bytes_min = *byte_min;
-    totals.shard_bytes_max = *byte_max;
-    if (const core::ReplicationManager* replication =
-            service_->replication()) {
-      const core::ReplicationStats& r = replication->stats();
-      totals.records_replicated = r.records_replicated;
-      totals.resync_records = r.resync_records;
-      totals.crash_wipes = r.crash_wipes;
-      totals.ranks_recovered = r.recoveries_completed;
-      for (const core::ReplicationShardStatus& row :
-           replication->shard_status()) {
-        totals.replica_lag_records += row.replica_lag_records;
-      }
+  if (acked > 0) {
+    totals.mean_ack_latency_ms =
+        ack_latency.to_seconds() * 1e3 / static_cast<double>(acked);
+  }
+  totals.max_ack_latency_ms = max_ack_latency.to_seconds() * 1e3;
+  if (service_ == nullptr) return totals;
+
+  totals.soma_publishes = service_->publishes_received();
+  totals.replayed_publishes = service_->replayed_publishes();
+  totals.max_queue_delay_ms = service_->max_queue_delay().to_seconds() * 1e3;
+  const core::DataStore& store = service_->store();
+  totals.store_shards = store.shard_count();
+  std::vector<std::uint64_t> records(
+      static_cast<std::size_t>(store.shard_count()), 0);
+  for (const core::ShardCounters& c : store.shard_counters()) {
+    records[static_cast<std::size_t>(c.shard)] += c.records;
+  }
+  const auto [rec_min, rec_max] =
+      std::minmax_element(records.begin(), records.end());
+  totals.shard_records_min = *rec_min;
+  totals.shard_records_max = *rec_max;
+  if (const core::ReplicationManager* replication = service_->replication()) {
+    const core::ReplicationStats& r = replication->stats();
+    totals.records_replicated = r.records_replicated;
+    totals.resync_records = r.resync_records;
+    totals.crash_wipes = r.crash_wipes;
+    totals.ranks_recovered = r.recoveries_completed;
+    for (const core::ReplicationShardStatus& row :
+         replication->shard_status()) {
+      totals.replica_lag_records += row.replica_lag_records;
     }
   }
   return totals;

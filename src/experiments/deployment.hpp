@@ -17,6 +17,7 @@
 
 #include "monitors/hw_monitor.hpp"
 #include "monitors/rp_monitor.hpp"
+#include "net/fault.hpp"
 #include "profiler/tau.hpp"
 #include "rp/session.hpp"
 #include "soma/client.hpp"
@@ -25,17 +26,62 @@
 
 namespace soma::experiments {
 
-/// Deterministic fault profile for an experiment run. Disabled by default —
-/// fault-free runs stay byte-identical to the calibrated baselines. When
-/// enabled, every cross-node link gets the configured drop/spike
-/// probabilities, seeded by `fault_seed` (CLI: `--fault-seed`). Shared by
-/// the DDMD and OpenFOAM experiment runners.
-struct FaultProfile {
-  bool enabled = false;
-  std::uint64_t fault_seed = 1;
-  double drop_probability = 0.0;
-  double spike_probability = 0.0;
-  Duration spike_latency = Duration::microseconds(50);
+/// The SOMA-stack knobs a workflow run sets (paper Fig. 2): network faults,
+/// client reliability, shard replication, storage and publish batching.
+/// Every default is off, so a default stack reproduces the calibrated
+/// baselines byte for byte. Both experiment configs derive from it; the
+/// fig/table benches fill one from their flags (bench::parse_stack).
+struct StackConfig {
+  /// Fault injection on every cross-node link; absent = perfect fabric.
+  std::optional<net::FaultConfig> faults;
+  core::ClientReliability reliability{};
+  /// Shard replication + crash recovery (factor 1 = off).
+  core::ReplicationConfig replication{};
+  /// Storage layer of the service (default: map backend, one shard per
+  /// rank).
+  core::StorageConfig storage{};
+  /// Publish coalescing for every client (off by default).
+  core::BatchingConfig batching{};
+
+  /// The stack part of a derived config, to assign a parsed stack at once.
+  StackConfig& stack() { return *this; }
+};
+
+/// What a run's SOMA stack counted, read back in one call
+/// (SomaDeployment::reliability_totals): the network's drops, the clients'
+/// reliability, batching and ack latency, the service's ingest, the shard
+/// balance of its store and its replication. Everything but `net_drops` is
+/// zero when no service was deployed.
+struct StackTotals {
+  std::uint64_t net_drops = 0;
+  // Clients, summed over every client the deployment created.
+  std::uint64_t publish_failures = 0;
+  std::uint64_t failovers = 0;
+  std::uint64_t dropped_overflow = 0;
+  std::uint64_t dropped_batch_records = 0;
+  std::uint64_t batches_sent = 0;
+  std::uint64_t rpc_retries = 0;
+  /// Publish -> ack latency: mean over every acked publish, and the worst.
+  double mean_ack_latency_ms = 0.0;
+  double max_ack_latency_ms = 0.0;
+  // Service.
+  std::uint64_t soma_publishes = 0;
+  std::uint64_t replayed_publishes = 0;  ///< replays the service ingested
+  double max_queue_delay_ms = 0.0;
+  /// Shard balance: per shard index, records summed over namespaces, then
+  /// min/max over shards. A wide spread means the source hash routed load
+  /// unevenly over ranks.
+  int store_shards = 0;
+  std::uint64_t shard_records_min = 0;
+  std::uint64_t shard_records_max = 0;
+  // Replication (all zero when the service runs unreplicated).
+  std::uint64_t records_replicated = 0;
+  std::uint64_t resync_records = 0;
+  std::uint64_t crash_wipes = 0;
+  std::uint64_t ranks_recovered = 0;
+  std::uint64_t replica_lag_records = 0;
+
+  bool operator==(const StackTotals&) const = default;
 };
 
 enum class SomaMode {
@@ -109,41 +155,9 @@ class SomaDeployment {
 
   [[nodiscard]] std::uint64_t tau_profiles_published() const;
 
-  /// Mean/max publish->ack latency across all monitor clients, in
-  /// milliseconds. The "is SOMA keeping pace" signal of the scaling runs.
-  [[nodiscard]] double mean_client_ack_latency_ms() const;
-  [[nodiscard]] double max_client_ack_latency_ms() const;
-
-  /// Aggregate reliability counters across every client the deployment
-  /// created (experiments report perturbation under faults from these),
-  /// plus the shard balance of the service store: per shard index, records
-  /// and bytes summed over namespaces, then min/max over shards. A wide
-  /// min/max spread means the source hash routed load unevenly over ranks.
-  struct ReliabilityTotals {
-    std::uint64_t publish_failures = 0;
-    std::uint64_t buffered = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t failovers = 0;
-    std::uint64_t dropped_overflow = 0;
-    std::uint64_t dropped_batch_records = 0;
-    std::uint64_t batches_sent = 0;
-    std::uint64_t rpc_retries = 0;
-    std::uint64_t rpc_timeouts = 0;
-    std::uint64_t rpc_calls_failed = 0;
-    int store_shards = 0;
-    std::uint64_t shard_records_min = 0;
-    std::uint64_t shard_records_max = 0;
-    std::uint64_t shard_bytes_min = 0;
-    std::uint64_t shard_bytes_max = 0;
-    // Replication totals (all zero when the service runs unreplicated).
-    std::uint64_t records_replicated = 0;
-    std::uint64_t resync_records = 0;
-    std::uint64_t crash_wipes = 0;
-    std::uint64_t ranks_recovered = 0;
-    std::uint64_t replica_lag_records = 0;
-  };
-  [[nodiscard]] ReliabilityTotals reliability_totals() const;
-  /// The deployment's clients, for export_fault_report.
+  /// Everything the stack counted so far (see StackTotals).
+  [[nodiscard]] StackTotals reliability_totals() const;
+  /// Every client the deployment created (monitors, TAU plugins).
   [[nodiscard]] std::vector<const core::SomaClient*> clients() const;
 
   /// Build a fresh client against one namespace instance (for the adaptive

@@ -5,7 +5,6 @@
 #include "analysis/advisor.hpp"
 #include "analysis/timeline.hpp"
 #include "common/error.hpp"
-#include "net/fault.hpp"
 
 namespace soma::experiments {
 
@@ -65,16 +64,7 @@ OpenFoamResult run_openfoam_experiment(
   // Fault injection is installed before anything touches the network so the
   // per-link streams cover the whole run. An absent injector (the default)
   // keeps the fabric perfect and the run byte-identical to pre-fault builds.
-  if (config.faults.enabled) {
-    net::FaultConfig fault_config;
-    fault_config.seed = config.faults.fault_seed;
-    fault_config.default_link.drop_probability =
-        config.faults.drop_probability;
-    fault_config.default_link.spike_probability =
-        config.faults.spike_probability;
-    fault_config.default_link.spike_latency = config.faults.spike_latency;
-    session.network().install_faults(fault_config);
-  }
+  if (config.faults) session.network().install_faults(*config.faults);
 
   auto model =
       workloads::make_openfoam_model(&session.platform(), config.params);
@@ -137,11 +127,6 @@ OpenFoamResult run_openfoam_experiment(
 
   session.run();
   check(*app_outstanding == 0, "openfoam experiment: tasks did not finish");
-
-  result.net_drops = session.network().messages_dropped();
-  if (const net::FaultInjector* faults = session.network().faults()) {
-    result.net_latency_spikes = faults->stats().latency_spikes;
-  }
 
   // ---- extract results ----
   for (const auto& task : session.tasks()) {
@@ -217,25 +202,12 @@ OpenFoamResult run_openfoam_experiment(
       break;
     }
 
-    result.soma_publishes = deployment->service().publishes_received();
     result.tau_profiles = deployment->tau_profiles_published();
-    result.soma_max_queue_delay_ms =
-        deployment->service().max_queue_delay().to_seconds() * 1e3;
-    result.mean_ack_latency_ms = deployment->mean_client_ack_latency_ms();
-    result.replayed_publishes = deployment->service().replayed_publishes();
-    const SomaDeployment::ReliabilityTotals totals =
-        deployment->reliability_totals();
-    result.rpc_retries = totals.rpc_retries;
-    result.publish_failures = totals.publish_failures;
-    result.failovers = totals.failovers;
-    result.store_shards = totals.store_shards;
-    result.shard_records_min = totals.shard_records_min;
-    result.shard_records_max = totals.shard_records_max;
-    result.records_replicated = totals.records_replicated;
-    result.resync_records = totals.resync_records;
-    result.crash_wipes = totals.crash_wipes;
-    result.ranks_recovered = totals.ranks_recovered;
-    result.replica_lag_records = totals.replica_lag_records;
+  }
+  if (deployment) {
+    result.totals = deployment->reliability_totals();
+  } else {
+    result.totals.net_drops = session.network().messages_dropped();
   }
 
   return result;

@@ -21,7 +21,7 @@
 
 namespace soma::experiments {
 
-struct OpenFoamExperimentConfig {
+struct OpenFoamExperimentConfig : StackConfig {
   bool overload = false;          ///< false = tuning run
   int worker_nodes = 4;           ///< tuning: 4, overload: 10
   int instances_per_config = 1;   ///< tuning: 1, overload: 20
@@ -34,22 +34,6 @@ struct OpenFoamExperimentConfig {
 
   workloads::OpenFoamParams params{};
   std::uint64_t seed = 1;
-
-  /// Network fault injection + client reliability for the run (both off by
-  /// default — the calibrated Table 1 baselines; CLI: `--fault-seed`).
-  FaultProfile faults{};
-  core::ClientReliability reliability{};
-
-  /// Shard replication + crash recovery for the SOMA service (factor 1 =
-  /// off, the byte-identical default).
-  core::ReplicationConfig replication{};
-
-  /// Storage layer of the SOMA service (backend kind, shards; the default
-  /// auto-shards one per rank with the map backend).
-  core::StorageConfig storage{};
-
-  /// Publish coalescing for every monitoring client (off by default).
-  core::BatchingConfig batching{};
 
   [[nodiscard]] static OpenFoamExperimentConfig tuning(std::uint64_t seed = 1);
   [[nodiscard]] static OpenFoamExperimentConfig overloaded(
@@ -93,31 +77,9 @@ struct OpenFoamResult {
 
   double makespan_seconds = 0.0;  ///< first submit -> last app completion
 
-  // SOMA service accounting.
-  std::uint64_t soma_publishes = 0;
+  /// What the SOMA stack counted (net_drops also without monitoring).
+  StackTotals totals;
   std::uint64_t tau_profiles = 0;
-  double soma_max_queue_delay_ms = 0.0;
-  double mean_ack_latency_ms = 0.0;
-
-  // Shard balance of the service store (Table 1 summary rows).
-  int store_shards = 0;
-  std::uint64_t shard_records_min = 0;
-  std::uint64_t shard_records_max = 0;
-
-  // Fault/reliability accounting (all zero in fault-free runs).
-  std::uint64_t net_drops = 0;
-  std::uint64_t net_latency_spikes = 0;
-  std::uint64_t rpc_retries = 0;
-  std::uint64_t publish_failures = 0;
-  std::uint64_t replayed_publishes = 0;
-  std::uint64_t failovers = 0;
-
-  // Replication accounting (all zero when replication is off).
-  std::uint64_t records_replicated = 0;
-  std::uint64_t resync_records = 0;
-  std::uint64_t crash_wipes = 0;
-  std::uint64_t ranks_recovered = 0;
-  std::uint64_t replica_lag_records = 0;
 };
 
 /// Run the experiment end to end (builds its own Session) and extract every

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "net/fault.hpp"
 
 namespace soma::core {
 
@@ -105,76 +104,6 @@ std::size_t import_store_from_file(DataStore& store,
   std::ifstream in(path);
   if (!in) throw ConfigError("import_store: cannot open " + path);
   return import_store(store, in);
-}
-
-datamodel::Node export_fault_report(const net::Network& network) {
-  datamodel::Node report;
-  datamodel::Node& net = report["network"];
-  net["messages_sent"].set(
-      static_cast<std::int64_t>(network.messages_sent()));
-  net["messages_dropped"].set(
-      static_cast<std::int64_t>(network.messages_dropped()));
-  if (const net::FaultInjector* faults = network.faults()) {
-    const net::FaultInjector::Stats& s = faults->stats();
-    datamodel::Node& injected = net["injected"];
-    injected["random_drops"].set(static_cast<std::int64_t>(s.random_drops));
-    injected["crash_drops"].set(static_cast<std::int64_t>(s.crash_drops));
-    injected["partition_drops"].set(
-        static_cast<std::int64_t>(s.partition_drops));
-    injected["latency_spikes"].set(
-        static_cast<std::int64_t>(s.latency_spikes));
-  }
-  if (!network.drops_by_endpoint().empty()) {
-    datamodel::Node& by_endpoint = net["drops_by_endpoint"];
-    for (const auto& [endpoint, drops] : network.drops_by_endpoint()) {
-      by_endpoint[endpoint].set(static_cast<std::int64_t>(drops));
-    }
-  }
-  return report;
-}
-
-datamodel::Node export_fault_report(
-    const net::Network& network,
-    const std::vector<const SomaClient*>& clients) {
-  datamodel::Node report = export_fault_report(network);
-  datamodel::Node& reliability = report["clients"];
-  std::uint64_t publish_failures = 0, buffered = 0, replayed = 0;
-  std::uint64_t failovers = 0, dropped_overflow = 0;
-  std::uint64_t dropped_batch_records = 0, batches_sent = 0;
-  std::uint64_t retries = 0, timeouts = 0, calls_failed = 0, duplicates = 0;
-  for (const SomaClient* client : clients) {
-    if (client == nullptr) continue;
-    const SomaClient::ClientStats& s = client->stats();
-    publish_failures += s.publish_failures;
-    buffered += s.buffered;
-    replayed += s.replayed;
-    failovers += s.failovers;
-    dropped_overflow += s.dropped_overflow;
-    dropped_batch_records += s.dropped_batch_records;
-    batches_sent += s.batches_sent;
-    const net::EngineStats& e = client->engine_stats();
-    retries += e.retries;
-    timeouts += e.timeouts;
-    calls_failed += e.calls_failed;
-    duplicates += e.duplicate_responses;
-  }
-  reliability["publish_failures"].set(
-      static_cast<std::int64_t>(publish_failures));
-  reliability["buffered"].set(static_cast<std::int64_t>(buffered));
-  reliability["replayed"].set(static_cast<std::int64_t>(replayed));
-  reliability["failovers"].set(static_cast<std::int64_t>(failovers));
-  reliability["dropped_overflow"].set(
-      static_cast<std::int64_t>(dropped_overflow));
-  reliability["dropped_batch_records"].set(
-      static_cast<std::int64_t>(dropped_batch_records));
-  reliability["batches_sent"].set(static_cast<std::int64_t>(batches_sent));
-  reliability["rpc_retries"].set(static_cast<std::int64_t>(retries));
-  reliability["rpc_timeouts"].set(static_cast<std::int64_t>(timeouts));
-  reliability["rpc_calls_failed"].set(
-      static_cast<std::int64_t>(calls_failed));
-  reliability["rpc_duplicate_responses"].set(
-      static_cast<std::int64_t>(duplicates));
-  return report;
 }
 
 }  // namespace soma::core

@@ -9,8 +9,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "net/network.hpp"
-#include "soma/client.hpp"
 #include "soma/replication.hpp"
 #include "soma/store.hpp"
 
@@ -55,25 +53,12 @@ std::size_t import_store(DataStore& store, std::istream& in);
 std::size_t import_store_from_file(DataStore& store, const std::string& path);
 
 /// Per-shard ingest counters of `store` as a Node: backend kind, shard
-/// count, and records/bytes per (namespace, shard). Table 1/2 summaries
-/// attach this so shard balance is visible next to the reliability totals.
-/// When `replication` is given (a replicated service's manager), each shard
-/// entry gains `replica_lag_records` and `health`, plus a top-level
-/// "replication" subtree of aggregate counters; the default nullptr keeps
-/// the report identical to the unreplicated one.
+/// count, and records/bytes per (namespace, shard). When `replication` is
+/// given (a replicated service's manager), each shard entry gains
+/// `replica_lag_records` and `health`, plus a top-level "replication"
+/// subtree of aggregate counters; the default nullptr keeps the report
+/// identical to the unreplicated one.
 datamodel::Node export_shard_report(
     const DataStore& store, const ReplicationManager* replication = nullptr);
-
-/// Build a report of the network's fault/drop counters: totals, drops by
-/// cause (when a FaultInjector is installed) and drops by destination
-/// endpoint. Experiments attach it to their result output so perturbation
-/// under faults is observable alongside the monitoring data itself.
-datamodel::Node export_fault_report(const net::Network& network);
-
-/// Extended report that also aggregates client-side reliability counters
-/// (retries, publish failures, buffered/replayed records, failovers).
-datamodel::Node export_fault_report(
-    const net::Network& network,
-    const std::vector<const SomaClient*>& clients);
 
 }  // namespace soma::core

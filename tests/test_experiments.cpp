@@ -116,9 +116,9 @@ TEST(DeploymentTest, MonitorsPublishDuringWorkflow) {
   const auto progress = analysis::workflow_progress(store);
   ASSERT_FALSE(progress.empty());
   EXPECT_EQ(progress.back().done, 2);
-  EXPECT_GT(deployment->mean_client_ack_latency_ms(), 0.0);
-  EXPECT_GE(deployment->max_client_ack_latency_ms(),
-            deployment->mean_client_ack_latency_ms());
+  const StackTotals totals = deployment->reliability_totals();
+  EXPECT_GT(totals.mean_ack_latency_ms, 0.0);
+  EXPECT_GE(totals.max_ack_latency_ms, totals.mean_ack_latency_ms);
 }
 
 TEST(DeploymentTest, SharedModeAllowsAppTasksOnServiceNodes) {
@@ -242,7 +242,7 @@ TEST(OpenFoamExperimentTest, TuningRunProducesAllFigureData) {
   // Fig. 5: a 164-rank TAU profile made it into the performance namespace.
   EXPECT_EQ(result.sample_profile.ranks.size(), 164u);
   EXPECT_EQ(result.tau_profiles, 4u);
-  EXPECT_GT(result.soma_publishes, 0u);
+  EXPECT_GT(result.totals.soma_publishes, 0u);
   EXPECT_GT(result.makespan_seconds, 0.0);
 }
 
@@ -251,7 +251,7 @@ TEST(OpenFoamExperimentTest, MonitoringOffStillRuns) {
   config.monitoring = false;
   const OpenFoamResult result = run_openfoam_experiment(config);
   EXPECT_EQ(result.tasks.size(), 4u);
-  EXPECT_EQ(result.soma_publishes, 0u);
+  EXPECT_EQ(result.totals.soma_publishes, 0u);
   EXPECT_TRUE(result.node_utilization.empty());
 }
 
@@ -330,7 +330,8 @@ TEST(DdmdExperimentTest, FrequentMonitoringCostsMore) {
                                               Duration::seconds(10.0), 5);
   const DdmdResult slow_result = run_ddmd_experiment(slow);
   const DdmdResult fast_result = run_ddmd_experiment(fast);
-  EXPECT_GT(fast_result.soma_publishes, slow_result.soma_publishes * 3);
+  EXPECT_GT(fast_result.totals.soma_publishes,
+            slow_result.totals.soma_publishes * 3);
   EXPECT_GE(fast_result.pipeline_summary.mean,
             slow_result.pipeline_summary.mean);
 }
@@ -339,7 +340,7 @@ TEST(DdmdExperimentTest, NoneBaselineHasNoSomaTraffic) {
   auto config = DdmdExperimentConfig::scaling_b(4, SomaMode::kNone,
                                                 Duration::seconds(60.0), 5);
   const DdmdResult result = run_ddmd_experiment(config);
-  EXPECT_EQ(result.soma_publishes, 0u);
+  EXPECT_EQ(result.totals.soma_publishes, 0u);
   EXPECT_EQ(result.pipeline_seconds.size(), 4u);
   EXPECT_TRUE(result.node_utilization.empty());
 }
@@ -349,6 +350,58 @@ TEST(DdmdExperimentTest, InvalidConfigRejected) {
   config.mode = SomaMode::kNone;
   config.soma_nodes = 1;
   EXPECT_THROW(run_ddmd_experiment(config), InternalError);
+}
+
+// ---------- StackConfig wiring ----------
+
+/// Every stack knob at once: the lossy fabric (seed 17) with retry and
+/// buffer-and-replay, replication factor 2, 16-record batches and the log
+/// backend.
+StackConfig every_knob() {
+  StackConfig stack;
+  net::FaultConfig faults;
+  faults.seed = 17;
+  faults.default_link.drop_probability = 0.01;
+  faults.default_link.spike_probability = 0.02;
+  stack.faults = faults;
+  stack.reliability.retry.max_attempts = 4;
+  stack.reliability.retry.timeout = Duration::milliseconds(100);
+  stack.reliability.buffer_on_failure = true;
+  stack.reliability.probe_period = Duration::seconds(5);
+  stack.replication.factor = 2;
+  stack.batching.max_records = 16;
+  stack.storage.backend = core::StorageBackendKind::kLog;
+  return stack;
+}
+
+TEST(StackWiringTest, DdmdRunnerAppliesEveryKnob) {
+  auto config = DdmdExperimentConfig::scaling_b(8, SomaMode::kExclusive,
+                                                Duration::seconds(10.0));
+  config.stack() = every_knob();
+  const DdmdResult a = run_ddmd_experiment(config);
+  const DdmdResult b = run_ddmd_experiment(config);
+  EXPECT_GT(a.totals.net_drops, 0u);
+  EXPECT_GT(a.totals.records_replicated, 0u);
+  EXPECT_GT(a.totals.batches_sent, 0u);
+  EXPECT_EQ(a.totals, b.totals);
+  EXPECT_EQ(a.pipeline_seconds, b.pipeline_seconds);
+}
+
+TEST(StackWiringTest, OpenFoamRunnerAppliesEveryKnob) {
+  auto config = OpenFoamExperimentConfig::tuning();
+  config.soma_ranks_per_namespace = 2;  // a replica needs a second rank
+  config.stack() = every_knob();
+  const OpenFoamResult a = run_openfoam_experiment(config);
+  const OpenFoamResult b = run_openfoam_experiment(config);
+  EXPECT_GT(a.totals.net_drops, 0u);
+  EXPECT_GT(a.totals.records_replicated, 0u);
+  EXPECT_GT(a.totals.batches_sent, 0u);
+  EXPECT_EQ(a.totals, b.totals);
+  ASSERT_EQ(a.tasks.size(), b.tasks.size());
+  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
+    EXPECT_EQ(a.tasks[i].exec_seconds, b.tasks[i].exec_seconds);
+    EXPECT_EQ(a.tasks[i].started_at, b.tasks[i].started_at);
+  }
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ TEST_P(DeterminismProperty, DdmdRunIsBitReproducible) {
   for (std::size_t i = 0; i < a.pipeline_seconds.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.pipeline_seconds[i], b.pipeline_seconds[i]);
   }
-  EXPECT_EQ(a.soma_publishes, b.soma_publishes);
+  EXPECT_EQ(a.totals, b.totals);
   EXPECT_DOUBLE_EQ(a.makespan_seconds, b.makespan_seconds);
 }
 

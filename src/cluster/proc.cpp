@@ -36,29 +36,36 @@ std::vector<std::int64_t> make_stat(double busy_seconds, double total_seconds,
 
 datamodel::Node make_proc_snapshot(const ComputeNode& node, SimTime now,
                                    Rng& rng, const ProcConfig& config) {
+  // Every name below is new to its parent, so each level is appended
+  // without a lookup.
   datamodel::Node snapshot;
-  datamodel::Node& host = snapshot[node.hostname()];
-  datamodel::Node& at = host[std::to_string(now.nanos())];
+  datamodel::Node& host = snapshot.append_child(node.hostname());
+  datamodel::Node& at = host.append_child(std::to_string(now.nanos()));
 
   const double uptime = now.to_seconds();
-  at["Uptime"].set(static_cast<std::int64_t>(uptime));
-  at["Num Processes"].set(static_cast<std::int64_t>(
-      config.baseline_processes + node.num_processes()));
-  at["Available RAM"].set(static_cast<std::int64_t>(node.available_ram_mib()));
+  at.append_child("Uptime").set(static_cast<std::int64_t>(uptime));
+  at.append_child("Num Processes")
+      .set(static_cast<std::int64_t>(config.baseline_processes +
+                                     node.num_processes()));
+  at.append_child("Available RAM")
+      .set(static_cast<std::int64_t>(node.available_ram_mib()));
 
-  datamodel::Node& stat = at["stat"];
+  datamodel::Node& stat = at.append_child("stat");
   const double background = uptime * config.background_activity;
+  stat.reserve_children(static_cast<std::size_t>(node.usable_cores()) + 1);
 
   // Aggregate row over all usable cores.
-  stat["cpu"].set(make_stat(node.busy_core_seconds(),
-                            uptime * node.usable_cores(),
-                            background * node.usable_cores(),
-                            config.jiffies_per_second, rng));
+  stat.append_child("cpu").set(make_stat(node.busy_core_seconds(),
+                                         uptime * node.usable_cores(),
+                                         background * node.usable_cores(),
+                                         config.jiffies_per_second, rng));
   // Per-core rows.
   for (int c = 0; c < node.usable_cores(); ++c) {
-    stat["cpu" + std::to_string(c)].set(
-        make_stat(node.core_busy_seconds(static_cast<CoreId>(c)), uptime,
-                  background, config.jiffies_per_second, rng));
+    std::string name = "cpu";
+    name += std::to_string(c);
+    stat.append_child(std::move(name))
+        .set(make_stat(node.core_busy_seconds(static_cast<CoreId>(c)), uptime,
+                       background, config.jiffies_per_second, rng));
   }
   return snapshot;
 }

@@ -15,12 +15,14 @@
 //     wire format used by the RPC transport.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -79,6 +81,13 @@ class Node {
   /// Child by name, created (empty) if absent. Converts this node to an
   /// object, discarding any leaf value.
   Node& child(std::string_view name);
+  /// New child `name`, appended without a lookup, for builders that know
+  /// the name is new. Precondition: no child is called `name` (a repeat
+  /// would leave two; child() would then find only the first). Converts
+  /// this node to an object, discarding any leaf value.
+  Node& append_child(std::string name);
+  /// Make room for `n` children, so appending them moves no sibling.
+  void reserve_children(std::size_t n);
   /// Child by name or nullptr. Never creates.
   [[nodiscard]] const Node* find_child(std::string_view name) const;
   [[nodiscard]] Node* find_child(std::string_view name);
@@ -168,6 +177,16 @@ struct Node::Child {
   std::string name;
   Node node;
 };
+
+// Builder-only entry points, defined inline so that node.cpp, which every
+// publish path runs, does not change for them.
+inline Node& Node::append_child(std::string name) {
+  assert(find_child(name) == nullptr);
+  value_ = std::monostate{};
+  return children_.emplace_back(std::move(name)).node;
+}
+
+inline void Node::reserve_children(std::size_t n) { children_.reserve(n); }
 
 inline std::size_t Node::number_of_children() const {
   return children_.size();

@@ -1,6 +1,8 @@
 #include "monitors/rp_monitor.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/error.hpp"
 
@@ -37,33 +39,66 @@ double RpMonitor::cpu_share() const {
                   cost_seconds / config_.period.to_seconds());
 }
 
-WorkflowSummary RpMonitor::compute_summary() const {
-  WorkflowSummary summary;
-  double exec_sum = 0.0;
-  std::int64_t exec_count = 0;
-  double tmgr_sum = 0.0, agent_sum = 0.0, launch_sum = 0.0;
-  std::int64_t tmgr_count = 0, agent_count = 0, launch_count = 0;
-  for (const auto& task : session_.tasks()) {
-    // State dwell times for every task that progressed past the state.
-    const auto tmgr = task->state_entered(rp::TaskState::kTmgrScheduling);
-    const auto agent = task->state_entered(rp::TaskState::kAgentScheduling);
-    const auto executing = task->state_entered(rp::TaskState::kExecuting);
-    if (tmgr && agent) {
-      tmgr_sum += (*agent - *tmgr).to_seconds();
-      ++tmgr_count;
+double RpMonitor::DwellSum::mean_seconds() const {
+  return count == 0 ? 0.0 : total.to_seconds() / static_cast<double>(count);
+}
+
+void RpMonitor::fold_task(TaskFold& fold, const rp::Task& task) const {
+  fold.states_seen = task.state_history().size();
+  fold.events_seen = task.event_log().size();
+  // State dwell times for every task that progressed past the state.
+  if (!fold.tmgr || !fold.agent) {
+    const auto tmgr = task.state_entered(rp::TaskState::kTmgrScheduling);
+    const auto agent = task.state_entered(rp::TaskState::kAgentScheduling);
+    if (!fold.tmgr && tmgr && agent) {
+      tmgr_wait_.add(*agent - *tmgr);
+      fold.tmgr = true;
     }
-    if (agent && executing) {
-      agent_sum += (*executing - *agent).to_seconds();
-      ++agent_count;
+    if (!fold.agent && agent) {
+      if (const auto executing =
+              task.state_entered(rp::TaskState::kExecuting)) {
+        agent_wait_.add(*executing - *agent);
+        fold.agent = true;
+      }
     }
-    const auto launch_start = task->event_time(rp::events::kLaunchStart);
-    const auto rank_start = task->event_time(rp::events::kRankStart);
+  }
+  if (!fold.launch) {
+    const auto launch_start = task.event_time(rp::events::kLaunchStart);
+    const auto rank_start = task.event_time(rp::events::kRankStart);
     if (launch_start && rank_start) {
-      launch_sum += (*rank_start - *launch_start).to_seconds();
-      ++launch_count;
+      launch_overhead_.add(*rank_start - *launch_start);
+      fold.launch = true;
     }
-    ++summary.tasks_total;
-    switch (task->state()) {
+  }
+  if (!fold.exec && task.state() == rp::TaskState::kDone) {
+    if (const auto d = task.rank_duration()) {
+      exec_.add(*d);
+      fold.exec = true;
+    }
+  }
+}
+
+WorkflowSummary RpMonitor::compute_summary() const {
+  const auto& tasks = session_.tasks();
+  for (; tasks_seen_ < tasks.size(); ++tasks_seen_) {
+    in_flight_.push_back(TaskFold{.index = tasks_seen_});
+  }
+
+  WorkflowSummary summary;
+  summary.tasks_total = static_cast<std::int64_t>(tasks.size());
+  // A final task leaves the list once nothing it could still record would
+  // add a dwell; one canceled before it ran stays, at two size reads a tick.
+  std::erase_if(in_flight_, [&](TaskFold& fold) {
+    const rp::Task& task = *tasks[fold.index];
+    if (task.state_history().size() != fold.states_seen ||
+        task.event_log().size() != fold.events_seen) {
+      fold_task(fold, task);
+    }
+    const rp::TaskState state = task.state();
+    const bool settled =
+        rp::is_final(state) && fold.tmgr && fold.agent && fold.launch &&
+        (fold.exec || state != rp::TaskState::kDone);
+    switch (state) {
       case rp::TaskState::kNew:
       case rp::TaskState::kTmgrScheduling:
       case rp::TaskState::kAgentScheduling:
@@ -72,35 +107,22 @@ WorkflowSummary RpMonitor::compute_summary() const {
       case rp::TaskState::kExecuting:
         ++summary.tasks_executing;
         break;
-      case rp::TaskState::kDone: {
-        ++summary.tasks_done;
-        if (const auto d = task->rank_duration()) {
-          exec_sum += d->to_seconds();
-          ++exec_count;
-        }
+      case rp::TaskState::kDone:
+        ++(settled ? settled_done_ : summary.tasks_done);
         break;
-      }
       case rp::TaskState::kFailed:
       case rp::TaskState::kCanceled:
-        ++summary.tasks_failed;
+        ++(settled ? settled_failed_ : summary.tasks_failed);
         break;
     }
-  }
-  if (exec_count > 0) {
-    summary.mean_exec_seconds = exec_sum / static_cast<double>(exec_count);
-  }
-  if (tmgr_count > 0) {
-    summary.mean_tmgr_wait_seconds =
-        tmgr_sum / static_cast<double>(tmgr_count);
-  }
-  if (agent_count > 0) {
-    summary.mean_agent_wait_seconds =
-        agent_sum / static_cast<double>(agent_count);
-  }
-  if (launch_count > 0) {
-    summary.mean_launch_overhead_seconds =
-        launch_sum / static_cast<double>(launch_count);
-  }
+    return settled;
+  });
+  summary.tasks_done += settled_done_;
+  summary.tasks_failed += settled_failed_;
+  summary.mean_exec_seconds = exec_.mean_seconds();
+  summary.mean_tmgr_wait_seconds = tmgr_wait_.mean_seconds();
+  summary.mean_agent_wait_seconds = agent_wait_.mean_seconds();
+  summary.mean_launch_overhead_seconds = launch_overhead_.mean_seconds();
   return summary;
 }
 
@@ -131,10 +153,19 @@ void RpMonitor::tick() {
   s["mean_launch_overhead_seconds"].set(
       summary.mean_launch_overhead_seconds);
 
+  // Each uid's child is found through a tick-local index rather than a
+  // scan of `events`, which holds thousands of uids at Fig. 11 scale.
+  // Timestamps still go through child(), so an event recorded in the same
+  // nanosecond as an earlier one of its task overwrites it in place.
   datamodel::Node& events = data["events"];
-  for (const auto& record :
-       session_.profiles().read_since(profile_cursor_)) {
-    events[record.uid][std::to_string(record.time.nanos())].set(record.event);
+  const auto records = session_.profiles().read_since(profile_cursor_);
+  std::unordered_map<std::string_view, std::size_t> uid_index;
+  for (const auto& record : records) {
+    const auto [it, added] =
+        uid_index.try_emplace(record.uid, events.number_of_children());
+    datamodel::Node& task_events = added ? events.append_child(record.uid)
+                                         : events.child_at(it->second);
+    task_events.child(std::to_string(record.time.nanos())).set(record.event);
   }
 
   client_.publish("rp_monitor", std::move(data));

@@ -11,8 +11,10 @@
 // frequent-monitoring overhead at scale (paper Fig. 11).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "rp/session.hpp"
 #include "sim/simulation.hpp"
@@ -72,9 +74,38 @@ class RpMonitor {
   [[nodiscard]] const RpMonitorConfig& config() const { return config_; }
 
   /// Compute the summary without publishing (used by tests/advisor).
+  /// Calling it between ticks does not change what a tick publishes.
   [[nodiscard]] WorkflowSummary compute_summary() const;
 
  private:
+  /// Sum and count of one dwell time over the tasks that have it.
+  struct DwellSum {
+    Duration total;
+    std::int64_t count = 0;
+
+    void add(Duration dwell) {
+      total += dwell;
+      ++count;
+    }
+    [[nodiscard]] double mean_seconds() const;
+  };
+
+  /// A task whose summary inputs may still change. Each dwell is folded
+  /// into the totals once, when the later of its two timestamps exists;
+  /// from then on the task's logs can only grow, so it cannot change.
+  struct TaskFold {
+    std::size_t index;            ///< into session_.tasks()
+    std::size_t states_seen = 0;  ///< state_history().size() at last look
+    std::size_t events_seen = 0;  ///< event_log().size() at last look
+    bool tmgr = false;
+    bool agent = false;
+    bool launch = false;
+    bool exec = false;
+  };
+
+  /// Fold the dwells of `fold`'s task that became known since the last look.
+  void fold_task(TaskFold& fold, const rp::Task& task) const;
+
   void tick();
 
   rp::Session& session_;
@@ -86,6 +117,15 @@ class RpMonitor {
   std::uint64_t degraded_ticks_ = 0;
   std::int64_t done_at_last_tick_ = 0;
   WorkflowSummary last_summary_;
+
+  // Summary state folded so far. compute_summary() is const (callers
+  // probe it through a const monitor) and advances it: the fold is exact,
+  // so where it stands never changes a result.
+  mutable std::size_t tasks_seen_ = 0;
+  mutable std::vector<TaskFold> in_flight_;
+  mutable std::int64_t settled_done_ = 0;
+  mutable std::int64_t settled_failed_ = 0;
+  mutable DwellSum exec_, tmgr_wait_, agent_wait_, launch_overhead_;
 };
 
 }  // namespace soma::monitors

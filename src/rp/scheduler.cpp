@@ -20,36 +20,45 @@ AgentScheduler::AgentScheduler(sim::Simulation& simulation,
   check(!nodes_.empty(), "scheduler needs at least one node");
 }
 
+void AgentScheduler::assign_role(Role role, const std::vector<NodeId>& nodes) {
+  for (auto& bits : roles_) bits &= static_cast<std::uint8_t>(~role);
+  for (NodeId node : nodes) {
+    check(node >= 0, "scheduler: negative node id");
+    const auto i = static_cast<std::size_t>(node);
+    if (i >= roles_.size()) roles_.resize(i + 1, 0);
+    roles_[i] |= role;
+  }
+}
+
 void AgentScheduler::set_service_nodes(std::vector<NodeId> nodes,
                                        bool shared) {
-  service_nodes_ = {nodes.begin(), nodes.end()};
+  assign_role(kServiceRole, nodes);
+  any_service_nodes_ = !nodes.empty();
   shared_service_nodes_ = shared;
 }
 
 void AgentScheduler::set_agent_nodes(std::vector<NodeId> nodes) {
-  agent_nodes_ = {nodes.begin(), nodes.end()};
+  assign_role(kAgentRole, nodes);
 }
 
 bool AgentScheduler::node_eligible(NodeId node, const Task& task) const {
   if (task.description().pinned_node) {
     return node == *task.description().pinned_node;
   }
-  const bool is_service_node = service_nodes_.contains(node);
-  const bool is_agent_node = agent_nodes_.contains(node);
+  const bool is_service_node = has_role(node, kServiceRole);
   if (task.description().kind == TaskKind::kApplication ||
       task.description().kind == TaskKind::kWorker) {
     // App tasks (and worker pools) never land on agent nodes, and avoid
     // service nodes unless the deployment is "shared".
-    if (is_agent_node) return false;
+    if (has_role(node, kAgentRole)) return false;
     return !is_service_node || shared_service_nodes_;
   }
   // Unpinned service tasks go to the service nodes when any are defined.
-  if (!service_nodes_.empty()) return is_service_node;
+  if (any_service_nodes_) return is_service_node;
   return true;
 }
 
-std::vector<NodeId> AgentScheduler::placement_order() const {
-  if (config_.policy == PlacementPolicy::kContinuous) return nodes_;
+std::vector<NodeId> AgentScheduler::least_utilized_order() const {
   // Least-utilized first (stable: ties keep index order). Utilization comes
   // from the configured source — SOMA's observed values when wired, the
   // platform's instantaneous truth otherwise.
@@ -77,24 +86,37 @@ std::optional<Placement> AgentScheduler::try_place(const Task& task) {
   int ranks_left = d.ranks;
   std::vector<std::pair<NodeId, int>> plan;  // node -> ranks placed there
   std::vector<std::pair<NodeId, int>> capacity;  // eligible node -> max ranks
-  for (NodeId node_id : placement_order()) {
-    if (!node_eligible(node_id, task)) continue;
-    const auto& node = platform_.node(node_id);
-    int fit = node.free_cores() / cores_per_rank;
-    if (d.gpus_per_rank > 0) {
-      fit = std::min(fit, node.free_gpus() / d.gpus_per_rank);
+  // The continuous plan below takes capacity in this order, so once what
+  // is listed covers every rank, later nodes cannot change it; services
+  // spread over all their nodes and need the whole list.
+  const bool spread = d.kind == TaskKind::kService;
+  int capacity_seen = 0;
+  const auto scan = [&](const std::vector<NodeId>& order) {
+    for (NodeId node_id : order) {
+      if (!node_eligible(node_id, task)) continue;
+      const auto& node = platform_.node(node_id);
+      int fit = node.free_cores() / cores_per_rank;
+      if (d.gpus_per_rank > 0) {
+        fit = std::min(fit, node.free_gpus() / d.gpus_per_rank);
+      }
+      if (fit <= 0) continue;
+      capacity.emplace_back(node_id, fit);
+      capacity_seen += fit;
+      if (!spread && capacity_seen >= ranks_left) return;
     }
-    if (fit > 0) capacity.emplace_back(node_id, fit);
+  };
+  if (config_.policy == PlacementPolicy::kContinuous) {
+    scan(nodes_);
+  } else {
+    scan(least_utilized_order());
   }
 
-  if (d.kind == TaskKind::kService) {
+  if (spread) {
     // Long-running services spread their ranks evenly across their nodes
     // (never packing a node solid), leaving each node's reserved monitor
     // core and leftover capacity usable — the paper's shared mode depends
     // on this headroom.
-    int total = 0;
-    for (const auto& [node_id, fit] : capacity) total += fit;
-    if (total < ranks_left) return std::nullopt;
+    if (capacity_seen < ranks_left) return std::nullopt;
     std::vector<int> assigned(capacity.size(), 0);
     std::size_t cursor = 0;
     while (ranks_left > 0) {
@@ -172,14 +194,13 @@ void AgentScheduler::schedule_pass() {
   // thousands of identical tasks).
   int failed_cores = std::numeric_limits<int>::max();
   int failed_gpus = std::numeric_limits<int>::max();
-  bool failed_pinned = false;
   for (auto it = waitlist_.begin(); it != waitlist_.end();) {
     std::shared_ptr<Task>& task = *it;
     const TaskDescription& d = (*it)->description();
     const int need_cores = d.ranks * std::max(1, d.cores_per_rank);
     const int need_gpus = d.ranks * d.gpus_per_rank;
     const bool skippable = !d.pinned_node && d.kind == TaskKind::kApplication;
-    if (skippable && failed_pinned == false && need_cores >= failed_cores &&
+    if (skippable && need_cores >= failed_cores &&
         need_gpus >= failed_gpus) {
       ++it;
       continue;
@@ -218,7 +239,7 @@ void AgentScheduler::schedule_pass() {
 int AgentScheduler::free_app_cores() const {
   int total = 0;
   for (NodeId id : nodes_) {
-    const bool service = service_nodes_.contains(id);
+    const bool service = has_role(id, kServiceRole);
     if (service && !shared_service_nodes_) continue;
     total += platform_.node(id).free_cores();
   }
@@ -228,7 +249,7 @@ int AgentScheduler::free_app_cores() const {
 int AgentScheduler::free_app_gpus() const {
   int total = 0;
   for (NodeId id : nodes_) {
-    const bool service = service_nodes_.contains(id);
+    const bool service = has_role(id, kServiceRole);
     if (service && !shared_service_nodes_) continue;
     total += platform_.node(id).free_gpus();
   }

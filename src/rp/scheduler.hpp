@@ -13,11 +13,11 @@
 // mechanism behind the frequent-monitoring overhead of Fig. 11.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/platform.hpp"
@@ -55,12 +55,14 @@ class AgentScheduler {
 
   /// Nodes reserved for services (the SOMA nodes). In exclusive mode
   /// application tasks never land there; in shared mode their leftover
-  /// cores/GPUs are fair game (paper §4.3, shared vs exclusive).
+  /// cores/GPUs are fair game (paper §4.3, shared vs exclusive). Replaces
+  /// any earlier set.
   void set_service_nodes(std::vector<NodeId> nodes, bool shared);
 
   /// Nodes hosting the RP client/agent: never used for application tasks
   /// (regardless of the shared flag), but service/monitor tasks may land
   /// there (the OpenFOAM runs co-locate the SOMA service with the agent).
+  /// Replaces any earlier set.
   void set_agent_nodes(std::vector<NodeId> nodes);
 
   /// Callback fired when a task's placement decision completes and its
@@ -103,14 +105,23 @@ class AgentScheduler {
   /// Scan the waitlist and start decisions for everything that fits.
   void schedule_pass();
   [[nodiscard]] bool node_eligible(NodeId node, const Task& task) const;
-  /// Nodes in the order the current policy wants them considered.
-  [[nodiscard]] std::vector<NodeId> placement_order() const;
+  /// kLeastUtilized's node order; kContinuous walks `nodes_` itself.
+  [[nodiscard]] std::vector<NodeId> least_utilized_order() const;
+
+  /// Role bits of a node, indexed by NodeId.
+  enum Role : std::uint8_t { kServiceRole = 1, kAgentRole = 2 };
+  /// Clear `role` from every node, then set it on `nodes`.
+  void assign_role(Role role, const std::vector<NodeId>& nodes);
+  [[nodiscard]] bool has_role(NodeId node, Role role) const {
+    const auto i = static_cast<std::size_t>(node);
+    return i < roles_.size() && (roles_[i] & role) != 0;
+  }
 
   sim::Simulation& simulation_;
   cluster::Platform& platform_;
   std::vector<NodeId> nodes_;
-  std::unordered_set<NodeId> service_nodes_;
-  std::unordered_set<NodeId> agent_nodes_;
+  std::vector<std::uint8_t> roles_;  // Role bits; empty until a set_*_nodes
+  bool any_service_nodes_ = false;
   bool shared_service_nodes_ = false;
   Rng rng_;
   SchedulerConfig config_;

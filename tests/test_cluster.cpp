@@ -1,6 +1,10 @@
 // Unit tests for the platform/occupancy model and /proc synthesis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cluster/platform.hpp"
 #include "cluster/proc.hpp"
 #include "common/error.hpp"
@@ -219,6 +223,65 @@ TEST_F(ClusterTest, ProcJiffiesReflectOccupancy) {
   const double utilization = utilization_from_stat(
       std::vector<std::int64_t>(6, 0), cpu.as_int64_array());
   EXPECT_NEAR(utilization, 0.5, 0.03);
+}
+
+// The snapshot layout as built by name lookups, one child() per key: the
+// reference make_proc_snapshot's appends must pack identically to.
+datamodel::Node lookup_built_snapshot(const ComputeNode& node, SimTime now,
+                                      Rng& rng, const ProcConfig& config) {
+  auto stat_row = [&](double busy, double total, double background) {
+    const double user = busy * (0.92 + 0.02 * rng.uniform());
+    auto jiffies = [&](double seconds) {
+      return static_cast<std::int64_t>(seconds * config.jiffies_per_second);
+    };
+    return std::vector<std::int64_t>{
+        jiffies(user),
+        jiffies(0.0),
+        jiffies(busy - user + background * 0.5),
+        jiffies(std::max(0.0, total - busy - background)),
+        jiffies(background * 0.4),
+        jiffies(background * 0.1)};
+  };
+  datamodel::Node snapshot;
+  datamodel::Node& at =
+      snapshot[node.hostname()][std::to_string(now.nanos())];
+  const double uptime = now.to_seconds();
+  at["Uptime"].set(static_cast<std::int64_t>(uptime));
+  at["Num Processes"].set(static_cast<std::int64_t>(
+      config.baseline_processes + node.num_processes()));
+  at["Available RAM"].set(static_cast<std::int64_t>(node.available_ram_mib()));
+  datamodel::Node& stat = at["stat"];
+  const double background = uptime * config.background_activity;
+  stat["cpu"].set(stat_row(node.busy_core_seconds(),
+                           uptime * node.usable_cores(),
+                           background * node.usable_cores()));
+  for (int c = 0; c < node.usable_cores(); ++c) {
+    std::string name = "cpu";
+    name += std::to_string(c);
+    stat[name].set(stat_row(node.core_busy_seconds(static_cast<CoreId>(c)),
+                            uptime, background));
+  }
+  return snapshot;
+}
+
+TEST_F(ClusterTest, ProcSnapshotPacksLikeLookupBuiltOne) {
+  Platform platform(simulation, summit(1));
+  auto& node = platform.node(0);
+  ASSERT_EQ(node.usable_cores(), 42);
+  node.process_started();
+  node.allocate_cores(13, "a", 0.9);
+  node.allocate_cores(4, "b", 0.2);
+  node.claim_ram(2048.0);
+  simulation.schedule(Duration::seconds(37.5), [] {});
+  simulation.run();
+
+  const ProcConfig config;
+  for (const SimTime now : {SimTime::zero(), simulation.now()}) {
+    Rng appended_rng(7);
+    Rng looked_up_rng(7);
+    EXPECT_EQ(make_proc_snapshot(node, now, appended_rng, config).pack(),
+              lookup_built_snapshot(node, now, looked_up_rng, config).pack());
+  }
 }
 
 TEST_F(ClusterTest, UtilizationFromStatDiffs) {

@@ -94,6 +94,31 @@ TEST(NodeTest, ChildOrderPreserved) {
   EXPECT_EQ(node.child_at(2).as_int64(), 3);
 }
 
+TEST(NodeTest, AppendChildKeepsOrderAndIsFoundByName) {
+  Node node;
+  node.set(std::int64_t{1});  // leaf first, as with child()
+  node.reserve_children(3);
+  node.append_child("zebra").set(std::int64_t{1});
+  node.append_child("alpha").set(std::int64_t{2});
+  node.child("mid").set(std::int64_t{3});
+  EXPECT_TRUE(node.is_object());
+  ASSERT_EQ(node.number_of_children(), 3u);
+  EXPECT_EQ(node.child_names()[0], "zebra");
+  EXPECT_EQ(node.child_names()[1], "alpha");
+  EXPECT_EQ(node.child_names()[2], "mid");
+  // A later child() finds the appended child instead of adding another.
+  node.child("alpha").set(std::int64_t{20});
+  EXPECT_EQ(node.number_of_children(), 3u);
+  EXPECT_EQ(node.child_at(1).as_int64(), 20);
+
+  Node looked_up;
+  looked_up["zebra"].set(std::int64_t{1});
+  looked_up["alpha"].set(std::int64_t{20});
+  looked_up["mid"].set(std::int64_t{3});
+  EXPECT_EQ(node, looked_up);
+  EXPECT_EQ(node.pack(), looked_up.pack());
+}
+
 TEST(NodeTest, FindChildConstness) {
   Node node;
   node["x"].set(std::int64_t{5});

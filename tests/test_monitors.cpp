@@ -1,9 +1,15 @@
 // Unit tests for the RP workflow monitor and the hardware monitor.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "monitors/hw_monitor.hpp"
 #include "monitors/rp_monitor.hpp"
 #include "soma/service.hpp"
+#include "workloads/ddmd.hpp"
 
 namespace soma::monitors {
 namespace {
@@ -135,6 +141,346 @@ TEST_F(RpMonitorTest, RequiresWorkflowNamespaceClient) {
     session.finalize();
   });
   session.run();
+}
+
+// Listing 1 keys events by <uid>/<timestamp ns>, so events of one task
+// that share a nanosecond keep only the last one recorded. This pins that
+// behaviour (see EXPERIMENTS.md, known deviations): keying by anything
+// else changes the records' bytes.
+TEST_F(RpMonitorTest, EventsSharingANanosecondKeepTheLastOne) {
+  RpMonitorConfig config;
+  config.period = Duration::seconds(10.0);
+  std::unique_ptr<RpMonitor> monitor;
+  std::shared_ptr<rp::Task> done, canceled, waits;
+  session.start([&] {
+    start_with_service();
+    monitor = std::make_unique<RpMonitor>(session, *client, config);
+    monitor->start();
+    done = session.submit(rp::TaskDescription{
+        .uid = "done", .ranks = 2, .fixed_duration = Duration::seconds(5.0)});
+    canceled = session.submit(rp::TaskDescription{
+        .uid = "canceled", .ranks = 2,
+        .fixed_duration = Duration::seconds(100.0)});
+    // Needs the cores "done" holds, so it is placed only once that ends.
+    waits = session.submit(rp::TaskDescription{
+        .uid = "waits", .ranks = 82, .fixed_duration = Duration::seconds(5.0)});
+    session.simulation().schedule(Duration::seconds(20.0), [&] {
+      session.executor().cancel("canceled");
+    });
+    session.simulation().schedule(Duration::seconds(40.0), [&] {
+      monitor->stop();
+      session.finalize();
+    });
+  });
+  session.run();
+
+  // Every published event of each task, merged over ticks, by timestamp.
+  std::map<std::string, std::map<std::string, std::string>> published;
+  std::uint64_t digest = 1469598103934665603ULL;  // FNV-1a over events bytes
+  for (const auto* record :
+       service->store().series(core::Namespace::kWorkflow, "rp_monitor")) {
+    const auto& events = record->data.fetch_existing("events");
+    for (const std::byte b : events.pack()) {
+      digest = (digest ^ static_cast<std::uint8_t>(b)) * 1099511628211ULL;
+    }
+    for (std::size_t i = 0; i < events.number_of_children(); ++i) {
+      const auto& task_events = events.child_at(i);
+      for (std::size_t j = 0; j < task_events.number_of_children(); ++j) {
+        published[events.child_names()[i]][task_events.child_names()[j]] =
+            task_events.child_at(j).as_string();
+      }
+    }
+  }
+  const auto at = [](const std::shared_ptr<rp::Task>& task,
+                     std::string_view event) {
+    return std::to_string(task->event_time(event)->nanos());
+  };
+  const auto entered = [](const std::shared_ptr<rp::Task>& task,
+                          rp::TaskState state) {
+    return std::to_string(task->state_entered(state)->nanos());
+  };
+
+  // launch_stop and DONE share a nanosecond: DONE is published.
+  EXPECT_EQ(at(done, rp::events::kLaunchStop),
+            entered(done, rp::TaskState::kDone));
+  EXPECT_EQ(published["done"][at(done, rp::events::kLaunchStop)], "DONE");
+  // AGENT_SCHEDULING and schedule_start share one: schedule_start wins,
+  // or slots_claimed when the task is placed at once.
+  for (const auto& task : {done, canceled, waits}) {
+    const std::string agent = entered(task, rp::TaskState::kAgentScheduling);
+    EXPECT_EQ(at(task, rp::events::kScheduleStart), agent);
+  }
+  EXPECT_EQ(at(done, rp::events::kSlotsClaimed),
+            entered(done, rp::TaskState::kAgentScheduling));
+  EXPECT_EQ(published["done"][at(done, rp::events::kScheduleStart)],
+            "slots_claimed");
+  EXPECT_NE(at(waits, rp::events::kSlotsClaimed),
+            entered(waits, rp::TaskState::kAgentScheduling));
+  EXPECT_EQ(published["waits"][at(waits, rp::events::kScheduleStart)],
+            "schedule_start");
+  // A cancel records rank_stop, exec_stop, launch_stop and CANCELED in one
+  // nanosecond: only CANCELED is published.
+  const std::string cancel_at = entered(canceled, rp::TaskState::kCanceled);
+  for (const auto event : {rp::events::kRankStop, rp::events::kExecStop,
+                           rp::events::kLaunchStop}) {
+    EXPECT_EQ(at(canceled, event), cancel_at);
+  }
+  EXPECT_EQ(published["canceled"][cancel_at], "CANCELED");
+  for (const auto& [uid, events] : published) {
+    for (const auto& [ts, event] : events) {
+      EXPECT_NE(event, "launch_stop") << uid;
+      EXPECT_NE(event, "AGENT_SCHEDULING") << uid;
+    }
+  }
+  // Today's bytes, as stored and on the wire. Unpacking keeps one child
+  // per name, so only the wire count tells a repeated timestamp key apart.
+  EXPECT_EQ(digest, 13324147279481747739ULL);
+  EXPECT_EQ(session.network().bytes_sent(), 3526u);
+}
+
+// ---------- RpMonitor summary against a full scan ----------
+
+// One dwell as a full pass over every task's logs sums it: in doubles in
+// task order (the reference the means must stay within 1e-12 of) and in
+// int64 nanoseconds (which the folded means must equal exactly).
+struct ScanDwell {
+  double seconds = 0.0;
+  Duration total;
+  std::int64_t count = 0;
+
+  void add(Duration dwell) {
+    seconds += dwell.to_seconds();
+    total += dwell;
+    ++count;
+  }
+  [[nodiscard]] double double_mean() const {
+    return count == 0 ? 0.0 : seconds / static_cast<double>(count);
+  }
+  [[nodiscard]] double int64_mean() const {
+    return count == 0 ? 0.0
+                      : total.to_seconds() / static_cast<double>(count);
+  }
+};
+
+struct FullScan {
+  WorkflowSummary counts;
+  ScanDwell exec, tmgr, agent, launch;
+};
+
+FullScan full_scan(const rp::Session& session) {
+  FullScan scan;
+  for (const auto& task : session.tasks()) {
+    const auto tmgr = task->state_entered(rp::TaskState::kTmgrScheduling);
+    const auto agent = task->state_entered(rp::TaskState::kAgentScheduling);
+    const auto executing = task->state_entered(rp::TaskState::kExecuting);
+    if (tmgr && agent) scan.tmgr.add(*agent - *tmgr);
+    if (agent && executing) scan.agent.add(*executing - *agent);
+    const auto launch_start = task->event_time(rp::events::kLaunchStart);
+    const auto rank_start = task->event_time(rp::events::kRankStart);
+    if (launch_start && rank_start) scan.launch.add(*rank_start - *launch_start);
+    ++scan.counts.tasks_total;
+    switch (task->state()) {
+      case rp::TaskState::kNew:
+      case rp::TaskState::kTmgrScheduling:
+      case rp::TaskState::kAgentScheduling:
+        ++scan.counts.tasks_pending;
+        break;
+      case rp::TaskState::kExecuting:
+        ++scan.counts.tasks_executing;
+        break;
+      case rp::TaskState::kDone:
+        ++scan.counts.tasks_done;
+        if (const auto d = task->rank_duration()) scan.exec.add(*d);
+        break;
+      case rp::TaskState::kFailed:
+      case rp::TaskState::kCanceled:
+        ++scan.counts.tasks_failed;
+        break;
+    }
+  }
+  return scan;
+}
+
+void expect_matches(const WorkflowSummary& summary, const FullScan& scan) {
+  EXPECT_EQ(summary.tasks_total, scan.counts.tasks_total);
+  EXPECT_EQ(summary.tasks_pending, scan.counts.tasks_pending);
+  EXPECT_EQ(summary.tasks_executing, scan.counts.tasks_executing);
+  EXPECT_EQ(summary.tasks_done, scan.counts.tasks_done);
+  EXPECT_EQ(summary.tasks_failed, scan.counts.tasks_failed);
+  const std::pair<double, const ScanDwell*> means[] = {
+      {summary.mean_exec_seconds, &scan.exec},
+      {summary.mean_tmgr_wait_seconds, &scan.tmgr},
+      {summary.mean_agent_wait_seconds, &scan.agent},
+      {summary.mean_launch_overhead_seconds, &scan.launch}};
+  for (const auto& [mean, dwell] : means) {
+    EXPECT_EQ(mean, dwell->int64_mean());
+    EXPECT_NEAR(mean, dwell->double_mean(),
+                1e-12 * std::abs(dwell->double_mean()));
+  }
+}
+
+// Two DDMD pipelines (one phase, all stages submitted at once) on three
+// worker nodes: enough GPU tasks to queue, tasks that fail, and two tasks
+// ended between launch_start and rank_start, so their rank_start lands
+// after they reached a final state. With `probe`, the test compares the
+// monitor with a full scan right after every tick, and calls
+// compute_summary() half-way between ticks, at every completion and right
+// after each early end.
+struct DdmdSession {
+  explicit DdmdSession(bool probe) : probing(probe), session(config()) {
+    session.add_task_completion_listener([this](const auto&) {
+      if (probing) {
+        expect_matches(monitor->compute_summary(), full_scan(session));
+      }
+      if (++completed < static_cast<int>(session.tasks().size())) return;
+      monitor->stop();  // takes a final tick
+      ender->stop();
+      if (tick_probe) {
+        check_tick();
+        tick_probe->stop();
+      }
+      if (between_probe) between_probe->stop();
+      session.finalize();
+    });
+    session.start([this] {
+      service = std::make_unique<core::SomaService>(session.network(),
+                                                    std::vector<NodeId>{0});
+      client = std::make_unique<core::SomaClient>(
+          session.network(), 0, 6000, core::Namespace::kWorkflow,
+          service->instance(core::Namespace::kWorkflow).ranks);
+      monitor = std::make_unique<RpMonitor>(session, *client,
+                                            RpMonitorConfig{.period = kPeriod});
+      monitor->start();
+      if (probing) {
+        tick_probe = std::make_unique<sim::PeriodicTask>(
+            session.simulation(), kPeriod, [this] { check_tick(); });
+        tick_probe->start();
+        between_probe = std::make_unique<sim::PeriodicTask>(
+            session.simulation(), kPeriod, [this] {
+              expect_matches(monitor->compute_summary(), full_scan(session));
+              ++between_checks;
+            });
+        between_probe->start(kPeriod / 2.0);
+      }
+      submit_pipelines();
+      ender = std::make_unique<sim::PeriodicTask>(
+          session.simulation(), Duration::milliseconds(50),
+          [this] { end_one_in_launch(); });
+      ender->start();
+    });
+    session.run();
+  }
+
+  static rp::SessionConfig config() {
+    rp::SessionConfig config;
+    config.platform = cluster::summit(4);
+    config.pilot.nodes = 4;
+    config.seed = 11;
+    return config;
+  }
+
+  void submit_pipelines() {
+    workloads::DdmdParams params;
+    params.sim_seconds = 40.0;
+    params.train_seconds = 30.0;
+    params.selection_seconds = 10.0;
+    params.agent_seconds = 20.0;
+    for (int pipeline = 0; pipeline < 2; ++pipeline) {
+      for (const auto& spec : workloads::ddmd_phase_stages(params, 2, 1, 2)) {
+        for (auto d : workloads::make_ddmd_stage_tasks(spec, params, pipeline,
+                                                       0, 1)) {
+          d.failure_probability = 0.3;
+          if (spec.stage == workloads::DdmdStage::kSimulation) {
+            d.input_staging_mib = 50.0;
+          }
+          session.submit(std::move(d));
+        }
+      }
+    }
+  }
+
+  // Cancel the first task seen between launch_start and rank_start, then
+  // stop the second one the same way. A probe looks right away, before
+  // rank_start lands.
+  void end_one_in_launch() {
+    for (const auto& task : session.tasks()) {
+      if (task->state() != rp::TaskState::kExecuting ||
+          !task->event_time(rp::events::kLaunchStart) ||
+          task->event_time(rp::events::kRankStart)) {
+        continue;
+      }
+      if (canceled.empty()) {
+        canceled = task->uid();
+        session.executor().cancel(canceled);
+      } else {
+        stopped = task->uid();
+        session.stop_task(stopped);
+        ender->stop();
+      }
+      if (probing) {
+        expect_matches(monitor->compute_summary(), full_scan(session));
+      }
+      return;
+    }
+  }
+
+  void check_tick() {
+    if (monitor->ticks() == ticks_checked) return;
+    ticks_checked = monitor->ticks();
+    expect_matches(monitor->last_summary(), full_scan(session));
+  }
+
+  static constexpr Duration kPeriod = Duration::seconds(5.0);
+  bool probing;
+  rp::Session session;
+  std::unique_ptr<core::SomaService> service;
+  std::unique_ptr<core::SomaClient> client;
+  std::unique_ptr<RpMonitor> monitor;
+  std::unique_ptr<sim::PeriodicTask> tick_probe, between_probe, ender;
+  int completed = 0;
+  std::uint64_t ticks_checked = 0;
+  int between_checks = 0;
+  std::string canceled, stopped;
+};
+
+TEST(RpMonitorSummaryTest, FoldedSummaryMatchesFullScanAtEveryTick) {
+  const DdmdSession probed(/*probe=*/true);
+  const rp::Session& session = probed.session;
+
+  // The run covers what the fold has to get right.
+  const auto canceled = session.find_task(probed.canceled);
+  const auto stopped = session.find_task(probed.stopped);
+  ASSERT_NE(canceled, nullptr);
+  ASSERT_NE(stopped, nullptr);
+  EXPECT_EQ(canceled->state(), rp::TaskState::kCanceled);
+  EXPECT_EQ(stopped->state(), rp::TaskState::kDone);
+  ASSERT_TRUE(canceled->event_time(rp::events::kRankStart));
+  EXPECT_GT(*canceled->event_time(rp::events::kRankStart),
+            canceled->state_history().back().first);
+  const FullScan end = full_scan(session);
+  EXPECT_GT(end.counts.tasks_failed, 1);
+  EXPECT_GT(end.counts.tasks_done, 1);
+
+  EXPECT_EQ(probed.ticks_checked, probed.monitor->ticks());
+  EXPECT_GT(probed.ticks_checked, 10u);
+  EXPECT_GT(probed.between_checks, 10);
+  expect_matches(probed.monitor->compute_summary(), end);
+}
+
+TEST(RpMonitorSummaryTest, ProbingBetweenTicksLeavesRecordsUnchanged) {
+  const DdmdSession plain(/*probe=*/false);
+  const DdmdSession probed(/*probe=*/true);
+  const auto plain_series =
+      plain.service->store().series(core::Namespace::kWorkflow, "rp_monitor");
+  const auto probed_series =
+      probed.service->store().series(core::Namespace::kWorkflow, "rp_monitor");
+  ASSERT_GT(plain_series.size(), 10u);
+  ASSERT_EQ(plain_series.size(), probed_series.size());
+  for (std::size_t i = 0; i < plain_series.size(); ++i) {
+    EXPECT_EQ(plain_series[i]->time, probed_series[i]->time);
+    EXPECT_EQ(plain_series[i]->data.pack(), probed_series[i]->data.pack())
+        << "record " << i;
+  }
 }
 
 // ---------- HwMonitor ----------

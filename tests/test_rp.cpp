@@ -2,6 +2,10 @@
 // profiles, the agent scheduler, the executor, and the session lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 #include "rp/execution_model.hpp"
 #include "rp/profile.hpp"
@@ -340,6 +344,113 @@ TEST_F(SchedulerTest, FreeAppResourcesExcludeExclusiveServiceNodes) {
   EXPECT_EQ(scheduler.free_app_gpus(), 6 * 3);
   scheduler.set_service_nodes({3}, true);
   EXPECT_EQ(scheduler.free_app_cores(), 42 * 4);
+}
+
+TEST_F(SchedulerTest, SettingServiceNodesAgainReplacesTheSet) {
+  scheduler.set_service_nodes({0, 1}, /*shared=*/false);
+  scheduler.set_service_nodes({3}, /*shared=*/false);
+  EXPECT_EQ(scheduler.free_app_cores(), 42 * 3);  // only node 3 is held back
+  auto app = submit(TaskDescription{.uid = "app", .ranks = 42});
+  auto service = submit(TaskDescription{
+      .uid = "svc", .kind = TaskKind::kService, .ranks = 4});
+  simulation.run();
+  ASSERT_TRUE(app->placement().has_value());
+  EXPECT_EQ(app->placement()->ranks[0].node, 0);
+  ASSERT_TRUE(service->placement().has_value());
+  EXPECT_EQ(service->placement()->nodes(), std::vector<NodeId>{3});
+}
+
+TEST_F(SchedulerTest, SettingAgentNodesAgainReplacesTheSet) {
+  scheduler.set_agent_nodes({0});
+  scheduler.set_agent_nodes({1});
+  auto first = submit(TaskDescription{.uid = "first", .ranks = 42});
+  auto second = submit(TaskDescription{.uid = "second", .ranks = 42});
+  simulation.run();
+  ASSERT_TRUE(first->placement() && second->placement());
+  EXPECT_EQ(first->placement()->nodes(), std::vector<NodeId>{0});
+  EXPECT_EQ(second->placement()->nodes(), std::vector<NodeId>{2});
+}
+
+// The placement a scan of every node plans: capacity of each eligible node
+// in policy order, then ranks taken from that list in order.
+std::vector<std::pair<NodeId, int>> full_scan_plan(
+    const cluster::Platform& platform, std::vector<NodeId> order,
+    PlacementPolicy policy, const TaskDescription& d) {
+  if (policy == PlacementPolicy::kLeastUtilized) {
+    std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return platform.node(a).utilization_now() <
+             platform.node(b).utilization_now();
+    });
+  }
+  std::vector<std::pair<NodeId, int>> capacity;
+  for (NodeId id : order) {
+    int fit = platform.node(id).free_cores() / d.cores_per_rank;
+    if (d.gpus_per_rank > 0) {
+      fit = std::min(fit, platform.node(id).free_gpus() / d.gpus_per_rank);
+    }
+    if (fit > 0) capacity.emplace_back(id, fit);
+  }
+  std::vector<std::pair<NodeId, int>> plan;
+  int left = d.ranks;
+  for (const auto& [id, fit] : capacity) {
+    if (left == 0) break;
+    plan.emplace_back(id, std::min(fit, left));
+    left -= plan.back().second;
+  }
+  if (left > 0) plan.clear();
+  return plan;
+}
+
+std::vector<std::pair<NodeId, int>> placed_plan(const Task& task) {
+  std::vector<std::pair<NodeId, int>> plan;
+  if (!task.placement()) return plan;
+  for (const auto& rank : task.placement()->ranks) {
+    if (plan.empty() || plan.back().first != rank.node) {
+      plan.emplace_back(rank.node, 0);
+    }
+    ++plan.back().second;
+  }
+  return plan;
+}
+
+TEST(SchedulerPlacementTest, StoppingTheScanEarlyPlacesLikeAFullScan) {
+  for (const auto policy :
+       {PlacementPolicy::kContinuous, PlacementPolicy::kLeastUtilized}) {
+    SCOPED_TRACE(policy == PlacementPolicy::kContinuous ? "continuous"
+                                                        : "least-utilized");
+    sim::Simulation simulation;
+    cluster::Platform platform(simulation, cluster::summit(6));
+    const std::vector<NodeId> nodes = {0, 1, 2, 3, 4, 5};
+    AgentScheduler scheduler(simulation, platform, nodes, Rng{5},
+                             SchedulerConfig{.policy = policy});
+    // Partly filled, with a different utilization on every node.
+    const std::pair<int, double> fill[] = {
+        {30, 0.9}, {10, 0.1}, {40, 0.5}, {0, 0.0}, {25, 0.3}, {41, 0.7}};
+    for (NodeId id : nodes) {
+      const auto [cores, activity] = fill[id];
+      if (cores > 0) {
+        ASSERT_TRUE(platform.node(id).allocate_cores(cores, "filler",
+                                                     activity));
+      }
+    }
+    const TaskDescription shapes[] = {
+        {.uid = "one", .ranks = 1},
+        {.uid = "spans", .ranks = 50},
+        {.uid = "wide", .ranks = 3, .cores_per_rank = 8},
+        {.uid = "gpus", .ranks = 9, .cores_per_rank = 2, .gpus_per_rank = 1},
+        {.uid = "rest", .ranks = 40},
+        {.uid = "too-big", .ranks = 500},
+    };
+    for (const TaskDescription& shape : shapes) {
+      SCOPED_TRACE(shape.uid);
+      const auto expected = full_scan_plan(platform, nodes, policy, shape);
+      auto task = std::make_shared<Task>(shape);
+      task->advance(TaskState::kTmgrScheduling, simulation.now());
+      task->advance(TaskState::kAgentScheduling, simulation.now());
+      scheduler.submit(task);  // places synchronously when it fits
+      EXPECT_EQ(placed_plan(*task), expected);
+    }
+  }
 }
 
 TEST_F(SchedulerTest, CompletionReleasesEverything) {

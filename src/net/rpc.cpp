@@ -9,16 +9,15 @@
 namespace soma::net {
 namespace {
 
-// Encode one frame: header + body packed straight behind it. One allocation,
-// exactly frame_size bytes, and one walk of the body for its size; no
-// envelope tree on either side of the wire.
-std::vector<std::byte> encode_frame(wire::Kind kind, std::uint64_t request_id,
-                                    std::string_view rpc,
-                                    const datamodel::Node& body) {
+// Encode one response frame: header + body packed straight behind it. One
+// allocation, exactly frame_size bytes, and one walk of the body for its
+// size; no envelope tree on either side of the wire.
+std::vector<std::byte> encode_response(std::uint64_t request_id,
+                                       const datamodel::Node& body) {
   const std::size_t body_size = body.packed_size();
   std::vector<std::byte> frame;
-  frame.reserve(wire::frame_size(kind, rpc.size(), body_size));
-  wire::append_header(frame, kind, request_id, rpc);
+  frame.reserve(wire::frame_size(wire::Kind::kResponse, 0, body_size));
+  wire::append_header(frame, wire::Kind::kResponse, request_id, {});
   body.pack(frame, body_size);
   return frame;
 }
@@ -39,35 +38,28 @@ Engine::~Engine() {
 }
 
 void Engine::define(const std::string& rpc, Handler handler) {
-  if (raw_handlers_.contains(rpc)) {
-    throw ConfigError("rpc already defined: " + rpc);
-  }
-  const auto [it, inserted] = handlers_.emplace(rpc, std::move(handler));
-  (void)it;
-  if (!inserted) throw ConfigError("rpc already defined: " + rpc);
+  define_raw(rpc, [handler = std::move(handler)](
+                      const Address& caller, std::span<const std::byte> body) {
+    return handler(caller, datamodel::Node::unpack(body));
+  });
 }
 
 void Engine::define_raw(const std::string& rpc, RawHandler handler) {
-  if (handlers_.contains(rpc)) {
+  if (!handlers_.emplace(rpc, std::move(handler)).second) {
     throw ConfigError("rpc already defined: " + rpc);
   }
-  const auto [it, inserted] = raw_handlers_.emplace(rpc, std::move(handler));
-  (void)it;
-  if (!inserted) throw ConfigError("rpc already defined: " + rpc);
 }
 
 void Engine::call(const Address& dest, const std::string& rpc,
-                  datamodel::Node args, ResponseCallback on_response) {
-  call(dest, rpc, std::move(args), std::move(on_response), RetryPolicy{});
-}
-
-void Engine::call(const Address& dest, const std::string& rpc,
-                  datamodel::Node args, ResponseCallback on_response,
+                  const datamodel::Node& args, ResponseCallback on_response,
                   RetryPolicy policy, ErrorCallback on_error) {
-  check(policy.max_attempts >= 1, "retry policy needs at least one attempt");
-  const std::uint64_t id = next_request_id_++;
-  send_request(id, dest, encode_frame(wire::Kind::kRequest, id, rpc, args),
-               std::move(on_response), policy, std::move(on_error));
+  const std::size_t body_size = args.packed_size();
+  call_raw(
+      dest, rpc, body_size,
+      [&args, body_size](std::vector<std::byte>& frame) {
+        args.pack(frame, body_size);
+      },
+      std::move(on_response), policy, std::move(on_error));
 }
 
 void Engine::call_raw(const Address& dest, const std::string& rpc,
@@ -82,14 +74,7 @@ void Engine::call_raw(const Address& dest, const std::string& rpc,
   wire::append_header(frame, wire::Kind::kRequest, id, rpc);
   append_body(frame);
 
-  send_request(id, dest, std::move(frame), std::move(on_response), policy,
-               std::move(on_error));
-}
-
-void Engine::send_request(std::uint64_t id, const Address& dest,
-                          std::vector<std::byte> frame,
-                          ResponseCallback on_response, RetryPolicy policy,
-                          ErrorCallback on_error) {
+  // Register the pending call (and its retry timer), then send.
   if (on_response || on_error || policy.enabled()) {
     PendingCall pending;
     pending.on_response = std::move(on_response);
@@ -145,23 +130,16 @@ void Engine::on_timeout(std::uint64_t request_id) {
 }
 
 void Engine::on_message(const Address& from, std::vector<std::byte> payload) {
-  const std::size_t payload_bytes = payload.size();
   const wire::FrameHeader header = wire::decode_header(payload);
 
   if (header.kind == wire::Kind::kRequest) {
     if (header.attempt > 0) ++stats_.retried_requests;
-    if (!raw_handlers_.empty()) {
-      const auto raw = raw_handlers_.find(std::string(header.rpc));
-      if (raw != raw_handlers_.end()) {
-        const auto body_offset =
-            static_cast<std::size_t>(header.body.data() - payload.data());
-        handle_request_raw(from, header.request_id, &raw->second,
-                           std::move(payload), body_offset);
-        return;
-      }
-    }
-    handle_request(from, header.request_id, std::string(header.rpc),
-                   datamodel::Node::unpack(header.body), payload_bytes);
+    const auto it = handlers_.find(std::string(header.rpc));
+    const auto body_offset =
+        static_cast<std::size_t>(header.body.data() - payload.data());
+    handle_request(from, header.request_id,
+                   it == handlers_.end() ? nullptr : &it->second,
+                   std::move(payload), body_offset);
   } else {
     ++stats_.responses_received;
     const auto it = pending_.find(header.request_id);
@@ -183,8 +161,10 @@ void Engine::on_message(const Address& from, std::vector<std::byte> payload) {
 }
 
 void Engine::handle_request(const Address& from, std::uint64_t request_id,
-                            const std::string& rpc, datamodel::Node args,
-                            std::size_t payload_bytes) {
+                            const RawHandler* handler,
+                            std::vector<std::byte> payload,
+                            std::size_t body_offset) {
+  const std::size_t payload_bytes = payload.size();
   stats_.bytes_in += payload_bytes;
   if (cost_.is_bulk(payload_bytes)) ++stats_.bulk_transfers;
 
@@ -202,55 +182,22 @@ void Engine::handle_request(const Address& from, std::uint64_t request_id,
   stats_.total_service_time += service;
 
   simulation.schedule_at(
-      busy_until_,
-      [this, from, request_id, rpc, args = std::move(args)]() mutable {
+      busy_until_, [this, from, request_id, handler,
+                    payload = std::move(payload), body_offset]() mutable {
         ++stats_.requests_handled;
+        const std::span<const std::byte> frame(payload);
         datamodel::Node response;
-        const auto it = handlers_.find(rpc);
-        if (it != handlers_.end()) {
-          response = it->second(from, std::move(args));
+        if (handler != nullptr) {
+          response = (*handler)(from, frame.subspan(body_offset));
         } else {
+          const std::string rpc(wire::decode_header(frame).rpc);
           SOMA_WARN() << "rpc engine " << address_ << ": unknown rpc '" << rpc
                       << "'";
           response["error"].set("unknown rpc: " + rpc);
         }
-        std::vector<std::byte> frame =
-            encode_frame(wire::Kind::kResponse, request_id, {}, response);
-        stats_.bytes_out += frame.size();
-        network_.send(address_, from, std::move(frame));
-      });
-}
-
-void Engine::handle_request_raw(const Address& from, std::uint64_t request_id,
-                                const RawHandler* handler,
-                                std::vector<std::byte> payload,
-                                std::size_t body_offset) {
-  const std::size_t payload_bytes = payload.size();
-  stats_.bytes_in += payload_bytes;
-  if (cost_.is_bulk(payload_bytes)) ++stats_.bulk_transfers;
-
-  sim::Simulation& simulation = network_.simulation();
-  const SimTime now = simulation.now();
-  const SimTime start = std::max(now, busy_until_);
-  const Duration service = cost_.cost_for(payload_bytes);
-  busy_until_ = start + service;
-
-  const Duration queue_delay = start - now;
-  stats_.total_queue_delay += queue_delay;
-  stats_.max_queue_delay = std::max(stats_.max_queue_delay, queue_delay);
-  stats_.total_service_time += service;
-
-  simulation.schedule_at(
-      busy_until_, [this, from, request_id, handler,
-                    payload = std::move(payload), body_offset]() mutable {
-        ++stats_.requests_handled;
-        const std::span<const std::byte> body =
-            std::span<const std::byte>(payload).subspan(body_offset);
-        datamodel::Node response = (*handler)(from, body);
-        std::vector<std::byte> frame =
-            encode_frame(wire::Kind::kResponse, request_id, {}, response);
-        stats_.bytes_out += frame.size();
-        network_.send(address_, from, std::move(frame));
+        std::vector<std::byte> reply = encode_response(request_id, response);
+        stats_.bytes_out += reply.size();
+        network_.send(address_, from, std::move(reply));
       });
 }
 

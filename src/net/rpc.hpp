@@ -4,6 +4,13 @@
 // client stub. Servers `define` named handlers; clients `call` them with a
 // datamodel::Node argument and receive a Node response asynchronously.
 //
+// Every RPC is raw underneath, as in Margo, where each RPC is one registered
+// handler over one serialized body: there is one handler map and one request
+// path. `call` packs its Node into the frame through `call_raw`, and
+// `define` wraps its handler in a `define_raw` adapter that unpacks the body
+// at dispatch. Batch and replication RPCs use the raw pair directly, with
+// bodies that are not a single packed Node.
+//
 // Service cost model: a server engine executes requests *serially* (one
 // Margo progress loop / one process). Each request costs
 //   base_cost + per_kib_cost * payload_KiB
@@ -114,9 +121,8 @@ class Engine {
   using ResponseCallback = std::function<void(datamodel::Node response)>;
   /// Fired when a call exhausts its retry budget without a response.
   using ErrorCallback = std::function<void(const std::string& error)>;
-  /// A server-side handler over the raw frame body (no Node::unpack on the
-  /// receive path); the handler owns the decode. Used by batch RPCs whose
-  /// bodies are not a single packed Node.
+  /// A server-side handler over the raw frame body; the handler owns the
+  /// decode. Every registered RPC is one of these.
   using RawHandler = std::function<datamodel::Node(
       const Address& caller, std::span<const std::byte> body)>;
   /// Packs a call body straight behind an already-written frame header.
@@ -131,7 +137,10 @@ class Engine {
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   [[nodiscard]] Network& network() { return network_; }
 
-  /// Register a named RPC. Throws ConfigError on duplicate names.
+  /// Register a named RPC whose body is one packed Node. The body is
+  /// unpacked when the request is dispatched (after its queueing delay), so
+  /// a malformed body surfaces as a LookupError out of Simulation::run() at
+  /// dispatch time. Throws ConfigError on duplicate names.
   void define(const std::string& rpc, Handler handler);
 
   /// Register a raw-body RPC: the handler receives the undecoded body span
@@ -140,7 +149,7 @@ class Engine {
 
   /// Invoke `rpc` at `dest` with a caller-encoded body. `body_size` must be
   /// the exact number of bytes `append_body` appends (it sizes the single
-  /// frame allocation). Reliability semantics match the Node-body `call`.
+  /// frame allocation). Reliability semantics match `call`.
   void call_raw(const Address& dest, const std::string& rpc,
                 std::size_t body_size, const BodyEncoder& append_body,
                 ResponseCallback on_response = nullptr, RetryPolicy policy = {},
@@ -149,15 +158,12 @@ class Engine {
   /// Invoke `rpc` at `dest`. `on_response` (optional) fires when the reply
   /// arrives back at this engine. Fire-and-forget calls still receive and
   /// count an acknowledgement, as Margo's forward/respond pair does.
-  void call(const Address& dest, const std::string& rpc, datamodel::Node args,
-            ResponseCallback on_response = nullptr);
-
-  /// Reliable variant: `policy` arms a per-attempt timeout with bounded
-  /// exponential-backoff retransmission; `on_error` fires on exhaustion.
-  /// A disabled policy (zero timeout) behaves exactly like the plain call.
-  void call(const Address& dest, const std::string& rpc, datamodel::Node args,
-            ResponseCallback on_response, RetryPolicy policy,
-            ErrorCallback on_error = nullptr);
+  /// `policy` arms a per-attempt timeout with bounded exponential-backoff
+  /// retransmission; `on_error` fires on exhaustion. A disabled policy (zero
+  /// timeout, the default) sends the frame once and waits forever.
+  void call(const Address& dest, const std::string& rpc,
+            const datamodel::Node& args, ResponseCallback on_response = nullptr,
+            RetryPolicy policy = {}, ErrorCallback on_error = nullptr);
 
   /// Time at which this engine finishes its current backlog. Equal to now
   /// when idle; used by tests and the saturation analysis.
@@ -178,28 +184,18 @@ class Engine {
   };
 
   void on_message(const Address& from, std::vector<std::byte> payload);
+  /// Charges the request's service cost and queues it. At dispatch the
+  /// handler (looked up on arrival; null for an unknown rpc) sees the body
+  /// span of the frame, which is kept alive until then.
   void handle_request(const Address& from, std::uint64_t request_id,
-                      const std::string& rpc, datamodel::Node args,
-                      std::size_t payload_bytes);
-  /// Raw-handler variant: keeps the whole frame alive and hands the handler
-  /// the body span at dispatch time (decode happens after the queueing
-  /// delay, as the Node path's unpack-then-queue does in reverse).
-  void handle_request_raw(const Address& from, std::uint64_t request_id,
-                          const RawHandler* handler,
-                          std::vector<std::byte> payload,
-                          std::size_t body_offset);
-  /// Shared client-side send path: registers the pending call (and retry
-  /// timer) and puts the encoded frame on the wire.
-  void send_request(std::uint64_t id, const Address& dest,
-                    std::vector<std::byte> frame, ResponseCallback on_response,
-                    RetryPolicy policy, ErrorCallback on_error);
+                      const RawHandler* handler,
+                      std::vector<std::byte> payload, std::size_t body_offset);
   void on_timeout(std::uint64_t request_id);
 
   Network& network_;
   Address address_;
   ServiceCost cost_;
-  std::unordered_map<std::string, Handler> handlers_;
-  std::unordered_map<std::string, RawHandler> raw_handlers_;
+  std::unordered_map<std::string, RawHandler> handlers_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   /// Ids of retried or exhausted calls, for duplicate-response suppression.
   /// Plain single-shot ids never enter, so fire-and-forget acks stay cheap.

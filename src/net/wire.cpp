@@ -10,34 +10,6 @@ namespace {
 constexpr std::byte kMagic[4] = {std::byte{'S'}, std::byte{'O'},
                                  std::byte{'M'}, std::byte{'1'}};
 
-void put_u32(std::byte* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-  }
-}
-
-void put_u64(std::byte* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-  }
-}
-
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 void append_header(std::vector<std::byte>& out, Kind kind, std::uint64_t id,

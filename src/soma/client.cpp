@@ -143,19 +143,18 @@ void SomaClient::send_publish(const std::string& source, datamodel::Node data,
     if (on_ack) on_ack();
   };
 
-  if (!reliability_.retry.enabled()) {
-    engine_->call(instance_ranks_[idx], "soma.publish", std::move(args),
-                  std::move(on_response));
-    return;
+  // A disabled retry policy sends once and never fails, so plain clients
+  // build no error path.
+  net::Engine::ErrorCallback on_error;
+  if (reliability_.retry.enabled()) {
+    on_error = [this, idx, source, data_copy = std::move(data_copy),
+                published_at, on_ack,
+                from_batch](const std::string& /*error*/) mutable {
+      on_publish_failure(idx, source, std::move(data_copy), published_at,
+                         std::move(on_ack), from_batch);
+    };
   }
-
-  net::Engine::ErrorCallback on_error =
-      [this, idx, source, data_copy = std::move(data_copy), published_at,
-       on_ack, from_batch](const std::string& /*error*/) mutable {
-        on_publish_failure(idx, source, std::move(data_copy), published_at,
-                           std::move(on_ack), from_batch);
-      };
-  engine_->call(instance_ranks_[idx], "soma.publish", std::move(args),
+  engine_->call(instance_ranks_[idx], "soma.publish", args,
                 std::move(on_response), reliability_.retry,
                 std::move(on_error));
 }
@@ -186,24 +185,20 @@ void SomaClient::send_batch(std::size_t rank_index,
     batch.body.encode(frame);
   };
 
-  if (!reliability_.retry.enabled()) {
-    engine_->call_raw(instance_ranks_[rank_index], "soma.publish_batch",
-                      batch.body.body_size(), encode, std::move(on_response));
-    return;
+  net::Engine::ErrorCallback on_error;
+  if (reliability_.retry.enabled()) {
+    on_error = [this, rank_index, records](const std::string& /*error*/) {
+      // A failed batch degrades to the single-record reliability path:
+      // every record re-buffers (or is counted failed) with its original
+      // publish timestamp, so replay is indistinguishable from a failed
+      // record-at-a-time run.
+      for (PublishBatcher::PendingRecord& record : *records) {
+        on_publish_failure(rank_index, record.source, std::move(record.data),
+                           record.published_at, std::move(record.on_ack),
+                           /*from_batch=*/true);
+      }
+    };
   }
-
-  net::Engine::ErrorCallback on_error =
-      [this, rank_index, records](const std::string& /*error*/) {
-        // A failed batch degrades to the single-record reliability path:
-        // every record re-buffers (or is counted failed) with its original
-        // publish timestamp, so replay is indistinguishable from a failed
-        // record-at-a-time run.
-        for (PublishBatcher::PendingRecord& record : *records) {
-          on_publish_failure(rank_index, record.source, std::move(record.data),
-                             record.published_at, std::move(record.on_ack),
-                             /*from_batch=*/true);
-        }
-      };
   engine_->call_raw(instance_ranks_[rank_index], "soma.publish_batch",
                     batch.body.body_size(), encode, std::move(on_response),
                     reliability_.retry, std::move(on_error));

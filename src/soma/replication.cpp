@@ -19,34 +19,6 @@ constexpr std::uint8_t kFrameReplicate = 0;
 constexpr std::uint8_t kFrameResync = 1;
 constexpr std::size_t kPrefixBytes = 1 + 4 + 8;
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(std::span<const std::byte> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in[at + i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::span<const std::byte> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
-  }
-  return v;
-}
-
 std::uint64_t ack_seq(const datamodel::Node& response) {
   if (const auto* seq = response.find_child("seq")) {
     return static_cast<std::uint64_t>(seq->as_int64());
@@ -190,52 +162,89 @@ void ReplicationManager::on_append(Namespace ns, int shard,
 
 void ReplicationManager::maybe_send(std::size_t index,
                                     std::size_t link_index) {
-  Rank& rank = ranks_[index];
-  PeerLink& link = rank.links[link_index];
-  if (link.in_flight || link.acked >= rank.log.size()) return;
+  const Rank& rank = ranks_[index];
+  const Window& window = rank.links[link_index].window;
+  if (window.in_flight || window.acked >= rank.log.size()) return;
+  ship(index, link_index);
+}
 
-  const Rank& peer = ranks_[link.peer];
-  const std::size_t base = link.acked;
+void ReplicationManager::send_resync_chunk(std::size_t target_index) {
+  const Resync* resync = ranks_[target_index].resync.get();
+  if (resync == nullptr || resync->window.in_flight) return;
+  if (resync->window.acked >= resync->entries.size()) {
+    finish_recovery(target_index);
+    return;
+  }
+  ship(target_index, kResyncLink);
+}
+
+ReplicationManager::Window* ReplicationManager::live_window(
+    std::size_t owner, std::size_t link, std::uint64_t epoch) {
+  Rank& rank = ranks_[owner];
+  if (rank.epoch != epoch) return nullptr;  // wiped since; stale future
+  if (link != kResyncLink) return &rank.links[link].window;
+  return rank.resync == nullptr ? nullptr : &rank.resync->window;
+}
+
+void ReplicationManager::ship(std::size_t owner, std::size_t link) {
+  Rank& rank = ranks_[owner];
+  const bool resync = link == kResyncLink;
+  Window& window = resync ? rank.resync->window : rank.links[link].window;
+  const std::vector<LogEntry>& entries =
+      resync ? rank.resync->entries : rank.log;
+  net::Engine& from =
+      resync ? *ranks_[rank.resync->source].engine : *rank.engine;
+  const net::Engine& to =
+      resync ? *rank.engine : *ranks_[rank.links[link].peer].engine;
+
+  const std::size_t base = window.acked;
   const std::size_t end =
-      std::min(rank.log.size(), base + config_.max_batch_records);
+      std::min(entries.size(), base + config_.max_batch_records);
   net::wire::BatchBodyWriter writer{std::string(to_string(rank.ns))};
   for (std::size_t i = base; i < end; ++i) {
-    const LogEntry& entry = rank.log[i];
+    const LogEntry& entry = entries[i];
     writer.add(entry.source, entry.time.nanos(), entry.data);
   }
 
-  link.in_flight = true;
+  window.in_flight = true;
   ++stats_.frames_sent;
   const std::uint64_t epoch = rank.epoch;
   const std::size_t body_size = kPrefixBytes + writer.body_size();
-  rank.engine->call_raw(
-      peer.engine->address(), "soma.replicate", body_size,
-      [shard = rank.shard, base, writer = std::move(writer)](
-          std::vector<std::byte>& frame) {
-        frame.push_back(static_cast<std::byte>(kFrameReplicate));
-        put_u32(frame, static_cast<std::uint32_t>(shard));
-        put_u64(frame, static_cast<std::uint64_t>(base));
+  from.call_raw(
+      to.address(), "soma.replicate", body_size,
+      [kind = resync ? kFrameResync : kFrameReplicate, shard = rank.shard,
+       base, writer = std::move(writer)](std::vector<std::byte>& frame) {
+        const std::size_t at = frame.size();
+        frame.resize(at + kPrefixBytes);
+        frame[at] = static_cast<std::byte>(kind);
+        net::wire::put_u32(frame.data() + at + 1,
+                           static_cast<std::uint32_t>(shard));
+        net::wire::put_u64(frame.data() + at + 5, base);
         writer.encode(frame);
       },
-      [this, index, link_index, epoch, base](datamodel::Node response) {
-        Rank& sender = ranks_[index];
-        if (sender.epoch != epoch) return;  // wiped since; stale future
-        PeerLink& l = sender.links[link_index];
-        l.in_flight = false;
-        // The peer's cumulative ack is authoritative: a peer that lost its
-        // replica (crash) acks low and the window rewinds to re-ship.
-        l.acked = std::min(static_cast<std::size_t>(ack_seq(response)),
-                           sender.log.size());
-        if (l.acked > base) stats_.records_replicated += l.acked - base;
-        maybe_send(index, link_index);
+      [this, owner, link, epoch, base](datamodel::Node response) {
+        Window* w = live_window(owner, link, epoch);
+        if (w == nullptr) return;
+        w->in_flight = false;
+        // The receiver's cumulative ack is authoritative: a holder that lost
+        // its replica (crash) acks low and the window rewinds to re-ship.
+        const auto acked = static_cast<std::size_t>(ack_seq(response));
+        const Rank& o = ranks_[owner];
+        if (link == kResyncLink) {
+          w->acked = std::min(acked, o.resync->entries.size());
+          send_resync_chunk(owner);
+          return;
+        }
+        w->acked = std::min(acked, o.log.size());
+        if (w->acked > base) stats_.records_replicated += w->acked - base;
+        maybe_send(owner, link);
       },
       config_.replicate_retry,
-      [this, index, link_index, epoch](const std::string& /*error*/) {
-        Rank& sender = ranks_[index];
-        if (sender.epoch != epoch) return;
-        PeerLink& l = sender.links[link_index];
-        l.in_flight = false;
-        l.stalled = true;  // re-kicked by the sender's next live tick
+      [this, owner, link, epoch](const std::string& /*error*/) {
+        Window* w = live_window(owner, link, epoch);
+        if (w == nullptr) return;
+        w->in_flight = false;
+        w->stalled = true;  // re-kicked by the owner's next live tick
       });
 }
 
@@ -245,61 +254,54 @@ datamodel::Node ReplicationManager::handle_replicate(
     throw LookupError("replication frame truncated");
   }
   const auto kind = static_cast<std::uint8_t>(body[0]);
-  const int home_shard = static_cast<int>(get_u32(body, 1));
-  const std::uint64_t base_seq = get_u64(body, 5);
+  const int home_shard = static_cast<int>(net::wire::get_u32(body.data() + 1));
+  const std::uint64_t base_seq = net::wire::get_u64(body.data() + 5);
   const net::wire::BatchView batch =
       net::wire::decode_batch_body(body.subspan(kPrefixBytes));
   const Namespace ns = parse_namespace(batch.ns);
 
   Rank& holder = ranks_[holder_index];
-  datamodel::Node ack;
-  ack["status"].set("ok");
-
+  // Sink per kind: a replica append lands in the holder's replica of the
+  // home shard; a resync chunk lands at the recovering primary itself, in
+  // its shard AND its replication log, so its own replicas heal by the
+  // ordinary shipping path.
+  StorageBackend* replica = nullptr;
+  std::uint64_t* applied = &holder.resync_applied;
   if (kind == kFrameReplicate) {
     const std::size_t home = rank_at(ns, home_shard);
-    const auto replica = holder.replicas.find(home);
-    if (replica == holder.replicas.end()) {
+    const auto it = holder.replicas.find(home);
+    if (it == holder.replicas.end()) {
       throw LookupError("replication: rank holds no replica of shard " +
                         std::to_string(home_shard));
     }
-    std::uint64_t& applied = holder.replica_seq[home];
-    // Apply only contiguous, unseen records: a retried window re-sends from
-    // its original base (skip the overlap), and a pre-crash frame arriving
-    // after the holder was wiped has base > 0 == applied (skip entirely; the
-    // low ack rewinds the sender).
-    if (base_seq <= applied) {
-      for (std::size_t i = 0; i < batch.records.size(); ++i) {
-        if (base_seq + i < applied) continue;
-        const net::wire::BatchRecordView& record = batch.records[i];
-        replica->second->append(std::string(record.source),
-                                SimTime{record.t_nanos},
-                                datamodel::Node::unpack(record.payload));
-      }
-      applied = std::max(applied, base_seq + batch.records.size());
-    }
-    ack["seq"].set(static_cast<std::int64_t>(applied));
-    return ack;
+    replica = it->second.get();
+    applied = &holder.replica_seq[home];
+  } else if (kind != kFrameResync) {
+    throw LookupError("unknown replication frame");
   }
 
-  if (kind != kFrameResync) throw LookupError("unknown replication frame");
-  // Resync chunk: the receiver IS the recovering primary. Records rejoin
-  // both the primary shard and the replication log, so the rank's own
-  // replicas are healed by the ordinary shipping path.
-  std::uint64_t& applied = holder.resync_applied;
-  if (base_seq <= applied) {
-    std::uint64_t fresh = 0;
-    for (std::size_t i = 0; i < batch.records.size(); ++i) {
-      if (base_seq + i < applied) continue;
+  // Apply only contiguous, unseen records: a retried window re-sends from
+  // its original base (skip the overlap), and a pre-crash frame arriving
+  // after the receiver was wiped has base > 0 == applied (skip entirely; the
+  // low ack rewinds the sender).
+  if (base_seq <= *applied) {
+    for (std::size_t i = *applied - base_seq; i < batch.records.size(); ++i) {
       const net::wire::BatchRecordView& record = batch.records[i];
-      apply_resync_record(holder, std::string(record.source),
-                          SimTime{record.t_nanos},
-                          datamodel::Node::unpack(record.payload));
-      ++fresh;
+      const std::string source(record.source);
+      const SimTime time{record.t_nanos};
+      datamodel::Node data = datamodel::Node::unpack(record.payload);
+      if (replica != nullptr) {
+        replica->append(source, time, std::move(data));
+      } else {
+        apply_resync_record(holder, source, time, std::move(data));
+        ++stats_.resync_records;
+      }
     }
-    applied = std::max(applied, base_seq + batch.records.size());
-    stats_.resync_records += fresh;
+    *applied = std::max(*applied, base_seq + batch.records.size());
   }
-  ack["seq"].set(static_cast<std::int64_t>(applied));
+  datamodel::Node ack;
+  ack["status"].set("ok");
+  ack["seq"].set(static_cast<std::int64_t>(*applied));
   return ack;
 }
 
@@ -336,15 +338,15 @@ void ReplicationManager::tick(std::size_t index) {
   // frames themselves retry with backoff; this outer retry covers windows
   // that exhausted their budget while a peer was down.
   for (std::size_t li = 0; li < rank.links.size(); ++li) {
-    PeerLink& link = rank.links[li];
-    if (link.stalled && !link.in_flight) {
-      link.stalled = false;
+    Window& window = rank.links[li].window;
+    if (window.stalled && !window.in_flight) {
+      window.stalled = false;
       maybe_send(index, li);
     }
   }
-  if (rank.resync != nullptr && rank.resync->stalled &&
-      !rank.resync->in_flight) {
-    rank.resync->stalled = false;
+  if (rank.resync != nullptr && rank.resync->window.stalled &&
+      !rank.resync->window.in_flight) {
+    rank.resync->window.stalled = false;
     send_resync_chunk(index);
   }
 }
@@ -413,11 +415,7 @@ void ReplicationManager::wipe(std::size_t index) {
   rank.resync_applied = 0;
   store_.shard(rank.ns, rank.shard).clear();
   rank.log.clear();
-  for (PeerLink& link : rank.links) {
-    link.acked = 0;
-    link.in_flight = false;
-    link.stalled = false;
-  }
+  for (PeerLink& link : rank.links) link.window = Window{};
   for (auto& [home, replica] : rank.replicas) {
     replica->clear();
     rank.replica_seq[home] = 0;
@@ -437,19 +435,7 @@ void ReplicationManager::begin_recovery(std::size_t index) {
   // Snapshot the freshest live replica of this shard BEFORE resetting the
   // holders: owned copies, streamed back in chunks below. Ties resolve to
   // the nearest successor (deterministic).
-  std::size_t best_holder = ranks_.size();
-  std::uint64_t best_seq = 0;
-  for (const PeerLink& link : rank.links) {
-    const Rank& holder = ranks_[link.peer];
-    if (holder.wiped || endpoint_down_now(holder)) continue;
-    const auto seq = holder.replica_seq.find(index);
-    const std::uint64_t applied =
-        seq == holder.replica_seq.end() ? 0 : seq->second;
-    if (best_holder == ranks_.size() || applied > best_seq) {
-      best_holder = link.peer;
-      best_seq = applied;
-    }
-  }
+  const std::size_t best_holder = freshest_holder(index);
   std::vector<LogEntry> snapshot;
   if (best_holder != ranks_.size()) {
     const StorageBackend& replica = *ranks_[best_holder].replicas.at(index);
@@ -470,9 +456,7 @@ void ReplicationManager::begin_recovery(std::size_t index) {
       replica->second->clear();
       holder.replica_seq[index] = 0;
     }
-    link.acked = 0;
-    link.in_flight = false;
-    link.stalled = false;
+    link.window = Window{};
   }
 
   // The replicas this rank held for other primaries were lost in the wipe;
@@ -482,8 +466,8 @@ void ReplicationManager::begin_recovery(std::size_t index) {
     for (std::size_t li = 0; li < primary.links.size(); ++li) {
       PeerLink& link = primary.links[li];
       if (link.peer != index) continue;
-      link.acked = 0;
-      link.stalled = false;
+      link.window.acked = 0;
+      link.window.stalled = false;
       if (!primary.down && !primary.wiped) maybe_send(p, li);
     }
   }
@@ -497,61 +481,10 @@ void ReplicationManager::begin_recovery(std::size_t index) {
     return;
   }
   auto resync = std::make_unique<Resync>();
-  resync->target = index;
   resync->source = best_holder;
-  resync->target_epoch = rank.epoch;
   resync->entries = std::move(snapshot);
   rank.resync = std::move(resync);
   send_resync_chunk(index);
-}
-
-void ReplicationManager::send_resync_chunk(std::size_t target_index) {
-  Rank& target = ranks_[target_index];
-  if (target.resync == nullptr) return;
-  Resync& resync = *target.resync;
-  if (resync.in_flight) return;
-  if (resync.cursor >= resync.entries.size()) {
-    finish_recovery(target_index);
-    return;
-  }
-  const std::size_t base = resync.cursor;
-  const std::size_t end = std::min(resync.entries.size(),
-                                   base + config_.max_batch_records);
-  net::wire::BatchBodyWriter writer{std::string(to_string(target.ns))};
-  for (std::size_t i = base; i < end; ++i) {
-    const LogEntry& entry = resync.entries[i];
-    writer.add(entry.source, entry.time.nanos(), entry.data);
-  }
-  resync.in_flight = true;
-  ++stats_.frames_sent;
-  const std::uint64_t epoch = resync.target_epoch;
-  const std::size_t body_size = kPrefixBytes + writer.body_size();
-  Rank& source = ranks_[resync.source];
-  source.engine->call_raw(
-      target.engine->address(), "soma.replicate", body_size,
-      [shard = target.shard, base, writer = std::move(writer)](
-          std::vector<std::byte>& frame) {
-        frame.push_back(static_cast<std::byte>(kFrameResync));
-        put_u32(frame, static_cast<std::uint32_t>(shard));
-        put_u64(frame, static_cast<std::uint64_t>(base));
-        writer.encode(frame);
-      },
-      [this, target_index, epoch](datamodel::Node response) {
-        Rank& t = ranks_[target_index];
-        if (t.epoch != epoch || t.resync == nullptr) return;
-        t.resync->in_flight = false;
-        t.resync->cursor =
-            std::min(static_cast<std::size_t>(ack_seq(response)),
-                     t.resync->entries.size());
-        send_resync_chunk(target_index);
-      },
-      config_.replicate_retry,
-      [this, target_index, epoch](const std::string& /*error*/) {
-        Rank& t = ranks_[target_index];
-        if (t.epoch != epoch || t.resync == nullptr) return;
-        t.resync->in_flight = false;
-        t.resync->stalled = true;  // re-kicked by the target's next tick
-      });
 }
 
 void ReplicationManager::finish_recovery(std::size_t index) {
@@ -573,25 +506,30 @@ void ReplicationManager::update_read_route(std::size_t index) {
     store_.clear_read_override(rank.ns, rank.shard);
     return;
   }
-  // Freshest live replica wins; ties resolve to the nearest successor.
-  const StorageBackend* best = nullptr;
+  const std::size_t holder = freshest_holder(index);
+  if (holder != ranks_.size()) {
+    store_.set_read_override(rank.ns, rank.shard,
+                             ranks_[holder].replicas.at(index).get());
+  } else {
+    store_.clear_read_override(rank.ns, rank.shard);
+  }
+}
+
+std::size_t ReplicationManager::freshest_holder(std::size_t index) const {
+  std::size_t best = ranks_.size();
   std::uint64_t best_seq = 0;
-  for (const PeerLink& link : rank.links) {
+  for (const PeerLink& link : ranks_[index].links) {
     const Rank& holder = ranks_[link.peer];
     if (holder.wiped || endpoint_down_now(holder)) continue;
     const auto seq = holder.replica_seq.find(index);
     const std::uint64_t applied =
         seq == holder.replica_seq.end() ? 0 : seq->second;
-    if (best == nullptr || applied > best_seq) {
-      best = holder.replicas.at(index).get();
+    if (best == ranks_.size() || applied > best_seq) {
+      best = link.peer;
       best_seq = applied;
     }
   }
-  if (best != nullptr) {
-    store_.set_read_override(rank.ns, rank.shard, best);
-  } else {
-    store_.clear_read_override(rank.ns, rank.shard);
-  }
+  return best;
 }
 
 void ReplicationManager::update_instance_read_routes(Namespace ns) {
@@ -611,7 +549,7 @@ std::uint64_t ReplicationManager::replica_lag(Namespace ns, int shard) const {
   if (rank.links.empty()) return 0;
   std::size_t min_acked = rank.log.size();
   for (const PeerLink& link : rank.links) {
-    min_acked = std::min(min_acked, link.acked);
+    min_acked = std::min(min_acked, link.window.acked);
   }
   return rank.log.size() - min_acked;
 }

@@ -30,9 +30,10 @@
 //     shard, replication log, held replicas), modeling a process restart; on
 //     the up transition the rank anti-entropy re-syncs: it snapshots the
 //     freshest live replica of its shard and streams it back in resync
-//     chunks, re-appending each record to the primary shard AND the
-//     replication log (so its own replicas heal too), then rejoins the read
-//     set. Live primaries re-ship their full logs to the recovered rank so
+//     chunks — the same cumulative-ack window and `ship` path as a replica
+//     link, with the holder as sender — re-appending each record to the
+//     primary shard AND the replication log (so its own replicas heal too),
+//     then rejoins the read set. Live primaries re-ship their full logs to the recovered rank so
 //     the replicas it held are rebuilt by the ordinary replication path.
 //
 // Replication is OFF by default (factor <= 1 constructs nothing), keeping
@@ -164,25 +165,26 @@ class ReplicationManager {
     datamodel::Node data;
   };
 
-  /// Shipping state of one (home shard -> replica holder) link.
-  struct PeerLink {
-    std::size_t peer = 0;    ///< holder's index into ranks_
-    std::size_t acked = 0;   ///< log entries the holder has acknowledged
-    bool in_flight = false;  ///< one window outstanding at a time
+  /// One cumulative-ack shipping window over a sequence of log entries.
+  struct Window {
+    std::size_t acked = 0;   ///< entries the receiver has acknowledged
+    bool in_flight = false;  ///< one frame outstanding at a time
     bool stalled = false;    ///< retries exhausted; re-kicked by the tick
   };
 
-  /// Anti-entropy stream rebuilding one recovering primary. The entries are
-  /// snapshotted (owned copies) at recovery start; `source` is the engine
-  /// they are streamed from.
+  /// Shipping state of one (home shard -> replica holder) link.
+  struct PeerLink {
+    std::size_t peer = 0;  ///< holder's index into ranks_
+    Window window;
+  };
+
+  /// Anti-entropy stream rebuilding one recovering primary (the rank that
+  /// owns it). The entries are snapshotted (owned copies) at recovery start;
+  /// `source` is the holder whose engine streams them.
   struct Resync {
-    std::size_t target = 0;
     std::size_t source = 0;
-    std::uint64_t target_epoch = 0;
     std::vector<LogEntry> entries;
-    std::size_t cursor = 0;  ///< entries acknowledged by the target
-    bool in_flight = false;
-    bool stalled = false;
+    Window window;
   };
 
   struct Rank {
@@ -221,6 +223,18 @@ class ReplicationManager {
   void finish_recovery(std::size_t index);
   void send_resync_chunk(std::size_t target_index);
   void maybe_send(std::size_t index, std::size_t link_index);
+  /// Ship the next window of one stream owned by rank `owner`: its link
+  /// `link` (replica append, sent by the owner) or, for kResyncLink, its
+  /// resync (sent by the source holder to the owner). The owner's epoch
+  /// stales the callbacks: a wipe or a new recovery replaces the stream.
+  void ship(std::size_t owner, std::size_t link);
+  /// The window a `ship` callback advances, or null when the callback is
+  /// stale: the owner's epoch moved on, or its resync is gone.
+  [[nodiscard]] Window* live_window(std::size_t owner, std::size_t link,
+                                    std::uint64_t epoch);
+  /// Freshest live holder of `index`'s shard (ties resolve to the nearest
+  /// successor), or ranks_.size() when no holder is live.
+  [[nodiscard]] std::size_t freshest_holder(std::size_t index) const;
   void record_missed_heartbeat(std::size_t target_index);
   void record_heartbeat_ack(std::size_t target_index);
   /// Install or clear the read-route override of one rank's shard.
@@ -231,6 +245,9 @@ class ReplicationManager {
                            datamodel::Node data);
   datamodel::Node handle_replicate(std::size_t holder_index,
                                    std::span<const std::byte> body);
+
+  /// `ship` link index of a rank's resync stream.
+  static constexpr std::size_t kResyncLink = static_cast<std::size_t>(-1);
 
   net::Network& network_;
   DataStore& store_;

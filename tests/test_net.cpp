@@ -331,25 +331,89 @@ TEST_F(RpcTest, CallerAddressPassedToHandler) {
 }
 
 TEST_F(RpcTest, UnknownRpcReturnsError) {
-  Engine server(network, make_address(0, 100));
+  ServiceCost cost;
+  cost.base = Duration::milliseconds(1);
+  Engine server(network, make_address(0, 100), cost);
   Engine client(network, make_address(1, 100));
   datamodel::Node reply;
-  client.call(server.address(), "nope", {},
-              [&](datamodel::Node r) { reply = std::move(r); });
+  SimTime replied;
+  client.call(server.address(), "nope", make_payload(5),
+              [&](datamodel::Node r) {
+                reply = std::move(r);
+                replied = simulation.now();
+              });
   simulation.run();
-  EXPECT_TRUE(reply.has_child("error"));
+  EXPECT_EQ(reply.fetch_existing("error").as_string(), "unknown rpc: nope");
+
+  // An unknown rpc still occupies the engine for its service cost.
+  const std::uint64_t bytes_in = server.stats().bytes_in;
+  EXPECT_EQ(bytes_in, client.stats().bytes_out);
+  EXPECT_EQ(server.stats().requests_handled, 1u);
+  EXPECT_EQ(server.stats().total_service_time, cost.cost_for(bytes_in));
+  EXPECT_GE(server.busy_until(), SimTime{} + cost.cost_for(bytes_in));
+  EXPECT_GT(replied, server.busy_until());
 }
 
 TEST_F(RpcTest, DuplicateRpcNameThrows) {
+  // define and define_raw share one name space, in either order.
   Engine server(network, make_address(0, 100));
-  server.define("x", [](const Address&, const datamodel::Node&) {
+  const auto node_handler = [](const Address&, const datamodel::Node&) {
+    return datamodel::Node{};
+  };
+  const auto raw_handler = [](const Address&, std::span<const std::byte>) {
+    return datamodel::Node{};
+  };
+  server.define("x", node_handler);
+  EXPECT_THROW(server.define("x", node_handler), ConfigError);
+  EXPECT_THROW(server.define_raw("x", raw_handler), ConfigError);
+  server.define_raw("y", raw_handler);
+  EXPECT_THROW(server.define_raw("y", raw_handler), ConfigError);
+  EXPECT_THROW(server.define("y", node_handler), ConfigError);
+}
+
+TEST_F(RpcTest, RawHandlerSeesExactlyTheAppendedBody) {
+  Engine server(network, make_address(0, 100));
+  Engine client(network, make_address(1, 100));
+  std::vector<std::byte> seen;
+  server.define_raw("raw", [&](const Address&,
+                               std::span<const std::byte> body) {
+    seen.assign(body.begin(), body.end());
     return datamodel::Node{};
   });
-  EXPECT_THROW(server.define("x",
-                             [](const Address&, const datamodel::Node&) {
-                               return datamodel::Node{};
-                             }),
-               ConfigError);
+  const std::vector<std::byte> sent = {std::byte{0x00}, std::byte{0x01},
+                                       std::byte{0xfe}, std::byte{0xff},
+                                       std::byte{0x7f}};
+  client.call_raw(server.address(), "raw", sent.size(),
+                  [&](std::vector<std::byte>& frame) {
+                    frame.insert(frame.end(), sent.begin(), sent.end());
+                  });
+  simulation.run();
+  EXPECT_EQ(seen, sent);
+  EXPECT_EQ(client.stats().bytes_out,
+            wire::frame_size(wire::Kind::kRequest, 3, sent.size()));
+}
+
+TEST_F(RpcTest, MalformedBodyThrowsLookupErrorAtDispatch) {
+  ServiceCost cost;
+  cost.base = Duration::milliseconds(1);
+  Engine server(network, make_address(0, 100), cost);
+  Engine client(network, make_address(1, 100));
+  bool handled = false;
+  server.define("x", [&](const Address&, const datamodel::Node&) {
+    handled = true;
+    return datamodel::Node{};
+  });
+  const std::vector<std::byte> garbage(3, std::byte{0xff});
+  client.call_raw(server.address(), "x", garbage.size(),
+                  [&](std::vector<std::byte>& frame) {
+                    frame.insert(frame.end(), garbage.begin(), garbage.end());
+                  });
+  EXPECT_THROW(simulation.run(), LookupError);
+  EXPECT_FALSE(handled);
+  // Charged on arrival, decoded at dispatch: the throw comes once the
+  // service cost has elapsed.
+  EXPECT_EQ(server.stats().bytes_in, client.stats().bytes_out);
+  EXPECT_EQ(simulation.now(), server.busy_until());
 }
 
 TEST_F(RpcTest, FireAndForgetStillCountsAck) {

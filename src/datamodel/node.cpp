@@ -53,15 +53,7 @@ void json_number(double v, std::ostringstream& out) {
 
 // ---- binary wire helpers ----
 
-enum class Tag : std::uint8_t {
-  kEmpty = 0,
-  kObject = 1,
-  kInt64 = 2,
-  kFloat64 = 3,
-  kString = 4,
-  kInt64Array = 5,
-  kFloat64Array = 6,
-};
+using Tag = PackTag;
 
 // Raw little-endian stores into a pre-sized buffer (pack() resizes once to
 // the exact packed_size, then writes through a bare pointer — no per-byte

@@ -28,6 +28,19 @@
 
 namespace soma::datamodel {
 
+/// Type tag that opens every encoded subtree of Node::pack. Codecs that
+/// write or read pack() encodings outside node.cpp (the soma.publish body)
+/// take the values from here.
+enum class PackTag : std::uint8_t {
+  kEmpty = 0,
+  kObject = 1,
+  kInt64 = 2,
+  kFloat64 = 3,
+  kString = 4,
+  kInt64Array = 5,
+  kFloat64Array = 6,
+};
+
 class Node {
  public:
   enum class Type {
@@ -153,6 +166,12 @@ class Node {
   /// plus an O(n log n) repeated-name check per object; a repeated name
   /// keeps its first position and takes its last value.
   static Node unpack(std::span<const std::byte> buffer);
+  /// unpack() of the one encoded subtree at `offset`, which is advanced past
+  /// it; `depth` is the subtree's nesting below the enclosing root. For
+  /// decoders of an envelope whose fields are pack() encodings: the result
+  /// equals the matching child of unpack() over the whole envelope.
+  static Node unpack_at(std::span<const std::byte> buffer, std::size_t& offset,
+                        std::size_t depth);
 
  private:
   struct Child;
@@ -178,8 +197,8 @@ struct Node::Child {
   Node node;
 };
 
-// Builder-only entry points, defined inline so that node.cpp, which every
-// publish path runs, does not change for them.
+// Builder- and envelope-decoder entry points, defined inline so that
+// node.cpp, which every publish path runs, does not change for them.
 inline Node& Node::append_child(std::string name) {
   assert(find_child(name) == nullptr);
   value_ = std::monostate{};
@@ -187,6 +206,13 @@ inline Node& Node::append_child(std::string name) {
 }
 
 inline void Node::reserve_children(std::size_t n) { children_.reserve(n); }
+
+inline Node Node::unpack_at(std::span<const std::byte> buffer,
+                            std::size_t& offset, std::size_t depth) {
+  Node node;
+  unpack_into(node, buffer, offset, depth);
+  return node;
+}
 
 inline std::size_t Node::number_of_children() const {
   return children_.size();

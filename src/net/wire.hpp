@@ -21,10 +21,17 @@
 // and bulk thresholds all key off payload size — so the zero-copy rewrite
 // keeps the modeled bytes bit-for-bit identical and only removes host-side
 // tree construction.
+//
+// Besides the header, this file holds the codecs of the two publish bodies
+// that are written and read without a tree: the single-record soma.publish
+// body (the exact Node::pack encoding of {ns, source, data[, t]}, encoded
+// field by field and read in place, decoding only the record) and the
+// soma.publish_batch body, which replication frames reuse.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -117,6 +124,51 @@ void set_request_attempt(std::vector<std::byte>& frame, std::uint8_t attempt);
 [[nodiscard]] FrameHeader decode_header(std::span<const std::byte> frame);
 
 // ---------------------------------------------------------------------------
+// Publish bodies
+//
+// A soma.publish body is the exact Node::pack encoding of the object
+//
+//   {"ns": string, "source": string, "data": <record>[, "t": int64]}
+//
+// with the fields in that order; "t" (the original publish time, nanos) is
+// present only on a replayed publish. The client writes it straight behind
+// the frame header and the service reads the envelope in place, so neither
+// end builds an envelope Node: only the record is decoded.
+// ---------------------------------------------------------------------------
+
+/// Exact size of a publish body whose record packs to `data_size` bytes;
+/// `replay` adds the "t" field.
+[[nodiscard]] std::size_t publish_body_size(std::string_view ns,
+                                            std::string_view source,
+                                            std::size_t data_size,
+                                            bool replay);
+
+/// Append a publish body to `out` (behind an already-written header).
+/// `data_size` must equal data.packed_size(); `t` is set on a replay.
+void encode_publish_body(std::vector<std::byte>& out, std::string_view ns,
+                         std::string_view source, const datamodel::Node& data,
+                         std::size_t data_size, std::optional<std::int64_t> t);
+
+/// Decoded publish body; the views are valid as long as the frame's storage
+/// is (`data_bytes` views static storage when the body has no "data").
+struct PublishBodyView {
+  std::string_view ns;
+  std::string_view source;
+  datamodel::Node data;                   ///< the decoded record
+  std::span<const std::byte> data_bytes;  ///< its encoding as it arrived
+  std::optional<std::int64_t> t;          ///< set on a replayed publish
+};
+
+/// Decode a publish body (the `body` span of a decoded frame header) with
+/// the outcome of Node::unpack followed by reading the fields: a repeated
+/// field takes its last value, an unknown field is decoded and dropped, and
+/// a body without "data" yields an empty record whose encoding is the 1-byte
+/// empty tag. Throws soma::LookupError on malformed, truncated or trailing
+/// bytes, a missing or non-string "ns" or "source", or a non-int64 "t".
+[[nodiscard]] PublishBodyView decode_publish_body(
+    std::span<const std::byte> body);
+
+// ---------------------------------------------------------------------------
 // Batch frames
 //
 // A batch body packs N publish records into one request frame, behind the
@@ -144,6 +196,10 @@ class BatchBodyWriter {
   /// Pack one record. Returns the record count after the add.
   std::size_t add(const std::string& source, std::int64_t t_nanos,
                   const datamodel::Node& data);
+  /// Add one record whose Node::pack encoding is `payload`, copied
+  /// verbatim. Returns the record count after the add.
+  std::size_t add_packed(const std::string& source, std::int64_t t_nanos,
+                         std::span<const std::byte> payload);
 
   [[nodiscard]] std::size_t record_count() const { return count_; }
   /// Exact size of the encoded body in bytes.
@@ -152,6 +208,11 @@ class BatchBodyWriter {
   void encode(std::vector<std::byte>& out) const;
 
  private:
+  /// Write one record's dictionary index, time and payload length; the
+  /// caller appends the `payload_size` payload bytes behind them.
+  void append_record_head(const std::string& source, std::int64_t t_nanos,
+                          std::size_t payload_size);
+
   std::string ns_;
   std::vector<std::string> dict_;
   std::unordered_map<std::string, std::uint32_t> dict_index_;

@@ -1,9 +1,11 @@
 #include "soma/client.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "net/wire.hpp"
 #include "soma/storage_backend.hpp"
 
 namespace soma::core {
@@ -125,13 +127,17 @@ void SomaClient::send_publish(const std::string& source, datamodel::Node data,
       reliability_.retry.enabled() && reliability_.buffer_on_failure;
   if (keep_copy) data_copy = data;
 
-  datamodel::Node args;
-  args["ns"].set(std::string(to_string(ns_)));
-  args["source"].set(source);
-  args["data"] = std::move(data);
-  // Replayed records carry their original publish time so the service
-  // stores them under the timestamp the data was produced at.
-  if (replay) args["t"].set(published_at.nanos());
+  // The body is the packed {ns, source, data[, t]} envelope, written
+  // straight into the frame. Replayed records carry their original publish
+  // time so the service stores them under the timestamp the data was
+  // produced at.
+  const std::string_view ns = to_string(ns_);
+  const std::size_t data_size = data.packed_size();
+  std::optional<std::int64_t> t;
+  if (replay) t = published_at.nanos();
+  const auto encode = [&](std::vector<std::byte>& frame) {
+    net::wire::encode_publish_body(frame, ns, source, data, data_size, t);
+  };
 
   const SimTime sent_at = network_.simulation().now();
   auto on_response = [this, sent_at,
@@ -154,9 +160,10 @@ void SomaClient::send_publish(const std::string& source, datamodel::Node data,
                          std::move(on_ack), from_batch);
     };
   }
-  engine_->call(instance_ranks_[idx], "soma.publish", args,
-                std::move(on_response), reliability_.retry,
-                std::move(on_error));
+  engine_->call_raw(instance_ranks_[idx], "soma.publish",
+                    net::wire::publish_body_size(ns, source, data_size, replay),
+                    encode, std::move(on_response), reliability_.retry,
+                    std::move(on_error));
 }
 
 void SomaClient::send_batch(std::size_t rank_index,

@@ -26,8 +26,9 @@ LogBackend::LogBackend(std::size_t latest_cache_capacity)
     : cache_capacity_(std::max<std::size_t>(1, latest_cache_capacity)) {}
 
 bool LogBackend::append_indexed(const std::string& source, SimTime time,
-                                datamodel::Node data) {
-  bytes_ += data.packed_size();
+                                datamodel::Node data,
+                                std::size_t packed_bytes) {
+  bytes_ += packed_bytes;
   ++records_;
   log_.push_back(TimedRecord{time, std::move(data)});
   const TimedRecord* stored = &log_.back();
@@ -45,8 +46,9 @@ bool LogBackend::append_indexed(const std::string& source, SimTime time,
 }
 
 void LogBackend::append(const std::string& source, SimTime time,
-                        datamodel::Node data) {
-  const bool is_newest = append_indexed(source, time, std::move(data));
+                        datamodel::Node data, std::size_t packed_bytes) {
+  const bool is_newest =
+      append_indexed(source, time, std::move(data), packed_bytes);
 
   // Keep the snapshot cache coherent: a cached entry must always point at
   // the newest record of its source.
@@ -68,8 +70,9 @@ void LogBackend::append_batch(std::vector<BatchItem> items) {
   // refreshes a cache entry only if the batch advanced its newest record).
   std::vector<const std::string*> newest_touched;
   for (BatchItem& item : items) {
-    const bool is_newest =
-        append_indexed(item.source, item.time, std::move(item.data));
+    const std::size_t packed_bytes = item.data.packed_size();
+    const bool is_newest = append_indexed(item.source, item.time,
+                                          std::move(item.data), packed_bytes);
     if (is_newest &&
         (newest_touched.empty() || *newest_touched.back() != item.source)) {
       newest_touched.push_back(&item.source);

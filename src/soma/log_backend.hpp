@@ -22,8 +22,9 @@ class LogBackend final : public StorageBackend {
  public:
   explicit LogBackend(std::size_t latest_cache_capacity = 128);
 
-  void append(const std::string& source, SimTime time,
-              datamodel::Node data) override;
+  using StorageBackend::append;
+  void append(const std::string& source, SimTime time, datamodel::Node data,
+              std::size_t packed_bytes) override;
   void append_batch(std::vector<BatchItem> items) override;
   void clear() override;
   [[nodiscard]] const TimedRecord* latest(
@@ -65,7 +66,7 @@ class LogBackend final : public StorageBackend {
   /// the record became its source's newest (cache maintenance is the
   /// caller's: once per record for append, once per source for a batch).
   bool append_indexed(const std::string& source, SimTime time,
-                      datamodel::Node data);
+                      datamodel::Node data, std::size_t packed_bytes);
 
   std::deque<TimedRecord> log_;  ///< append-only; addresses never move
   std::map<std::string, std::vector<const TimedRecord*>> index_;

@@ -31,8 +31,8 @@ void MapBackend::append_into(std::vector<TimedRecord>& series, SimTime time,
 }
 
 void MapBackend::append(const std::string& source, SimTime time,
-                        datamodel::Node data) {
-  bytes_ += data.packed_size();
+                        datamodel::Node data, std::size_t packed_bytes) {
+  bytes_ += packed_bytes;
   ++records_;
   append_into(by_source_[source], time, std::move(data));
 }

@@ -12,8 +12,9 @@ namespace soma::core {
 
 class MapBackend final : public StorageBackend {
  public:
-  void append(const std::string& source, SimTime time,
-              datamodel::Node data) override;
+  using StorageBackend::append;
+  void append(const std::string& source, SimTime time, datamodel::Node data,
+              std::size_t packed_bytes) override;
   void append_batch(std::vector<BatchItem> items) override;
   void clear() override;
   [[nodiscard]] const TimedRecord* latest(

@@ -151,10 +151,12 @@ void ReplicationManager::stop() {
 
 void ReplicationManager::on_append(Namespace ns, int shard,
                                    const std::string& source, SimTime time,
-                                   const datamodel::Node& data) {
+                                   std::span<const std::byte> packed) {
   const std::size_t index = rank_at(ns, shard);
   Rank& rank = ranks_[index];
-  rank.log.push_back(LogEntry{source, time, data});
+  rank.log.push_back(
+      LogEntry{source, time, std::vector<std::byte>(packed.begin(),
+                                                    packed.end())});
   for (std::size_t li = 0; li < rank.links.size(); ++li) {
     maybe_send(index, li);
   }
@@ -203,7 +205,7 @@ void ReplicationManager::ship(std::size_t owner, std::size_t link) {
   net::wire::BatchBodyWriter writer{std::string(to_string(rank.ns))};
   for (std::size_t i = base; i < end; ++i) {
     const LogEntry& entry = entries[i];
-    writer.add(entry.source, entry.time.nanos(), entry.data);
+    writer.add_packed(entry.source, entry.time.nanos(), entry.packed);
   }
 
   window.in_flight = true;
@@ -289,11 +291,11 @@ datamodel::Node ReplicationManager::handle_replicate(
       const net::wire::BatchRecordView& record = batch.records[i];
       const std::string source(record.source);
       const SimTime time{record.t_nanos};
-      datamodel::Node data = datamodel::Node::unpack(record.payload);
       if (replica != nullptr) {
-        replica->append(source, time, std::move(data));
+        replica->append(source, time, datamodel::Node::unpack(record.payload),
+                        record.payload.size());
       } else {
-        apply_resync_record(holder, source, time, std::move(data));
+        apply_resync_record(holder, source, time, record.payload);
         ++stats_.resync_records;
       }
     }
@@ -305,13 +307,14 @@ datamodel::Node ReplicationManager::handle_replicate(
   return ack;
 }
 
-void ReplicationManager::apply_resync_record(Rank& rank,
-                                             const std::string& source,
-                                             SimTime time,
-                                             datamodel::Node data) {
+void ReplicationManager::apply_resync_record(
+    Rank& rank, const std::string& source, SimTime time,
+    std::span<const std::byte> packed) {
   const std::size_t index = rank_at(rank.ns, rank.shard);
-  store_.shard(rank.ns, rank.shard).append(source, time, data);
-  rank.log.push_back(LogEntry{source, time, std::move(data)});
+  store_.shard(rank.ns, rank.shard)
+      .append(source, time, datamodel::Node::unpack(packed), packed.size());
+  rank.log.push_back(LogEntry{
+      source, time, std::vector<std::byte>(packed.begin(), packed.end())});
   for (std::size_t li = 0; li < rank.links.size(); ++li) {
     maybe_send(index, li);
   }
@@ -433,15 +436,16 @@ void ReplicationManager::begin_recovery(std::size_t index) {
   rank.resync_applied = 0;
 
   // Snapshot the freshest live replica of this shard BEFORE resetting the
-  // holders: owned copies, streamed back in chunks below. Ties resolve to
-  // the nearest successor (deterministic).
+  // holders: each record packed once, streamed back in chunks below. Ties
+  // resolve to the nearest successor (deterministic).
   const std::size_t best_holder = freshest_holder(index);
   std::vector<LogEntry> snapshot;
   if (best_holder != ranks_.size()) {
     const StorageBackend& replica = *ranks_[best_holder].replicas.at(index);
     for (const std::string& source : replica.sources()) {
       for (const TimedRecord* record : replica.series(source)) {
-        snapshot.push_back(LogEntry{source, record->time, record->data});
+        snapshot.push_back(
+            LogEntry{source, record->time, record->data.pack()});
       }
     }
   }
@@ -577,6 +581,11 @@ const StorageBackend* ReplicationManager::replica(Namespace ns, int home_shard,
   const Rank& holder = ranks_[rank_at(ns, holder_shard)];
   const auto it = holder.replicas.find(home);
   return it == holder.replicas.end() ? nullptr : it->second.get();
+}
+
+std::span<const std::byte> ReplicationManager::logged_record(
+    Namespace ns, int shard, std::size_t index) const {
+  return ranks_[rank_at(ns, shard)].log.at(index).packed;
 }
 
 }  // namespace soma::core

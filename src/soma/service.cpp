@@ -77,37 +77,43 @@ const InstanceInfo& SomaService::instance(Namespace ns) const {
 }
 
 void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
-  engine.define("soma.publish", [this, shard_index](
-                                    const net::Address& /*caller*/,
-                                    datamodel::Node args) {
-    const Namespace ns =
-        parse_namespace(args.fetch_existing("ns").as_string());
-    const std::string& source = args.fetch_existing("source").as_string();
-    // The request is ours: move the record out of it rather than copy it.
-    datamodel::Node data;
-    if (auto* payload = args.find_child("data")) data = std::move(*payload);
-    ++publishes_received_;
-    // Replayed publishes (buffered by a client while this rank was down)
-    // carry their original publish time in "t"; honor it so the stored
-    // series reflects when the data was produced, not when it finally
-    // arrived. Live publishes keep the ingest-time stamp as before.
-    SimTime stamp = network_.simulation().now();
-    if (const auto* t = args.find_child("t")) {
-      stamp = SimTime{t->as_int64()};
-      ++replayed_publishes_;
-    }
-    // The receiving rank ingests into its own shard. Under normal routing
-    // this is the shard the source hashes to; after a failover the source's
-    // records straddle shards and the StoreView merge reunifies them.
-    if (replication_ != nullptr) {
-      replication_->on_append(ns, shard_index, source, stamp, data);
-    }
-    store_.shard(ns, shard_index).append(source, stamp, std::move(data));
+  // Single-record publishes: the envelope is read in place off the frame
+  // body and only the record is decoded; the store counts, and the
+  // replication log keeps, the record's bytes as they arrived.
+  engine.define_raw(
+      "soma.publish",
+      [this, shard_index](const net::Address& /*caller*/,
+                          std::span<const std::byte> body) {
+        net::wire::PublishBodyView publish =
+            net::wire::decode_publish_body(body);
+        const Namespace ns = parse_namespace(publish.ns);
+        ++publishes_received_;
+        // Replayed publishes (buffered by a client while this rank was
+        // down) carry their original publish time in "t"; honor it so the
+        // stored series reflects when the data was produced, not when it
+        // finally arrived. Live publishes keep the ingest-time stamp.
+        SimTime stamp = network_.simulation().now();
+        if (publish.t) {
+          stamp = SimTime{*publish.t};
+          ++replayed_publishes_;
+        }
+        // The receiving rank ingests into its own shard. Under normal
+        // routing this is the shard the source hashes to; after a failover
+        // the source's records straddle shards and the StoreView merge
+        // reunifies them.
+        const std::string source(publish.source);
+        if (replication_ != nullptr) {
+          replication_->on_append(ns, shard_index, source, stamp,
+                                  publish.data_bytes);
+        }
+        store_.shard(ns, shard_index)
+            .append(source, stamp, std::move(publish.data),
+                    publish.data_bytes.size());
 
-    datamodel::Node ack;
-    ack["status"].set("ok");
-    return ack;
-  });
+        datamodel::Node ack;
+        ack["status"].set("ok");
+        return ack;
+      });
 
   // Batched publishes: one frame carries N records, decoded straight off the
   // frame body (no envelope Node). Records keep the client-side publish
@@ -129,9 +135,9 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
                                     datamodel::Node::unpack(record.payload)});
         }
         if (replication_ != nullptr) {
-          for (const BatchItem& item : items) {
-            replication_->on_append(ns, shard_index, item.source, item.time,
-                                    item.data);
+          for (std::size_t i = 0; i < items.size(); ++i) {
+            replication_->on_append(ns, shard_index, items[i].source,
+                                    items[i].time, batch.records[i].payload);
           }
         }
         store_.shard(ns, shard_index).append_batch(std::move(items));

@@ -14,10 +14,12 @@
 //     eviction/compression/spill-to-disk backend grows out of.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -88,8 +90,17 @@ class StorageBackend {
 
   /// Append a record published by `source` (hostname, task uid, ...).
   /// Series stay time-sorted even if a record arrives late (replay paths).
+  /// `packed_bytes` is the size of the record's Node::pack encoding as it
+  /// arrived; ingested_bytes() counts it, so the record is not walked again.
   virtual void append(const std::string& source, SimTime time,
-                      datamodel::Node data) = 0;
+                      datamodel::Node data, std::size_t packed_bytes) = 0;
+
+  /// append() for a caller without the encoding at hand: measures the
+  /// record with packed_size() and forwards it.
+  void append(const std::string& source, SimTime time, datamodel::Node data) {
+    const std::size_t packed_bytes = data.packed_size();
+    append(source, time, std::move(data), packed_bytes);
+  }
 
   /// Append a whole publish batch in one pass. Equivalent to appending the
   /// items in order — same final series, same counters — but lets an

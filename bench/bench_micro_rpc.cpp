@@ -81,42 +81,15 @@ void BM_PeriodicTasks(benchmark::State& state) {
 }
 BENCHMARK(BM_PeriodicTasks)->Arg(64)->Arg(512);
 
-void BM_BatchPublish(benchmark::State& state) {
-  // End-to-end batched publish path: client-side coalescing into 16-record
-  // batch frames, the raw soma.publish_batch RPC, and the per-shard
-  // append_batch ingest.
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::Simulation simulation;
-    net::Network network(simulation, net::NetworkConfig{});
-    core::ServiceConfig service_config;
-    service_config.namespaces = {core::Namespace::kHardware};
-    core::SomaService service(network, {0}, service_config);
-    core::BatchingConfig batching;
-    batching.max_records = 16;
-    core::SomaClient client(network, 1, 7000, core::Namespace::kHardware,
-                            service.instance(core::Namespace::kHardware).ranks,
-                            {}, batching);
-    datamodel::Node payload;
-    payload["cpu_utilization"].set(0.5);
-    const int n = static_cast<int>(state.range(0));
-    state.ResumeTiming();
-
-    for (int i = 0; i < n; ++i) {
-      client.publish("host0", payload);
-    }
-    client.flush_batches();
-    simulation.run();
-    benchmark::DoNotOptimize(service.publishes_received());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BatchPublish)->Arg(1000)->Arg(10000);
-
-void BM_ReplicatedPublish(benchmark::State& state) {
-  // Publish path with factor-2 shard replication: every append also flows
-  // through the replication log and ships to the successor rank in batch
-  // frames, plus the heartbeat traffic between the two ranks.
+void BM_Publish(benchmark::State& state) {
+  // The end-to-end publish path at 2 ranks, one factor per axis: client
+  // batching off or 16-record windows (soma.publish vs soma.publish_batch
+  // frames) by replication factor 1 or 2 (no log vs a replication log
+  // shipped to the successor rank, plus heartbeats). Neighbouring cells
+  // differ in one thing, so each cost can be read off on its own.
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const int factor = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
   for (auto _ : state) {
     state.PauseTiming();
     sim::Simulation simulation;
@@ -124,13 +97,15 @@ void BM_ReplicatedPublish(benchmark::State& state) {
     core::ServiceConfig service_config;
     service_config.namespaces = {core::Namespace::kHardware};
     service_config.ranks_per_namespace = 2;
-    service_config.replication.factor = 2;
+    service_config.replication.factor = factor;
     core::SomaService service(network, {0}, service_config);
+    core::BatchingConfig batching;
+    batching.max_records = batch;
     core::SomaClient client(network, 1, 7000, core::Namespace::kHardware,
-                            service.instance(core::Namespace::kHardware).ranks);
+                            service.instance(core::Namespace::kHardware).ranks,
+                            {}, batching);
     datamodel::Node payload;
     payload["cpu_utilization"].set(0.5);
-    const int n = static_cast<int>(state.range(0));
     char source[16];
     state.ResumeTiming();
 
@@ -138,16 +113,21 @@ void BM_ReplicatedPublish(benchmark::State& state) {
       std::snprintf(source, sizeof(source), "host%d", i % 8);
       client.publish(source, payload);
     }
-    // Publishes and replication frames all land within the first simulated
-    // seconds; stopping the heartbeats afterwards lets the run drain.
-    simulation.run_until(SimTime::from_seconds(30.0));
-    service.replication()->stop();
+    client.flush_batches();
+    if (service.replication() != nullptr) {
+      // Publishes and replication frames all land within the first
+      // simulated seconds; stopping the heartbeats then lets the run drain.
+      simulation.run_until(SimTime::from_seconds(30.0));
+      service.replication()->stop();
+    }
     simulation.run();
     benchmark::DoNotOptimize(service.publishes_received());
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ReplicatedPublish)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_Publish)
+    ->ArgNames({"batch", "factor", "records"})
+    ->ArgsProduct({{0, 16}, {1, 2}, {1000, 10000}});
 
 }  // namespace
 

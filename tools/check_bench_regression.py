@@ -5,10 +5,11 @@ Compares a freshly generated BENCH_micro.json against the checked-in
 baseline and exits non-zero when any guarded benchmark's ns/op grew by
 more than the allowed fraction (default 20%). Guarded by default: the
 event-loop and RPC round-trip benches (the stable spine of the simulator)
-plus the two end-to-end publish paths, BM_BatchPublish and
-BM_ReplicatedPublish — a regression there means the ingest or replication
-pipeline got slower, not just the host noisier. Remaining entries are
-recorded for trend-watching but too machine-sensitive to gate on.
+plus all four cells of the BM_Publish matrix (batching off or 16 by
+replication factor 1 or 2, at 2 ranks) — a regression there means the
+ingest, batching or replication pipeline got slower, not just the host
+noisier. Remaining entries are recorded for trend-watching but too
+machine-sensitive to gate on.
 
 Usage:
   python3 tools/check_bench_regression.py \
@@ -23,8 +24,10 @@ import sys
 DEFAULT_GUARDS = [
     "BM_EventDispatch",
     "BM_RpcRoundTrip",
-    "BM_BatchPublish",
-    "BM_ReplicatedPublish",
+    "BM_Publish/batch:0/factor:1/",
+    "BM_Publish/batch:16/factor:1/",
+    "BM_Publish/batch:0/factor:2/",
+    "BM_Publish/batch:16/factor:2/",
 ]
 
 

@@ -9,7 +9,8 @@
 // path. `call` packs its Node into the frame through `call_raw`, and
 // `define` wraps its handler in a `define_raw` adapter that unpacks the body
 // at dispatch. Batch and replication RPCs use the raw pair directly, with
-// bodies that are not a single packed Node.
+// bodies that are not a single packed Node, and so does soma.publish, whose
+// packed envelope both ends write and read field by field (net/wire.hpp).
 //
 // Service cost model: a server engine executes requests *serially* (one
 // Margo progress loop / one process). Each request costs
@@ -113,8 +114,8 @@ class Engine {
  public:
   /// A server-side handler: caller address + request payload -> response.
   /// The engine moves the decoded request into `args`, so a handler may
-  /// take it by value and move parts of it on (as soma.publish does with
-  /// the record); a handler declared with `const Node&` works unchanged.
+  /// take it by value and move parts of it on; a handler declared with
+  /// `const Node&` works unchanged.
   using Handler = std::function<datamodel::Node(const Address& caller,
                                                 datamodel::Node args)>;
   /// A client-side completion callback.

@@ -117,7 +117,8 @@ entk::Pipeline build_pipeline(const DdmdExperimentConfig& config,
 
 }  // namespace
 
-DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config) {
+DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config,
+                               const StoreInspector& inspect) {
   check(config.mode != SomaMode::kNone || config.soma_nodes == 0,
         "mode none requires soma_nodes == 0");
   DdmdResult result;
@@ -216,6 +217,7 @@ DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config) {
 
   if (deployment->deployed()) {
     const core::StoreView store = deployment->service().store_view();
+    if (inspect) inspect(store);
     for (const std::string& host :
          store.sources(core::Namespace::kHardware)) {
       auto& series = result.node_utilization[host];

@@ -10,6 +10,7 @@
 //                none/shared/exclusive at 60 s and 10 s (Fig. 11)
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -94,6 +95,12 @@ struct DdmdResult {
   StackTotals totals;
 };
 
-DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config);
+/// Reads the store once the run has drained, before the stack is torn down.
+using StoreInspector = std::function<void(const core::StoreView&)>;
+
+/// Run one DDMD experiment. `inspect` (optional) sees the final store of a
+/// deployed stack; tests pin what the store holds through it.
+DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config,
+                               const StoreInspector& inspect = nullptr);
 
 }  // namespace soma::experiments

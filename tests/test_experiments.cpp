@@ -3,6 +3,11 @@
 // batch -> session -> service task -> monitors -> workload -> analysis.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string>
+
 #include "analysis/advisor.hpp"
 #include "experiments/ddmd_experiment.hpp"
 #include "experiments/deployment.hpp"
@@ -402,6 +407,80 @@ TEST(StackWiringTest, OpenFoamRunnerAppliesEveryKnob) {
     EXPECT_EQ(a.tasks[i].exec_seconds, b.tasks[i].exec_seconds);
     EXPECT_EQ(a.tasks[i].started_at, b.tasks[i].started_at);
   }
+}
+
+// ---------- What the store holds ----------
+
+/// FNV-1a over every stored record in StoreView order: per namespace, each
+/// source, then each of its records' time and `pack()` bytes.
+struct StoreDigest {
+  std::uint64_t records = 0;
+  std::uint64_t hash = 14695981039346656037ULL;
+
+  void mix(std::span<const std::byte> bytes) {
+    for (const std::byte b : bytes) {
+      hash ^= static_cast<std::uint64_t>(b);
+      hash *= 1099511628211ULL;
+    }
+  }
+  void add(const core::StoreView& view) {
+    for (const core::Namespace ns :
+         {core::Namespace::kWorkflow, core::Namespace::kHardware}) {
+      for (const std::string& source : view.sources(ns)) {
+        mix(std::as_bytes(std::span(source.data(), source.size())));
+        for (const core::TimedRecord* record : view.series(ns, source)) {
+          const std::int64_t nanos = record->time.nanos();
+          mix(std::as_bytes(std::span(&nanos, 1)));
+          mix(record->data.pack());
+          ++records;
+        }
+      }
+    }
+  }
+};
+
+StoreDigest store_digest(const DdmdExperimentConfig& config) {
+  StoreDigest digest;
+  run_ddmd_experiment(config,
+                      [&digest](const core::StoreView& view) {
+                        digest.add(view);
+                      });
+  return digest;
+}
+
+// Values read at the commit before the per-message fabric rewrite; every
+// delivery path change must leave them alone (the fig/table goldens print
+// times and counts, never the stored records).
+TEST(StoreContentPinTest, Fig10SharedSixteenRanks) {
+  const StoreDigest digest = store_digest(
+      DdmdExperimentConfig::scaling_a(1, 16, SomaMode::kShared));
+  EXPECT_EQ(digest.records, 737u);
+  EXPECT_EQ(digest.hash, 0xe025a6793a24c79eULL);
+}
+
+TEST(StoreContentPinTest, Fig10ReplicatedOnLossyFabric) {
+  auto config = DdmdExperimentConfig::scaling_a(1, 16, SomaMode::kExclusive);
+  // bench_fig10_scaling_a --replication 2 --fault-seed 17.
+  net::FaultConfig faults;
+  faults.seed = 17;
+  faults.default_link.drop_probability = 0.01;
+  faults.default_link.spike_probability = 0.02;
+  config.faults = faults;
+  config.reliability.retry.max_attempts = 4;
+  config.reliability.retry.timeout = Duration::milliseconds(100);
+  config.reliability.buffer_on_failure = true;
+  config.reliability.probe_period = Duration::seconds(5);
+  config.replication.factor = 2;
+  const StoreDigest digest = store_digest(config);
+  EXPECT_EQ(digest.records, 750u);
+  EXPECT_EQ(digest.hash, 0x3cf5b044596d3184ULL);
+}
+
+TEST(StoreContentPinTest, Fig11SixtyFourNodesFrequentExclusive) {
+  const StoreDigest digest = store_digest(DdmdExperimentConfig::scaling_b(
+      64, SomaMode::kExclusive, Duration::seconds(10.0)));
+  EXPECT_EQ(digest.records, 4581u);
+  EXPECT_EQ(digest.hash, 0x2ce6054a25cca84fULL);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Unit tests for the discrete-event simulation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -229,6 +232,90 @@ TEST(SimulationTest, ReserveDoesNotDisturbScheduledEvents) {
   EXPECT_EQ(simulation.pending(), 2u);
   simulation.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+/// Counts the destruction of the one live copy of a capture: a moved-from
+/// probe counts nothing, so relocations inside the engine are invisible.
+class DestructionProbe {
+ public:
+  explicit DestructionProbe(int* destroyed) : destroyed_(destroyed) {}
+  DestructionProbe(DestructionProbe&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)) {}
+  DestructionProbe& operator=(DestructionProbe&&) = delete;
+  ~DestructionProbe() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+
+ private:
+  int* destroyed_;
+};
+
+TEST(SimulationTest, FiredCaptureIsDestroyedOnceAfterItsCallbackReturns) {
+  Simulation simulation;
+  int destroyed = 0;
+  int destroyed_while_running = -1;
+  simulation.schedule(
+      Duration::seconds(1.0),
+      [probe = DestructionProbe(&destroyed), &destroyed,
+       &destroyed_while_running] { destroyed_while_running = destroyed; });
+  EXPECT_EQ(destroyed, 0);
+  simulation.run();
+  EXPECT_EQ(destroyed_while_running, 0);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(SimulationTest, CancelledCaptureIsDestroyedWhenDiscardedNotAtCancel) {
+  Simulation simulation;
+  int destroyed = 0;
+  int seen_before = -1;
+  int seen_after = -1;
+  simulation.schedule(Duration::seconds(0.5),
+                      [&] { seen_before = destroyed; });
+  EventHandle cancelled = simulation.schedule(
+      Duration::seconds(1.0), [probe = DestructionProbe(&destroyed)] {});
+  simulation.schedule(Duration::seconds(2.0), [&] { seen_after = destroyed; });
+  cancelled.cancel();
+  EXPECT_EQ(destroyed, 0);  // cancel() only marks the event
+  simulation.run();
+  // Still queued (not at the front) when the 0.5 s event ran; discarded
+  // before the 2 s event.
+  EXPECT_EQ(seen_before, 0);
+  EXPECT_EQ(seen_after, 1);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(SimulationTest, CallbackKeepsItsCapturesWhileSchedulingManyEvents) {
+  // The callback schedules enough events to grow every engine table under
+  // it; it must still read its own captures afterwards.
+  Simulation simulation;
+  constexpr int kEvents = 10000;
+  std::vector<std::pair<SimTime, int>> fired;
+  fired.reserve(kEvents);
+  bool captures_intact = false;
+  const std::array<std::uint64_t, 3> words{0x0123456789abcdefULL,
+                                           0xfedcba9876543210ULL, 42};
+  simulation.schedule(Duration::seconds(1.0), [&simulation, &fired,
+                                               &captures_intact, words] {
+    for (int i = 0; i < kEvents; ++i) {
+      const SimTime when =
+          simulation.now() + Duration::milliseconds((i * 7919) % 1000);
+      simulation.schedule_at(
+          when, [&fired, &simulation, i] {
+            fired.emplace_back(simulation.now(), i);
+          });
+    }
+    captures_intact = words[0] == 0x0123456789abcdefULL &&
+                      words[1] == 0xfedcba9876543210ULL && words[2] == 42;
+  });
+  simulation.run();
+  EXPECT_TRUE(captures_intact);
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kEvents));
+  // (when, seq) order: by time, ties in scheduling order.
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  for (const auto& [when, i] : fired) {
+    EXPECT_EQ(when, SimTime::from_seconds(1.0) +
+                        Duration::milliseconds((i * 7919) % 1000));
+  }
 }
 
 // ---------- PeriodicTask ----------

@@ -118,9 +118,21 @@ void SomaDeployment::start_monitors() {
   // Count the monitor tasks that must reach rank_start before the
   // deployment is ready.
   auto outstanding = std::make_shared<int>(0);
-  auto on_monitor_started = [this, outstanding] {
-    if (--*outstanding == 0 && on_ready_) on_ready_();
-  };
+  // One start listener for every monitor task: it finds the started task's
+  // monitor in monitor_starts_ (filled as the tasks are submitted below)
+  // instead of each monitor comparing uids on every task start.
+  session_.add_task_start_listener(
+      [this, outstanding](const std::shared_ptr<rp::Task>& task) {
+        const auto it = monitor_starts_.find(task.get());
+        if (it == monitor_starts_.end()) return;
+        const MonitorStart start = it->second;
+        if (start.hw_monitor != nullptr) {
+          start.hw_monitor->start(start.stagger);
+        } else {
+          rp_monitor_->start(config_.rp_monitor.period);
+        }
+        if (--*outstanding == 0 && on_ready_) on_ready_();
+      });
 
   // (Fig. 2, step 4) RP monitoring task, one per workflow, co-located with
   // the agent.
@@ -148,14 +160,8 @@ void SomaDeployment::start_monitors() {
     desc.cpu_activity = 0.1;
     desc.mem_per_rank_mib = 128.0;
     ++*outstanding;
-    session_.add_task_start_listener(
-        [this, on_monitor_started](const std::shared_ptr<rp::Task>& task) {
-          if (rp_monitor_task_ && task == rp_monitor_task_) {
-            rp_monitor_->start(config_.rp_monitor.period);
-            on_monitor_started();
-          }
-        });
     rp_monitor_task_ = session_.submit(desc);
+    monitor_starts_.emplace(rp_monitor_task_.get(), MonitorStart{});
   }
 
   // (Fig. 2, step 5) one hardware monitoring task per compute node, each on
@@ -189,16 +195,9 @@ void SomaDeployment::start_monitors() {
       const Duration stagger =
           config_.hw_monitor.period * (static_cast<double>(i % 97) / 97.0);
       ++*outstanding;
-      const std::string uid = desc.uid;
-      session_.add_task_start_listener(
-          [this, uid, monitor_ptr, stagger,
-           on_monitor_started](const std::shared_ptr<rp::Task>& task) {
-            if (task->uid() == uid) {
-              monitor_ptr->start(stagger);
-              on_monitor_started();
-            }
-          });
       hw_monitor_tasks_.push_back(session_.submit(desc));
+      monitor_starts_.emplace(hw_monitor_tasks_.back().get(),
+                              MonitorStart{monitor_ptr, stagger});
       hw_clients_.push_back(std::move(client));
       hw_monitors_.push_back(std::move(monitor));
     }

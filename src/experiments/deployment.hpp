@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "monitors/hw_monitor.hpp"
@@ -184,6 +185,13 @@ class SomaDeployment {
   std::vector<std::unique_ptr<core::SomaClient>> hw_clients_;
   std::vector<std::unique_ptr<monitors::HwMonitor>> hw_monitors_;
   std::vector<std::shared_ptr<rp::Task>> hw_monitor_tasks_;
+
+  /// What to start when a monitor task reaches rank_start.
+  struct MonitorStart {
+    monitors::HwMonitor* hw_monitor = nullptr;  ///< null: the RP monitor
+    Duration stagger;
+  };
+  std::unordered_map<const rp::Task*, MonitorStart> monitor_starts_;
 
   std::vector<std::unique_ptr<core::SomaClient>> tau_clients_;
   std::vector<std::unique_ptr<profiler::TauSomaPlugin>> tau_plugins_;

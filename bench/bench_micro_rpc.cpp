@@ -50,7 +50,7 @@ void BM_RpcRoundTrip(benchmark::State& state) {
     state.ResumeTiming();
 
     for (int i = 0; i < n; ++i) {
-      client.call(server.address(), "echo", payload);
+      client.call(server.id(), "echo", payload);
     }
     simulation.run();
     benchmark::DoNotOptimize(server.stats().requests_handled);

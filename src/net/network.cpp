@@ -48,23 +48,44 @@ FaultInjector& Network::install_faults(FaultConfig config) {
   return *faults_;
 }
 
-void Network::bind(const Address& address, Delivery delivery) {
-  address_node(address);  // validate format
-  const auto [it, inserted] = endpoints_.emplace(address, std::move(delivery));
-  (void)it;
-  if (!inserted) throw ConfigError("address already bound: " + address);
+EndpointId Network::resolve(const Address& address) {
+  if (const auto it = ids_.find(address); it != ids_.end()) return it->second;
+  const NodeId node = address_node(address);
+  const auto id = static_cast<EndpointId>(endpoints_.size());
+  endpoints_.push_back(Endpoint{address, node, nullptr});
+  ids_.emplace(address, id);
+  const auto nodes = static_cast<std::size_t>(node) + 1;
+  if (nic_free_at_.size() < nodes) nic_free_at_.resize(nodes);
+  return id;
 }
 
-void Network::unbind(const Address& address) { endpoints_.erase(address); }
-
-bool Network::is_bound(const Address& address) const {
-  return endpoints_.contains(address);
+EndpointId Network::bind(const Address& address, Delivery delivery) {
+  const EndpointId id = resolve(address);
+  Endpoint& target = endpoint(id);
+  if (target.delivery) throw ConfigError("address already bound: " + address);
+  target.delivery = std::move(delivery);
+  return id;
 }
 
-SimTime Network::send(const Address& from, const Address& to,
+void Network::unbind(EndpointId id) { endpoint(id).delivery = nullptr; }
+
+std::map<Address, std::uint64_t> Network::drops_by_endpoint() const {
+  std::map<Address, std::uint64_t> drops;
+  for (const Endpoint& e : endpoints_) {
+    if (e.drops > 0) drops.emplace(e.address, e.drops);
+  }
+  return drops;
+}
+
+void Network::count_drop(Endpoint& to) {
+  ++messages_dropped_;
+  ++to.drops;
+}
+
+SimTime Network::send(EndpointId from, EndpointId to,
                       std::vector<std::byte> payload) {
-  const NodeId src = address_node(from);
-  const NodeId dst = address_node(to);
+  const NodeId src = endpoint(from).node;
+  const NodeId dst = endpoint(to).node;
   const auto size = static_cast<double>(payload.size());
 
   const bool local = src == dst;
@@ -78,7 +99,7 @@ SimTime Network::send(const Address& from, const Address& to,
   // the same node finished putting bits on the wire.
   SimTime start = simulation_.now();
   if (!local) {
-    auto& free_at = nic_free_at_[src];
+    SimTime& free_at = nic_free_at_[static_cast<std::size_t>(src)];
     start = std::max(start, free_at);
     free_at = start + transfer;
   }
@@ -89,29 +110,35 @@ SimTime Network::send(const Address& from, const Address& to,
 
   if (faults_) {
     const FaultInjector::Decision verdict =
-        faults_->decide(src, dst, from, to, simulation_.now(), arrival);
+        faults_->decide(src, dst, address(from), address(to),
+                        simulation_.now(), arrival);
     if (verdict.drop) {
-      ++messages_dropped_;
-      ++drops_by_endpoint_[to];
-      SOMA_DEBUG() << "network: fault dropped message " << from << " -> "
-                   << to;
+      count_drop(endpoint(to));
+      SOMA_DEBUG() << "network: fault dropped message " << address(from)
+                   << " -> " << address(to);
       return arrival;
     }
     arrival = arrival + verdict.extra_latency;
   }
 
-  simulation_.schedule_at(
-      arrival, [this, from, to, data = std::move(payload)]() mutable {
-        const auto it = endpoints_.find(to);
-        if (it == endpoints_.end()) {
-          ++messages_dropped_;
-          ++drops_by_endpoint_[to];
-          SOMA_DEBUG() << "network: dropped message to unbound " << to;
-          return;
-        }
-        it->second(from, std::move(data));
-      });
+  auto delivery = [this, from, to, data = std::move(payload)]() mutable {
+    deliver(from, to, std::move(data));
+  };
+  static_assert(sizeof(delivery) <= sim::Simulation::Callback::kInlineSize,
+                "the delivery closure must fit the event's inline buffer");
+  simulation_.schedule_at(arrival, std::move(delivery));
   return arrival;
+}
+
+void Network::deliver(EndpointId from, EndpointId to,
+                      std::vector<std::byte> payload) {
+  Endpoint& target = endpoint(to);
+  if (!target.delivery) {
+    count_drop(target);
+    SOMA_DEBUG() << "network: dropped message to unbound " << target.address;
+    return;
+  }
+  target.delivery(from, std::move(payload));
 }
 
 }  // namespace soma::net

@@ -25,16 +25,16 @@ std::vector<std::byte> encode_response(std::uint64_t request_id,
 }  // namespace
 
 Engine::Engine(Network& network, Address address, ServiceCost cost)
-    : network_(network), address_(std::move(address)), cost_(cost) {
-  network_.bind(address_, [this](const Address& from,
-                                 std::vector<std::byte> payload) {
-    on_message(from, std::move(payload));
-  });
-}
+    : network_(network),
+      id_(network.bind(address,
+                       [this](EndpointId from, std::vector<std::byte> payload) {
+                         on_message(from, std::move(payload));
+                       })),
+      cost_(cost) {}
 
 Engine::~Engine() {
   for (auto& [id, call] : pending_) call.timeout.cancel();
-  network_.unbind(address_);
+  network_.unbind(id_);
 }
 
 void Engine::define(const std::string& rpc, Handler handler) {
@@ -50,7 +50,7 @@ void Engine::define_raw(const std::string& rpc, RawHandler handler) {
   }
 }
 
-void Engine::call(const Address& dest, const std::string& rpc,
+void Engine::call(EndpointId dest, std::string_view rpc,
                   const datamodel::Node& args, ResponseCallback on_response,
                   RetryPolicy policy, ErrorCallback on_error) {
   const std::size_t body_size = args.packed_size();
@@ -62,7 +62,7 @@ void Engine::call(const Address& dest, const std::string& rpc,
       std::move(on_response), policy, std::move(on_error));
 }
 
-void Engine::call_raw(const Address& dest, const std::string& rpc,
+void Engine::call_raw(EndpointId dest, std::string_view rpc,
                       std::size_t body_size, const BodyEncoder& append_body,
                       ResponseCallback on_response, RetryPolicy policy,
                       ErrorCallback on_error) {
@@ -91,7 +91,7 @@ void Engine::call_raw(const Address& dest, const std::string& rpc,
 
   stats_.bytes_out += frame.size();
   ++stats_.requests_sent;
-  network_.send(address_, dest, std::move(frame));
+  network_.send(id_, dest, std::move(frame));
 }
 
 void Engine::on_timeout(std::uint64_t request_id) {
@@ -106,9 +106,9 @@ void Engine::on_timeout(std::uint64_t request_id) {
     settled_retries_.insert(request_id);
     ErrorCallback on_error = std::move(call.on_error);
     const int attempts = call.attempt + 1;
-    const Address dest = call.dest;
+    const Address& dest = network_.address(call.dest);
     pending_.erase(it);
-    SOMA_DEBUG() << "rpc engine " << address_ << ": call to " << dest
+    SOMA_DEBUG() << "rpc engine " << address() << ": call to " << dest
                  << " failed after " << attempts << " attempt(s)";
     if (on_error) {
       on_error("rpc to " + dest + " timed out after " +
@@ -126,20 +126,15 @@ void Engine::on_timeout(std::uint64_t request_id) {
       [this, request_id] { on_timeout(request_id); });
   stats_.bytes_out += frame.size();
   ++stats_.requests_sent;
-  network_.send(address_, call.dest, std::move(frame));
+  network_.send(id_, call.dest, std::move(frame));
 }
 
-void Engine::on_message(const Address& from, std::vector<std::byte> payload) {
+void Engine::on_message(EndpointId from, std::vector<std::byte> payload) {
   const wire::FrameHeader header = wire::decode_header(payload);
 
   if (header.kind == wire::Kind::kRequest) {
     if (header.attempt > 0) ++stats_.retried_requests;
-    const auto it = handlers_.find(std::string(header.rpc));
-    const auto body_offset =
-        static_cast<std::size_t>(header.body.data() - payload.data());
-    handle_request(from, header.request_id,
-                   it == handlers_.end() ? nullptr : &it->second,
-                   std::move(payload), body_offset);
+    handle_request(from, header.request_id, std::move(payload));
   } else {
     ++stats_.responses_received;
     const auto it = pending_.find(header.request_id);
@@ -160,11 +155,9 @@ void Engine::on_message(const Address& from, std::vector<std::byte> payload) {
   }
 }
 
-void Engine::handle_request(const Address& from, std::uint64_t request_id,
-                            const RawHandler* handler,
-                            std::vector<std::byte> payload,
-                            std::size_t body_offset) {
-  const std::size_t payload_bytes = payload.size();
+void Engine::handle_request(EndpointId from, std::uint64_t request_id,
+                            std::vector<std::byte> frame) {
+  const std::size_t payload_bytes = frame.size();
   stats_.bytes_in += payload_bytes;
   if (cost_.is_bulk(payload_bytes)) ++stats_.bulk_transfers;
 
@@ -181,24 +174,31 @@ void Engine::handle_request(const Address& from, std::uint64_t request_id,
   stats_.max_queue_delay = std::max(stats_.max_queue_delay, queue_delay);
   stats_.total_service_time += service;
 
-  simulation.schedule_at(
-      busy_until_, [this, from, request_id, handler,
-                    payload = std::move(payload), body_offset]() mutable {
-        ++stats_.requests_handled;
-        const std::span<const std::byte> frame(payload);
-        datamodel::Node response;
-        if (handler != nullptr) {
-          response = (*handler)(from, frame.subspan(body_offset));
-        } else {
-          const std::string rpc(wire::decode_header(frame).rpc);
-          SOMA_WARN() << "rpc engine " << address_ << ": unknown rpc '" << rpc
-                      << "'";
-          response["error"].set("unknown rpc: " + rpc);
-        }
-        std::vector<std::byte> reply = encode_response(request_id, response);
-        stats_.bytes_out += reply.size();
-        network_.send(address_, from, std::move(reply));
-      });
+  auto serve = [this, from, request_id, frame = std::move(frame)] {
+    serve_request(from, request_id, frame);
+  };
+  static_assert(sizeof(serve) <= sim::Simulation::Callback::kInlineSize,
+                "the request closure must fit the event's inline buffer");
+  simulation.schedule_at(busy_until_, std::move(serve));
+}
+
+void Engine::serve_request(EndpointId from, std::uint64_t request_id,
+                           std::span<const std::byte> frame) {
+  ++stats_.requests_handled;
+  const wire::FrameHeader header = wire::decode_header(frame);
+  datamodel::Node response;
+  if (const auto it = handlers_.find(header.rpc); it != handlers_.end()) {
+    response = it->second(network_.address(from), header.body);
+  } else {
+    SOMA_WARN() << "rpc engine " << address() << ": unknown rpc '"
+                << header.rpc << "'";
+    std::string error = "unknown rpc: ";
+    error += header.rpc;
+    response["error"].set(std::move(error));
+  }
+  std::vector<std::byte> reply = encode_response(request_id, response);
+  stats_.bytes_out += reply.size();
+  network_.send(id_, from, std::move(reply));
 }
 
 }  // namespace soma::net

@@ -12,6 +12,15 @@
 // bodies that are not a single packed Node, and so does soma.publish, whose
 // packed envelope both ends write and read field by field (net/wire.hpp).
 //
+// Names and addresses are resolved once, in Mercury's idiom: a caller
+// addresses a destination by the `EndpointId` the network resolved its
+// address to (`hg_addr_t`), and the frame's rpc name is looked up by
+// `string_view` in a transparent hash (the lookup `hg_id_t` registration
+// makes), at dispatch, so no per-message `std::string` is built. Frames still
+// carry the rpc name, so wire bytes and byte-calibrated times are unchanged.
+// Handlers still see the caller's address, by reference from the network's
+// table.
+//
 // Service cost model: a server engine executes requests *serially* (one
 // Margo progress loop / one process). Each request costs
 //   base_cost + per_kib_cost * payload_KiB
@@ -25,6 +34,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -134,7 +144,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  [[nodiscard]] const Address& address() const { return address_; }
+  [[nodiscard]] const Address& address() const {
+    return network_.address(id_);
+  }
+  /// This engine's endpoint id; callers address it by id.
+  [[nodiscard]] EndpointId id() const { return id_; }
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   [[nodiscard]] Network& network() { return network_; }
 
@@ -151,8 +165,8 @@ class Engine {
   /// Invoke `rpc` at `dest` with a caller-encoded body. `body_size` must be
   /// the exact number of bytes `append_body` appends (it sizes the single
   /// frame allocation). Reliability semantics match `call`.
-  void call_raw(const Address& dest, const std::string& rpc,
-                std::size_t body_size, const BodyEncoder& append_body,
+  void call_raw(EndpointId dest, std::string_view rpc, std::size_t body_size,
+                const BodyEncoder& append_body,
                 ResponseCallback on_response = nullptr, RetryPolicy policy = {},
                 ErrorCallback on_error = nullptr);
 
@@ -162,9 +176,16 @@ class Engine {
   /// `policy` arms a per-attempt timeout with bounded exponential-backoff
   /// retransmission; `on_error` fires on exhaustion. A disabled policy (zero
   /// timeout, the default) sends the frame once and waits forever.
-  void call(const Address& dest, const std::string& rpc,
+  void call(EndpointId dest, std::string_view rpc, const datamodel::Node& args,
+            ResponseCallback on_response = nullptr, RetryPolicy policy = {},
+            ErrorCallback on_error = nullptr);
+  /// `call` by address, resolved on every call: for tests and cold paths.
+  void call(const Address& dest, std::string_view rpc,
             const datamodel::Node& args, ResponseCallback on_response = nullptr,
-            RetryPolicy policy = {}, ErrorCallback on_error = nullptr);
+            RetryPolicy policy = {}, ErrorCallback on_error = nullptr) {
+    call(network_.resolve(dest), rpc, args, std::move(on_response), policy,
+         std::move(on_error));
+  }
 
   /// Time at which this engine finishes its current backlog. Equal to now
   /// when idle; used by tests and the saturation analysis.
@@ -175,7 +196,7 @@ class Engine {
   struct PendingCall {
     ResponseCallback on_response;
     ErrorCallback on_error;
-    Address dest;
+    EndpointId dest;
     RetryPolicy policy;
     /// Encoded request, kept for retransmission (empty unless the policy is
     /// enabled — plain calls never pay the copy).
@@ -184,19 +205,30 @@ class Engine {
     sim::EventHandle timeout;
   };
 
-  void on_message(const Address& from, std::vector<std::byte> payload);
-  /// Charges the request's service cost and queues it. At dispatch the
-  /// handler (looked up on arrival; null for an unknown rpc) sees the body
-  /// span of the frame, which is kept alive until then.
-  void handle_request(const Address& from, std::uint64_t request_id,
-                      const RawHandler* handler,
-                      std::vector<std::byte> payload, std::size_t body_offset);
+  /// Heterogeneous hash: a frame's rpc name is looked up as a string_view.
+  struct RpcNameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  void on_message(EndpointId from, std::vector<std::byte> payload);
+  /// Charges the request's service cost and queues the frame, which is kept
+  /// alive until its dispatch.
+  void handle_request(EndpointId from, std::uint64_t request_id,
+                      std::vector<std::byte> frame);
+  /// Runs a queued request: finds its handler by the frame's rpc name (an
+  /// unknown rpc is answered with an error) and sends the response.
+  void serve_request(EndpointId from, std::uint64_t request_id,
+                     std::span<const std::byte> frame);
   void on_timeout(std::uint64_t request_id);
 
   Network& network_;
-  Address address_;
+  EndpointId id_;
   ServiceCost cost_;
-  std::unordered_map<std::string, RawHandler> handlers_;
+  std::unordered_map<std::string, RawHandler, RpcNameHash, std::equal_to<>>
+      handlers_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   /// Ids of retried or exhausted calls, for duplicate-response suppression.
   /// Plain single-shot ids never enter, so fire-and-forget acks stay cheap.

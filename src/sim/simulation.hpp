@@ -6,13 +6,19 @@
 // order (a monotonically increasing sequence number breaks ties), which makes
 // whole-workflow runs bit-for-bit reproducible for a given seed.
 //
-// Hot-loop design: an event is {when, seq, callback, slot}. Callbacks are
-// move-only small-buffer functions (common::UniqueFunction), so a typical
-// capture lives inside the event record instead of behind a std::function
-// heap cell. Cancellation is generation-counted: each event borrows a slot
-// from a free-listed table, and an EventHandle is just {slot, generation}.
-// A cancelled or fired event bumps nothing but a couple of integers — no
-// shared_ptr<bool> control block per event.
+// Hot-loop design: the heap holds only {when, seq, slot} (24 B), so a sift
+// moves three integers. Everything else about an event lives in its slot of
+// a free-listed table: the callback, a move-only small-buffer function
+// (common::UniqueFunction) whose typical capture is stored inline, and the
+// cancellation state. Cancellation is generation-counted: an EventHandle is
+// just {slot, generation}, and a cancelled or fired event bumps nothing but
+// a couple of integers — no shared_ptr<bool> control block per event.
+//
+// Callback lifetime: a fired event's callback is moved out of its slot
+// before it runs (it may schedule events and grow the table under it) and
+// destroyed when it returns. A cancelled event keeps its callback until the
+// event reaches the front of the heap and is discarded, so captures die at
+// pop, never inside cancel().
 #pragma once
 
 #include <cstdint>
@@ -104,12 +110,11 @@ class Simulation {
  private:
   friend class EventHandle;
 
+  /// A heap entry. The callback stays in the slot, so sifts move 24 B.
   struct Event {
     SimTime when;
     std::uint64_t seq;
-    Callback fn;
     std::uint32_t slot;
-    std::uint64_t generation;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -117,10 +122,12 @@ class Simulation {
       return a.seq > b.seq;
     }
   };
-  /// One cancellation slot. `generation` increments every time the slot is
-  /// recycled, so handles from a previous occupancy go stale automatically;
-  /// `pending` flips false on cancel and on dispatch.
+  /// One event's callback and cancellation state. `generation` increments
+  /// every time the slot is recycled, so handles from a previous occupancy
+  /// go stale automatically; `pending` flips false on cancel and on
+  /// dispatch. `fn` is empty once the event is popped.
   struct Slot {
+    Callback fn;
     std::uint64_t generation = 0;
     bool pending = false;
   };
@@ -146,7 +153,8 @@ class Simulation {
   /// Pop and execute the front event. Precondition: queue not empty and the
   /// front event is live (not cancelled).
   void dispatch_front();
-  /// Pop cancelled events off the front, retiring their slots.
+  /// Pop cancelled events off the front, destroying their callbacks and
+  /// retiring their slots.
   void discard_cancelled_front();
 
   /// priority_queue with access to the underlying vector's capacity.

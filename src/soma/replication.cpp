@@ -213,7 +213,7 @@ void ReplicationManager::ship(std::size_t owner, std::size_t link) {
   const std::uint64_t epoch = rank.epoch;
   const std::size_t body_size = kPrefixBytes + writer.body_size();
   from.call_raw(
-      to.address(), "soma.replicate", body_size,
+      to.id(), "soma.replicate", body_size,
       [kind = resync ? kFrameResync : kFrameReplicate, shard = rank.shard,
        base, writer = std::move(writer)](std::vector<std::byte>& frame) {
         const std::size_t at = frame.size();
@@ -366,7 +366,7 @@ void ReplicationManager::send_heartbeats(std::size_t index) {
     datamodel::Node probe;
     probe["from"].set(static_cast<std::int64_t>(rank.shard));
     rank.engine->call(
-        ranks_[target].engine->address(), "soma.heartbeat", std::move(probe),
+        ranks_[target].engine->id(), "soma.heartbeat", std::move(probe),
         [this, index, target, epoch](datamodel::Node /*response*/) {
           if (ranks_[index].epoch != epoch) return;
           record_heartbeat_ack(target);

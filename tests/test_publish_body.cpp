@@ -85,13 +85,13 @@ class PublishBodyCaptureTest : public ::testing::Test {
       [](const wire::FrameHeader&) { return true; };
 
   void SetUp() override {
-    network.bind(rank, [this](const net::Address& from,
+    network.bind(rank, [this](net::EndpointId from,
                               std::vector<std::byte> frame) {
       const wire::FrameHeader header = wire::decode_header(frame);
       const bool reply = answer(header);
       const std::uint64_t id = header.request_id;
       frames.push_back(std::move(frame));
-      if (reply) network.send(rank, from, ack_frame(id));
+      if (reply) network.send(network.resolve(rank), from, ack_frame(id));
     });
   }
 
@@ -191,7 +191,7 @@ class PublishBodyIngestTest : public ::testing::Test {
   std::uint64_t next_id = 1;
 
   void SetUp() override {
-    network.bind(client, [this](const net::Address& /*from*/,
+    network.bind(client, [this](net::EndpointId /*from*/,
                                 std::vector<std::byte> frame) {
       acks.push_back(std::move(frame));
     });
@@ -203,7 +203,8 @@ class PublishBodyIngestTest : public ::testing::Test {
     wire::append_header(frame, wire::Kind::kRequest, next_id++,
                         "soma.publish");
     frame.insert(frame.end(), body.begin(), body.end());
-    network.send(client, to, std::move(frame));
+    network.send(network.resolve(client), network.resolve(to),
+                 std::move(frame));
   }
 };
 
@@ -512,8 +513,8 @@ TEST_F(PublishBodyIngestTest, MalformedBodySurfacesFromRun) {
   core::SomaService service(network, {0}, config);
   net::Engine sender(network, net::make_address(2, 6000));
   const std::vector<std::byte> garbage = {std::byte{0x01}, std::byte{0xff}};
-  sender.call_raw(service.instance(Namespace::kHardware).ranks[0],
-                  "soma.publish", garbage.size(),
+  const net::Address& rank = service.instance(Namespace::kHardware).ranks[0];
+  sender.call_raw(network.resolve(rank), "soma.publish", garbage.size(),
                   [&garbage](std::vector<std::byte>& frame) {
                     frame.insert(frame.end(), garbage.begin(), garbage.end());
                   });

@@ -785,7 +785,8 @@ class ReplicationLogBytesTest : public ReplicationPipelineTest {
   /// Send one hand-made soma.publish body to `rank`.
   void send_raw_publish(net::Engine& sender, const net::Address& rank,
                         const std::vector<std::byte>& body) {
-    sender.call_raw(rank, "soma.publish", body.size(),
+    sender.call_raw(sender.network().resolve(rank), "soma.publish",
+                    body.size(),
                     [&body](std::vector<std::byte>& frame) {
                       frame.insert(frame.end(), body.begin(), body.end());
                     });

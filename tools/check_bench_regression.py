@@ -4,7 +4,8 @@
 Compares a freshly generated BENCH_micro.json against the checked-in
 baseline and exits non-zero when any guarded benchmark's ns/op grew by
 more than the allowed fraction (default 20%). Guarded by default: the
-event-loop and RPC round-trip benches (the stable spine of the simulator)
+event-loop, periodic-task and RPC round-trip benches (the stable spine of
+the simulator; BM_PeriodicTasks covers the event-slot cancel/rearm path)
 plus all four cells of the BM_Publish matrix (batching off or 16 by
 replication factor 1 or 2, at 2 ranks) — a regression there means the
 ingest, batching or replication pipeline got slower, not just the host
@@ -23,6 +24,7 @@ import sys
 
 DEFAULT_GUARDS = [
     "BM_EventDispatch",
+    "BM_PeriodicTasks",
     "BM_RpcRoundTrip",
     "BM_Publish/batch:0/factor:1/",
     "BM_Publish/batch:16/factor:1/",

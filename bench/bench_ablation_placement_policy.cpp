@@ -67,7 +67,7 @@ Outcome run(rp::PlacementPolicy policy, bool soma_fed) {
         session.scheduler().set_utilization_source([&](NodeId node) {
           const std::string host =
               session.platform().node(node).hostname();
-          const auto* record = deployment->service().store().latest(
+          const auto* record = deployment->service().store_view().latest(
               core::Namespace::kHardware, host);
           if (record == nullptr) return 0.0;
           if (const auto* host_node = record->data.find_child(host)) {

@@ -19,12 +19,7 @@ int main(int argc, char** argv) {
 
   const char* max_scale_arg = nullptr;
   const StackConfig stack = bench::parse_stack(argc, argv, &max_scale_arg);
-  int max_scale = 512;
-  if (max_scale_arg != nullptr) {
-    max_scale =
-        static_cast<int>(bench::parse_count("max scale", max_scale_arg));
-    if (max_scale < 64) bench::usage_error("max scale must be at least 64");
-  }
+  const int max_scale = bench::parse_max_scale(max_scale_arg);
 
   struct Config {
     const char* name;

@@ -4,8 +4,12 @@
 // monitoring traffic (publishes, bytes), service-side queueing, client ack
 // latency ("is SOMA keeping pace"), and the end-to-end runtime overhead
 // relative to the unmonitored baseline.
+//
+// Pass a maximum scale (at least 64, e.g. "128") to truncate the sweep; it
+// takes the stack flags of bench_stack.hpp too, applied to the baseline and
+// the monitored runs alike.
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/ddmd_experiment.hpp"
 
 using namespace soma;
@@ -15,21 +19,24 @@ int main(int argc, char** argv) {
   bench::header("Overhead analysis",
                 "cost decomposition of SOMA monitoring (Scaling B axis)");
 
-  int max_scale = 512;
-  if (argc > 1) max_scale = std::atoi(argv[1]);
+  const char* max_scale_arg = nullptr;
+  const StackConfig stack = bench::parse_stack(argc, argv, &max_scale_arg);
+  const int max_scale = bench::parse_max_scale(max_scale_arg);
 
   TextTable table({"app nodes", "freq (s)", "publishes", "mean ack (ms)",
                    "max ack (ms)", "svc max queue (ms)",
                    "pipeline overhead vs none"});
   for (int scale : {64, 128, 256, 512}) {
     if (scale > max_scale) break;
-    const DdmdResult baseline = run_ddmd_experiment(
-        DdmdExperimentConfig::scaling_b(scale, SomaMode::kNone,
-                                        Duration::seconds(60.0)));
+    auto baseline_config = DdmdExperimentConfig::scaling_b(
+        scale, SomaMode::kNone, Duration::seconds(60.0));
+    baseline_config.stack() = stack;
+    const DdmdResult baseline = run_ddmd_experiment(baseline_config);
     for (double period : {60.0, 10.0}) {
-      const DdmdResult monitored = run_ddmd_experiment(
-          DdmdExperimentConfig::scaling_b(scale, SomaMode::kExclusive,
-                                          Duration::seconds(period)));
+      auto monitored_config = DdmdExperimentConfig::scaling_b(
+          scale, SomaMode::kExclusive, Duration::seconds(period));
+      monitored_config.stack() = stack;
+      const DdmdResult monitored = run_ddmd_experiment(monitored_config);
       const double overhead =
           (monitored.pipeline_summary.mean / baseline.pipeline_summary.mean -
            1.0) *

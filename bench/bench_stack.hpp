@@ -46,6 +46,15 @@ inline std::uint64_t parse_count(const std::string& what, const char* text) {
   return value;
 }
 
+/// The max-scale positional of the Scaling B sweeps (fig11, overhead
+/// analysis): at least 64; absent, the whole sweep up to 512 nodes.
+inline int parse_max_scale(const char* text) {
+  if (text == nullptr) return 512;
+  const int max_scale = static_cast<int>(parse_count("max scale", text));
+  if (max_scale < 64) usage_error("max scale must be at least 64");
+  return max_scale;
+}
+
 /// Parse the stack flags of argv. A bench that takes one positional
 /// argument (fig11's max scale) passes `positional`, which receives it;
 /// otherwise a positional argument is a usage error, like an unknown flag or

@@ -88,13 +88,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.to_string().c_str());
 
-  const core::DataStore& store = deployment->service().store();
+  const core::StoreView view = deployment->service().store_view();
   std::printf("\nSOMA captured %llu workflow records and %llu hardware "
               "records across %zu hosts\n",
               static_cast<unsigned long long>(
-                  store.record_count(core::Namespace::kWorkflow)),
+                  view.record_count(core::Namespace::kWorkflow)),
               static_cast<unsigned long long>(
-                  store.record_count(core::Namespace::kHardware)),
-              store.sources(core::Namespace::kHardware).size());
+                  view.record_count(core::Namespace::kHardware)),
+              view.sources(core::Namespace::kHardware).size());
   return 0;
 }

@@ -114,7 +114,7 @@ int main() {
   std::printf("\nexported %zu records to JSONL and reloaded %zu — offline "
               "series length %zu\n",
               exported, imported,
-              reloaded.series(core::Namespace::kApplication, "md.run42")
+              reloaded.view().series(core::Namespace::kApplication, "md.run42")
                   .size());
   return 0;
 }

@@ -23,13 +23,6 @@ FaultInjector::FaultInjector(FaultConfig config)
                     "default spike_probability");
 }
 
-void FaultInjector::set_link_faults(NodeId src, NodeId dst,
-                                    LinkFaults faults) {
-  check_probability(faults.drop_probability, "drop_probability");
-  check_probability(faults.spike_probability, "spike_probability");
-  link_overrides_[{src, dst}] = faults;
-}
-
 void FaultInjector::crash_endpoint(const Address& address, SimTime from,
                                    SimTime until) {
   check(until > from, "crash window must end after it starts");
@@ -66,11 +59,6 @@ bool FaultInjector::partitioned(NodeId a, NodeId b, SimTime at) const {
   return false;
 }
 
-const LinkFaults& FaultInjector::link(NodeId src, NodeId dst) const {
-  const auto it = link_overrides_.find({src, dst});
-  return it == link_overrides_.end() ? config_.default_link : it->second;
-}
-
 Rng& FaultInjector::stream(NodeId src, NodeId dst) {
   const auto key = std::make_pair(src, dst);
   const auto it = streams_.find(key);
@@ -92,7 +80,7 @@ FaultInjector::Decision FaultInjector::decide(NodeId src, NodeId dst,
   // keeps each link's stream independent of outcomes and of other links.
   double u_spike = 2.0;
   double u_drop = 2.0;
-  const LinkFaults& faults = link(src, dst);
+  const LinkFaults& faults = config_.default_link;
   if (src != dst && faults.stochastic()) {
     Rng& rng = stream(src, dst);
     u_spike = rng.uniform();

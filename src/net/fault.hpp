@@ -59,7 +59,7 @@ struct LinkFaults {
 struct FaultConfig {
   /// Base seed for the per-link rng streams (experiments: `--fault-seed`).
   std::uint64_t seed = 1;
-  /// Faults applied to every cross-node link without an override.
+  /// Faults applied to every cross-node link.
   LinkFaults default_link{};
 };
 
@@ -68,9 +68,6 @@ class FaultInjector {
   explicit FaultInjector(FaultConfig config = {});
 
   [[nodiscard]] const FaultConfig& config() const { return config_; }
-
-  /// Override the fault profile of one directed node link.
-  void set_link_faults(NodeId src, NodeId dst, LinkFaults faults);
 
   /// Declare an outage window [from, until) during which `address` is
   /// unreachable: messages arriving in the window are dropped, and messages
@@ -119,12 +116,10 @@ class FaultInjector {
     SimTime until;  // exclusive
   };
 
-  [[nodiscard]] const LinkFaults& link(NodeId src, NodeId dst) const;
   Rng& stream(NodeId src, NodeId dst);
 
   FaultConfig config_;
   Rng base_rng_;
-  std::map<std::pair<NodeId, NodeId>, LinkFaults> link_overrides_;
   std::map<std::pair<NodeId, NodeId>, Rng> streams_;
   std::map<Address, std::vector<Outage>> crashes_;
   std::vector<PartitionWindow> partitions_;

@@ -24,6 +24,24 @@ std::vector<std::byte> encode_response(std::uint64_t request_id,
 
 }  // namespace
 
+EngineStats& EngineStats::operator+=(const EngineStats& other) {
+  requests_handled += other.requests_handled;
+  bulk_transfers += other.bulk_transfers;
+  requests_sent += other.requests_sent;
+  responses_received += other.responses_received;
+  bytes_in += other.bytes_in;
+  bytes_out += other.bytes_out;
+  timeouts += other.timeouts;
+  retries += other.retries;
+  calls_failed += other.calls_failed;
+  duplicate_responses += other.duplicate_responses;
+  retried_requests += other.retried_requests;
+  total_queue_delay += other.total_queue_delay;
+  max_queue_delay = std::max(max_queue_delay, other.max_queue_delay);
+  total_service_time += other.total_service_time;
+  return *this;
+}
+
 Engine::Engine(Network& network, Address address, ServiceCost cost)
     : network_(network),
       id_(network.bind(address,

@@ -118,6 +118,9 @@ struct EngineStats {
   Duration max_queue_delay;
   Duration total_service_time;
   Duration busy_time() const { return total_service_time; }
+
+  /// Accumulate `other` field by field (max for max_queue_delay).
+  EngineStats& operator+=(const EngineStats& other);
 };
 
 class Engine {

@@ -22,18 +22,11 @@ namespace soma::core {
 /// regardless of shard count or backend.
 /// Returns the number of lines written.
 std::size_t export_store(const StoreView& view, std::ostream& out);
-inline std::size_t export_store(const DataStore& store, std::ostream& out) {
-  return export_store(store.view(), out);
-}
 
 /// Convenience: export to a file path. Throws ConfigError when the file
 /// cannot be opened.
 std::size_t export_store_to_file(const StoreView& view,
                                  const std::string& path);
-inline std::size_t export_store_to_file(const DataStore& store,
-                                        const std::string& path) {
-  return export_store_to_file(store.view(), path);
-}
 
 /// Parse one exported line back into (namespace, source, time, data).
 /// Returns false on a blank line; throws LookupError on malformed input.

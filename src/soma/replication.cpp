@@ -124,8 +124,7 @@ void ReplicationManager::start() {
       PeerLink link;
       link.peer = peer;
       rank.links.push_back(link);
-      ranks_[peer].replicas[i] = make_storage_backend(store_.config());
-      ranks_[peer].replica_seq[i] = 0;
+      ranks_[peer].replicas[i].backend = make_storage_backend(store_.config());
     }
   }
 
@@ -276,8 +275,8 @@ datamodel::Node ReplicationManager::handle_replicate(
       throw LookupError("replication: rank holds no replica of shard " +
                         std::to_string(home_shard));
     }
-    replica = it->second.get();
-    applied = &holder.replica_seq[home];
+    replica = it->second.backend.get();
+    applied = &it->second.applied;
   } else if (kind != kFrameResync) {
     throw LookupError("unknown replication frame");
   }
@@ -384,8 +383,7 @@ void ReplicationManager::send_heartbeats(std::size_t index) {
 void ReplicationManager::record_heartbeat_ack(std::size_t target_index) {
   Rank& target = ranks_[target_index];
   target.missed_heartbeats = 0;
-  if (target.health != RankHealth::kLive && !target.wiped &&
-      !target.resyncing) {
+  if (target.health != RankHealth::kLive && !target.wiped) {
     target.health = RankHealth::kLive;
     update_instance_read_routes(target.ns);
   }
@@ -413,15 +411,14 @@ void ReplicationManager::wipe(std::size_t index) {
   ++stats_.crash_wipes;
   ++rank.epoch;  // invalidate every in-flight callback of the old process
   rank.wiped = true;
-  rank.resyncing = false;
   rank.resync.reset();
   rank.resync_applied = 0;
   store_.shard(rank.ns, rank.shard).clear();
   rank.log.clear();
   for (PeerLink& link : rank.links) link.window = Window{};
   for (auto& [home, replica] : rank.replicas) {
-    replica->clear();
-    rank.replica_seq[home] = 0;
+    replica.backend->clear();
+    replica.applied = 0;
   }
   update_instance_read_routes(rank.ns);
 }
@@ -431,7 +428,6 @@ void ReplicationManager::begin_recovery(std::size_t index) {
   ++stats_.recoveries_started;
   ++rank.epoch;
   rank.health = RankHealth::kRecovering;
-  rank.resyncing = true;
   rank.missed_heartbeats = 0;
   rank.resync_applied = 0;
 
@@ -441,7 +437,8 @@ void ReplicationManager::begin_recovery(std::size_t index) {
   const std::size_t best_holder = freshest_holder(index);
   std::vector<LogEntry> snapshot;
   if (best_holder != ranks_.size()) {
-    const StorageBackend& replica = *ranks_[best_holder].replicas.at(index);
+    const StorageBackend& replica =
+        *ranks_[best_holder].replicas.at(index).backend;
     for (const std::string& source : replica.sources()) {
       for (const TimedRecord* record : replica.series(source)) {
         snapshot.push_back(
@@ -457,8 +454,8 @@ void ReplicationManager::begin_recovery(std::size_t index) {
     Rank& holder = ranks_[link.peer];
     if (auto replica = holder.replicas.find(index);
         replica != holder.replicas.end()) {
-      replica->second->clear();
-      holder.replica_seq[index] = 0;
+      replica->second.backend->clear();
+      replica->second.applied = 0;
     }
     link.window = Window{};
   }
@@ -494,7 +491,6 @@ void ReplicationManager::begin_recovery(std::size_t index) {
 void ReplicationManager::finish_recovery(std::size_t index) {
   Rank& rank = ranks_[index];
   rank.resync.reset();
-  rank.resyncing = false;
   rank.wiped = false;
   rank.health = RankHealth::kLive;
   rank.missed_heartbeats = 0;
@@ -504,16 +500,14 @@ void ReplicationManager::finish_recovery(std::size_t index) {
 
 void ReplicationManager::update_read_route(std::size_t index) {
   Rank& rank = ranks_[index];
-  const bool reroute =
-      rank.wiped || rank.resyncing || rank.health == RankHealth::kDead;
-  if (!reroute) {
+  if (!rank.wiped && rank.health != RankHealth::kDead) {
     store_.clear_read_override(rank.ns, rank.shard);
     return;
   }
   const std::size_t holder = freshest_holder(index);
   if (holder != ranks_.size()) {
     store_.set_read_override(rank.ns, rank.shard,
-                             ranks_[holder].replicas.at(index).get());
+                             ranks_[holder].replicas.at(index).backend.get());
   } else {
     store_.clear_read_override(rank.ns, rank.shard);
   }
@@ -525,9 +519,9 @@ std::size_t ReplicationManager::freshest_holder(std::size_t index) const {
   for (const PeerLink& link : ranks_[index].links) {
     const Rank& holder = ranks_[link.peer];
     if (holder.wiped || endpoint_down_now(holder)) continue;
-    const auto seq = holder.replica_seq.find(index);
+    const auto replica = holder.replicas.find(index);
     const std::uint64_t applied =
-        seq == holder.replica_seq.end() ? 0 : seq->second;
+        replica == holder.replicas.end() ? 0 : replica->second.applied;
     if (best == ranks_.size() || applied > best_seq) {
       best = link.peer;
       best_seq = applied;
@@ -580,7 +574,7 @@ const StorageBackend* ReplicationManager::replica(Namespace ns, int home_shard,
   const std::size_t home = rank_at(ns, home_shard);
   const Rank& holder = ranks_[rank_at(ns, holder_shard)];
   const auto it = holder.replicas.find(home);
-  return it == holder.replicas.end() ? nullptr : it->second.get();
+  return it == holder.replicas.end() ? nullptr : it->second.backend.get();
 }
 
 std::span<const std::byte> ReplicationManager::logged_record(

@@ -197,6 +197,12 @@ class ReplicationManager {
     Window window;
   };
 
+  /// A replica one rank holds of another rank's shard.
+  struct HeldReplica {
+    std::unique_ptr<StorageBackend> backend;
+    std::uint64_t applied = 0;  ///< records applied (cumulative ack)
+  };
+
   struct Rank {
     Namespace ns = Namespace::kWorkflow;
     int shard = 0;
@@ -205,18 +211,16 @@ class ReplicationManager {
     int missed_heartbeats = 0;
     /// Injector ground truth at this rank's last self-poll.
     bool down = false;
-    /// Memory lost to a crash and not yet restored by resync.
+    /// Memory lost to a crash and not yet restored by resync (set by the
+    /// wipe, cleared when recovery finishes; resync runs while it is set).
     bool wiped = false;
-    bool resyncing = false;
     /// Bumped on every wipe; async callbacks capture it and drop themselves
     /// when stale, so a restarted process never acts on pre-crash futures.
     std::uint64_t epoch = 0;
     std::vector<LogEntry> log;
     std::vector<PeerLink> links;  ///< successors holding this shard's replicas
-    /// Replicas this rank holds FOR other primaries: home rank index ->
-    /// backend / applied-record count (cumulative ack).
-    std::map<std::size_t, std::unique_ptr<StorageBackend>> replicas;
-    std::map<std::size_t, std::uint64_t> replica_seq;
+    /// Replicas this rank holds FOR other primaries, by home rank index.
+    std::map<std::size_t, HeldReplica> replicas;
     /// Resync records applied since this rank last began recovering.
     std::uint64_t resync_applied = 0;
     std::unique_ptr<sim::PeriodicTask> heartbeat;

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "net/wire.hpp"
+#include "soma/export.hpp"
 
 namespace soma::core {
 namespace {
@@ -187,28 +188,7 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
             static_cast<std::int64_t>(view.ingested_bytes(ns)));
       }
     } else if (kind == "shards") {
-      // Per-shard ingest balance: how evenly the source hash spread load
-      // over the ranks' shards (Table 1/2 shard-balance summaries).
-      reply["backend"].set(std::string(to_string(store_.backend_kind())));
-      reply["shard_count"].set(
-          static_cast<std::int64_t>(store_.shard_count()));
-      for (Namespace ns : config_.namespaces) {
-        datamodel::Node& entry = reply[std::string(to_string(ns))];
-        for (int i = 0; i < store_.shard_count(); ++i) {
-          const StorageBackend& shard = store_.shard(ns, i);
-          datamodel::Node& slot = entry["shard_" + std::to_string(i)];
-          slot["records"].set(
-              static_cast<std::int64_t>(shard.record_count()));
-          slot["bytes"].set(
-              static_cast<std::int64_t>(shard.ingested_bytes()));
-          if (replication_ != nullptr) {
-            slot["replica_lag_records"].set(static_cast<std::int64_t>(
-                replication_->replica_lag(ns, i)));
-            slot["health"].set(
-                std::string(to_string(replication_->health(ns, i))));
-          }
-        }
-      }
+      reply = export_shard_report(store_, replication_.get());
     } else if (kind == "analyze") {
       // In-situ analysis: run a registered analyzer against the store and
       // return the result — the data never leaves the service.
@@ -242,23 +222,14 @@ std::vector<std::string> SomaService::analyzer_names() const {
 }
 
 net::EngineStats SomaService::instance_stats(Namespace ns) const {
-  net::EngineStats total;
+  // Engines are built namespace-major: instance i owns the i-th block of
+  // ranks_per_namespace engines.
   const InstanceInfo& info = instance(ns);
-  for (const auto& engine : engines_) {
-    if (std::find(info.ranks.begin(), info.ranks.end(), engine->address()) ==
-        info.ranks.end()) {
-      continue;
-    }
-    const net::EngineStats& s = engine->stats();
-    total.requests_handled += s.requests_handled;
-    total.bulk_transfers += s.bulk_transfers;
-    total.bytes_in += s.bytes_in;
-    total.bytes_out += s.bytes_out;
-    total.retried_requests += s.retried_requests;
-    total.duplicate_responses += s.duplicate_responses;
-    total.total_queue_delay += s.total_queue_delay;
-    total.max_queue_delay = std::max(total.max_queue_delay, s.max_queue_delay);
-    total.total_service_time += s.total_service_time;
+  const auto first = static_cast<std::size_t>(&info - instances_.data()) *
+                     info.ranks.size();
+  net::EngineStats total;
+  for (std::size_t r = 0; r < info.ranks.size(); ++r) {
+    total += engines_[first + r]->stats();
   }
   return total;
 }

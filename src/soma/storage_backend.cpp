@@ -25,8 +25,7 @@ std::unique_ptr<StorageBackend> make_storage_backend(
     const StorageConfig& config) {
   switch (config.backend) {
     case StorageBackendKind::kMap: return std::make_unique<MapBackend>();
-    case StorageBackendKind::kLog:
-      return std::make_unique<LogBackend>(config.latest_cache_capacity);
+    case StorageBackendKind::kLog: return std::make_unique<LogBackend>();
   }
   throw ConfigError("unknown storage backend kind");
 }

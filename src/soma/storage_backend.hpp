@@ -10,8 +10,8 @@
 //   * kMap — the historical per-source std::map of record vectors. Simple,
 //     contiguous per-source storage, sorted source iteration for free.
 //   * kLog — an append-only record log (stable addresses) with a sorted
-//     per-source index and an LRU latest-snapshot cache, the layout an
-//     eviction/compression/spill-to-disk backend grows out of.
+//     per-source index, the layout an eviction/compression/spill-to-disk
+//     backend grows out of.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +41,7 @@ struct BatchItem {
 
 enum class StorageBackendKind {
   kMap = 0,  ///< per-source std::map of record vectors (default)
-  kLog = 1,  ///< append-only log + sorted per-source index + LRU latest cache
+  kLog = 1,  ///< append-only log + sorted per-source index
 };
 
 [[nodiscard]] std::string_view to_string(StorageBackendKind kind);
@@ -55,8 +55,6 @@ struct StorageConfig {
   /// shard per service rank of the namespace instance; offline stores
   /// (export/import tools, tests) default to a single shard.
   int shards_per_namespace = 0;
-  /// Capacity of the log backend's LRU latest-snapshot cache (per shard).
-  std::size_t latest_cache_capacity = 128;
 };
 
 /// FNV-1a over the source name: stable across runs, platforms, and processes
@@ -104,8 +102,8 @@ class StorageBackend {
 
   /// Append a whole publish batch in one pass. Equivalent to appending the
   /// items in order — same final series, same counters — but lets an
-  /// implementation amortize per-source index and cache maintenance across
-  /// the batch instead of paying it per record.
+  /// implementation amortize per-source index maintenance across the batch
+  /// instead of paying it per record.
   virtual void append_batch(std::vector<BatchItem> items) = 0;
 
   /// Drop every record and zero every counter, as a process restart loses a

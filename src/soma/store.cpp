@@ -100,39 +100,6 @@ void DataStore::append(Namespace ns, const std::string& source, SimTime time,
 
 StoreView DataStore::view() const { return StoreView(*this); }
 
-const TimedRecord* DataStore::latest(Namespace ns,
-                                     const std::string& source) const {
-  return view().latest(ns, source);
-}
-
-std::vector<const TimedRecord*> DataStore::series(
-    Namespace ns, const std::string& source) const {
-  return view().series(ns, source);
-}
-
-std::vector<const TimedRecord*> DataStore::range(Namespace ns,
-                                                 const std::string& source,
-                                                 SimTime from,
-                                                 SimTime to) const {
-  return view().range(ns, source, from, to);
-}
-
-std::vector<std::string> DataStore::sources(Namespace ns) const {
-  return view().sources(ns);
-}
-
-std::uint64_t DataStore::record_count(Namespace ns) const {
-  return view().record_count(ns);
-}
-
-std::uint64_t DataStore::total_records() const {
-  return view().total_records();
-}
-
-std::uint64_t DataStore::ingested_bytes(Namespace ns) const {
-  return view().ingested_bytes(ns);
-}
-
 std::vector<ShardCounters> DataStore::shard_counters() const {
   std::vector<ShardCounters> out;
   out.reserve(shards_.size() * static_cast<std::size_t>(shard_count()));

@@ -72,21 +72,9 @@ class DataStore {
   /// installed, the primary otherwise. All StoreView reads go through this.
   [[nodiscard]] const StorageBackend& read_shard(Namespace ns, int index) const;
 
-  /// Scatter-gather read facade over every shard of every namespace.
+  /// Scatter-gather read facade over every shard of every namespace: the
+  /// store's only cross-shard read API.
   [[nodiscard]] StoreView view() const;
-
-  // ---- convenience reads (delegate to the view; see StoreView for
-  // semantics). Kept so storage-layer tests and tools read naturally. ----
-  [[nodiscard]] const TimedRecord* latest(Namespace ns,
-                                          const std::string& source) const;
-  [[nodiscard]] std::vector<const TimedRecord*> series(
-      Namespace ns, const std::string& source) const;
-  [[nodiscard]] std::vector<const TimedRecord*> range(
-      Namespace ns, const std::string& source, SimTime from, SimTime to) const;
-  [[nodiscard]] std::vector<std::string> sources(Namespace ns) const;
-  [[nodiscard]] std::uint64_t record_count(Namespace ns) const;
-  [[nodiscard]] std::uint64_t total_records() const;
-  [[nodiscard]] std::uint64_t ingested_bytes(Namespace ns) const;
 
   /// Per-shard counters, namespace-major then shard order.
   [[nodiscard]] std::vector<ShardCounters> shard_counters() const;

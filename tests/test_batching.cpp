@@ -327,7 +327,7 @@ PipelineOutcome run_pipeline(StorageBackendKind backend,
     }
   }
   std::ostringstream out;
-  export_store(service.store(), out);
+  export_store(service.store_view(), out);
   outcome.exported = out.str();
   outcome.stored = service.publishes_received();
   outcome.batches_at_service = service.batches_received();
@@ -440,7 +440,7 @@ ReplayOutcome run_batch_replay(bool crash_collector) {
 
   ReplayOutcome outcome;
   for (const TimedRecord* record :
-       service.store().series(Namespace::kHardware, "cn0001")) {
+       service.store_view().series(Namespace::kHardware, "cn0001")) {
     outcome.values.push_back(record->data.fetch_existing("v").as_float64());
     outcome.times.push_back(record->time.nanos());
   }

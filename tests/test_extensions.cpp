@@ -98,19 +98,19 @@ core::DataStore populated_store() {
 TEST(ExportTest, RoundTrip) {
   const core::DataStore original = populated_store();
   std::stringstream stream;
-  EXPECT_EQ(core::export_store(original, stream), 3u);
+  EXPECT_EQ(core::export_store(original.view(), stream), 3u);
 
   core::DataStore restored;
   EXPECT_EQ(core::import_store(restored, stream), 3u);
-  EXPECT_EQ(restored.total_records(), 3u);
+  EXPECT_EQ(restored.view().total_records(), 3u);
   const auto series =
-      restored.series(core::Namespace::kHardware, "cn0001");
+      restored.view().series(core::Namespace::kHardware, "cn0001");
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0]->time, SimTime::from_seconds(30.0));
   EXPECT_DOUBLE_EQ(
       series[1]->data.fetch_existing("cn0001/cpu_utilization").as_float64(),
       0.7);
-  EXPECT_EQ(restored
+  EXPECT_EQ(restored.view()
                 .latest(core::Namespace::kWorkflow, "rp_monitor")
                 ->data.fetch_existing("summary/tasks_done")
                 .as_int64(),
@@ -120,7 +120,7 @@ TEST(ExportTest, RoundTrip) {
 TEST(ExportTest, TruncatedFinalLineTolerated) {
   const core::DataStore original = populated_store();
   std::stringstream stream;
-  core::export_store(original, stream);
+  core::export_store(original.view(), stream);
   std::string text = stream.str();
   text.resize(text.size() - 10);  // chop the end of the last record
 
@@ -138,7 +138,7 @@ TEST(ExportTest, MalformedLineThrows) {
 TEST(ExportTest, FileRoundTrip) {
   const core::DataStore original = populated_store();
   const std::string path = ::testing::TempDir() + "/soma_export_test.jsonl";
-  EXPECT_EQ(core::export_store_to_file(original, path), 3u);
+  EXPECT_EQ(core::export_store_to_file(original.view(), path), 3u);
   core::DataStore restored;
   EXPECT_EQ(core::import_store_from_file(restored, path), 3u);
   EXPECT_THROW(core::import_store_from_file(restored, "/nonexistent/x"),
@@ -170,7 +170,7 @@ TEST_F(AppInstrumentTest, CommitPublishesBufferedMetrics) {
   simulation.run();
 
   const auto* record =
-      service.store().latest(core::Namespace::kApplication, "md.run42");
+      service.store_view().latest(core::Namespace::kApplication, "md.run42");
   ASSERT_NE(record, nullptr);
   const auto& by_time = record->data.fetch_existing("md.run42");
   ASSERT_EQ(by_time.number_of_children(), 1u);
@@ -191,7 +191,7 @@ TEST_F(AppInstrumentTest, LatestValueWinsWithinBatch) {
   app.commit();
   simulation.run();
   const auto* record =
-      service.store().latest(core::Namespace::kApplication, "app");
+      service.store_view().latest(core::Namespace::kApplication, "app");
   EXPECT_DOUBLE_EQ(
       record->data.fetch_existing("app").child_at(0).fetch_existing("fom")
           .as_float64(),
@@ -219,7 +219,7 @@ TEST_F(AppInstrumentTest, ProgressClamped) {
   app.commit();
   simulation.run();
   const auto* record =
-      service.store().latest(core::Namespace::kApplication, "app");
+      service.store_view().latest(core::Namespace::kApplication, "app");
   EXPECT_DOUBLE_EQ(record->data.fetch_existing("app")
                        .child_at(0)
                        .fetch_existing("progress")

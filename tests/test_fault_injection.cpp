@@ -522,14 +522,14 @@ ReplayRunOutcome run_replay_scenario(bool crash_collector) {
 
   ReplayRunOutcome outcome;
   for (const TimedRecord* record :
-       service.store().series(Namespace::kHardware, "cn0001")) {
+       service.store_view().series(Namespace::kHardware, "cn0001")) {
     outcome.values.push_back(record->data.fetch_existing("v").as_float64());
     outcome.times.push_back(record->time.nanos());
   }
   outcome.publishes = service.publishes_received();
   outcome.replayed_at_service = service.replayed_publishes();
   outcome.records_in_window =
-      service.store()
+      service.store_view()
           .range(Namespace::kHardware, "cn0001", SimTime::from_seconds(9.5),
                  SimTime::from_seconds(25.5))
           .size();
@@ -734,7 +734,7 @@ void expect_export_matches_store(const SomaService& service) {
             .fetch_existing("records")
             .as_int64());
   }
-  EXPECT_EQ(exported, service.store().total_records());
+  EXPECT_EQ(exported, service.store_view().total_records());
 }
 
 TEST_P(FaultConservationTest, SinglePublishesConservedAcrossCrash) {
@@ -772,8 +772,8 @@ TEST_P(FaultConservationTest, SinglePublishesConservedAcrossCrash) {
   EXPECT_GT(stats.dropped_overflow, 0u);
   EXPECT_EQ(stats.dropped_batch_records, 0u);
   EXPECT_EQ(client.buffered_pending(), 0u);  // outage ended; all replayed
-  EXPECT_EQ(service.store().total_records() + stats.dropped_overflow, 40u);
-  EXPECT_EQ(service.publishes_received(), service.store().total_records());
+  EXPECT_EQ(service.store_view().total_records() + stats.dropped_overflow, 40u);
+  EXPECT_EQ(service.publishes_received(), service.store_view().total_records());
   expect_export_matches_store(service);
 }
 
@@ -817,10 +817,10 @@ TEST_P(FaultConservationTest, BatchedPublishesConservedAcrossCrash) {
   EXPECT_GT(stats.batches_sent, 0u);
   EXPECT_GT(stats.dropped_batch_records, 0u);
   EXPECT_EQ(client.buffered_pending(), 0u);
-  EXPECT_EQ(service.store().total_records() + stats.dropped_batch_records +
+  EXPECT_EQ(service.store_view().total_records() + stats.dropped_batch_records +
                 stats.dropped_overflow,
             80u);
-  EXPECT_EQ(service.publishes_received(), service.store().total_records());
+  EXPECT_EQ(service.publishes_received(), service.store_view().total_records());
   expect_export_matches_store(service);
 }
 

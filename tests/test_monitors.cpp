@@ -60,7 +60,7 @@ TEST_F(RpMonitorTest, PublishesSummaries) {
 
   EXPECT_GE(monitor->ticks(), 6u);
   const auto series =
-      service->store().series(core::Namespace::kWorkflow, "rp_monitor");
+      service->store_view().series(core::Namespace::kWorkflow, "rp_monitor");
   ASSERT_GE(series.size(), 6u);
 
   // Early tick: the task is pending or executing; late tick: done.
@@ -93,7 +93,7 @@ TEST_F(RpMonitorTest, EventsPublishedIncrementally) {
   session.run();
 
   const auto series =
-      service->store().series(core::Namespace::kWorkflow, "rp_monitor");
+      service->store_view().series(core::Namespace::kWorkflow, "rp_monitor");
   // rank_start for task "t" appears in exactly one tick's event block.
   int ticks_with_rank_start = 0;
   for (const auto* record : series) {
@@ -178,7 +178,7 @@ TEST_F(RpMonitorTest, EventsSharingANanosecondKeepTheLastOne) {
   std::map<std::string, std::map<std::string, std::string>> published;
   std::uint64_t digest = 1469598103934665603ULL;  // FNV-1a over events bytes
   for (const auto* record :
-       service->store().series(core::Namespace::kWorkflow, "rp_monitor")) {
+       service->store_view().series(core::Namespace::kWorkflow, "rp_monitor")) {
     const auto& events = record->data.fetch_existing("events");
     for (const std::byte b : events.pack()) {
       digest = (digest ^ static_cast<std::uint8_t>(b)) * 1099511628211ULL;
@@ -471,9 +471,11 @@ TEST(RpMonitorSummaryTest, ProbingBetweenTicksLeavesRecordsUnchanged) {
   const DdmdSession plain(/*probe=*/false);
   const DdmdSession probed(/*probe=*/true);
   const auto plain_series =
-      plain.service->store().series(core::Namespace::kWorkflow, "rp_monitor");
+      plain.service->store_view().series(core::Namespace::kWorkflow,
+                                         "rp_monitor");
   const auto probed_series =
-      probed.service->store().series(core::Namespace::kWorkflow, "rp_monitor");
+      probed.service->store_view().series(core::Namespace::kWorkflow,
+                                          "rp_monitor");
   ASSERT_GT(plain_series.size(), 10u);
   ASSERT_EQ(plain_series.size(), probed_series.size());
   for (std::size_t i = 0; i < plain_series.size(); ++i) {
@@ -515,7 +517,7 @@ TEST_F(HwMonitorTest, PublishesSnapshotsWithUtilization) {
   }
 
   const auto series =
-      service.store().series(core::Namespace::kHardware, "cn0001");
+      service.store_view().series(core::Namespace::kHardware, "cn0001");
   ASSERT_EQ(series.size(), 4u);
   const auto& last = series.back()->data;
   EXPECT_TRUE(last.has_path("cn0001/cpu_utilization"));
@@ -565,10 +567,10 @@ TEST_F(HwMonitorTest, GpuUtilizationSampled) {
     EXPECT_NEAR(sample.gpu_utilization, 0.5, 1e-9);
   }
   const auto* record =
-      service.store().latest(core::Namespace::kHardware, "cn0001");
+      service.store_view().latest(core::Namespace::kHardware, "cn0001");
   // The last publish may still be in flight at stop(); drain first.
   simulation.run();
-  record = service.store().latest(core::Namespace::kHardware, "cn0001");
+  record = service.store_view().latest(core::Namespace::kHardware, "cn0001");
   ASSERT_NE(record, nullptr);
   EXPECT_NEAR(
       record->data.fetch_existing("cn0001/gpu_utilization").as_float64(), 0.5,

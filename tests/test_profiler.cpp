@@ -109,7 +109,7 @@ TEST_F(TauIntegrationTest, PluginPublishesToPerformanceNamespace) {
   simulation.run();
 
   EXPECT_EQ(plugin.profiles_published(), 1u);
-  const auto* record = service.store().latest(
+  const auto* record = service.store_view().latest(
       core::Namespace::kPerformance, "task.000007");
   ASSERT_NE(record, nullptr);
   const TauProfile back =

@@ -532,7 +532,7 @@ TEST_F(PublishBodyIngestTest, NonIntTimeSurfacesFromRun) {
                                  {"t", packed(1.0)}});
   send_publish(service.instance(Namespace::kHardware).ranks[0], body);
   EXPECT_THROW(simulation.run(), LookupError);
-  EXPECT_EQ(service.store().total_records(), 0u);
+  EXPECT_EQ(service.store_view().total_records(), 0u);
 }
 
 }  // namespace

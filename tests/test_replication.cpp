@@ -114,7 +114,7 @@ PlainRunOutcome run_unreplicated(const ReplicationConfig& replication) {
   outcome.final_nanos = simulation.run().nanos();
   outcome.events = simulation.events_dispatched();
   outcome.publishes = service.publishes_received();
-  outcome.records = service.store().total_records();
+  outcome.records = service.store_view().total_records();
   return outcome;
 }
 
@@ -378,7 +378,7 @@ RecoveryOutcome run_recovery_scenario(StorageBackendKind backend,
       outcome.times[source].push_back(record->time.nanos());
     }
   }
-  outcome.store_records = service.store().total_records();
+  outcome.store_records = service.store_view().total_records();
   outcome.stats = service.replication()->stats();
   return outcome;
 }
@@ -700,10 +700,49 @@ TEST_F(ReplicationPipelineTest, ShardReportAndQueryCarryReplicaLag) {
     EXPECT_EQ(slot.fetch_existing("health").as_string(), "live");
   }
 
-  // Unreplicated stores report no replication subtree (and the query slots
-  // stay as they were — the byte-parity contract).
+  // The query's reply is the report itself (nothing changed since).
+  EXPECT_EQ(shards_reply.to_json(), report.to_json());
+
+  // Unreplicated stores report no replication subtree.
   const datamodel::Node plain = core::export_shard_report(service.store());
   EXPECT_EQ(plain.find_child("replication"), nullptr);
+}
+
+// ---------- instance stats: the service ranks' own calls ----------
+
+TEST_F(ReplicationPipelineTest, InstanceStatsCountReplicationCalls) {
+  // Service ranks are RPC clients too: they send replication frames and
+  // heartbeats, and on a lossy fabric they retry frames. instance_stats
+  // must carry those client-side counters, not only the server-side ones.
+  net::FaultConfig fault_config;
+  fault_config.seed = 99;
+  fault_config.default_link.drop_probability = 0.05;
+  network.install_faults(fault_config);
+  ServiceConfig service_config;
+  service_config.namespaces = {Namespace::kHardware};
+  service_config.ranks_per_namespace = 3;
+  service_config.replication = fast_replication(2);
+  SomaService service(network, {0, 2, 4}, service_config);
+  SomaClient client(network, 1, 6000, Namespace::kHardware,
+                    service.instance(Namespace::kHardware).ranks);
+  for (int i = 0; i < 20; ++i) {
+    simulation.schedule_at(SimTime::from_seconds(0.5 * (i + 1)), [&, i] {
+      client.publish("cn" + std::to_string(1000 + i % 6), value_node(i));
+    });
+  }
+  drain(service, 20.0);
+
+  const net::EngineStats stats = service.instance_stats(Namespace::kHardware);
+  const core::ReplicationStats& replication = service.replication()->stats();
+  EXPECT_GT(stats.retries, 0u);
+  // Every first attempt is a replication frame or a heartbeat; every
+  // further attempt is a retry.
+  EXPECT_EQ(stats.requests_sent, replication.frames_sent +
+                                     replication.heartbeats_sent +
+                                     stats.retries);
+  // Each timeout either retried the call or gave it up.
+  EXPECT_EQ(stats.timeouts, stats.retries + stats.calls_failed);
+  EXPECT_GT(stats.responses_received, 0u);
 }
 
 // ---------- the packed replication log ----------

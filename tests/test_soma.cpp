@@ -37,35 +37,38 @@ datamodel::Node value_node(double v) {
 
 TEST(DataStoreTest, AppendAndLatest) {
   DataStore store;
+  const StoreView view = store.view();
   store.append(Namespace::kHardware, "cn0001", SimTime::from_seconds(1.0),
                value_node(0.1));
   store.append(Namespace::kHardware, "cn0001", SimTime::from_seconds(2.0),
                value_node(0.2));
-  const TimedRecord* latest = store.latest(Namespace::kHardware, "cn0001");
+  const TimedRecord* latest = view.latest(Namespace::kHardware, "cn0001");
   ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->time, SimTime::from_seconds(2.0));
   EXPECT_DOUBLE_EQ(latest->data.fetch_existing("v").as_float64(), 0.2);
-  EXPECT_EQ(store.latest(Namespace::kHardware, "cn0002"), nullptr);
+  EXPECT_EQ(view.latest(Namespace::kHardware, "cn0002"), nullptr);
 }
 
 TEST(DataStoreTest, NamespacesAreIsolated) {
   DataStore store;
+  const StoreView view = store.view();
   store.append(Namespace::kHardware, "key", SimTime::zero(), value_node(1.0));
-  EXPECT_EQ(store.latest(Namespace::kWorkflow, "key"), nullptr);
-  EXPECT_EQ(store.record_count(Namespace::kHardware), 1u);
-  EXPECT_EQ(store.record_count(Namespace::kWorkflow), 0u);
-  EXPECT_EQ(store.total_records(), 1u);
+  EXPECT_EQ(view.latest(Namespace::kWorkflow, "key"), nullptr);
+  EXPECT_EQ(view.record_count(Namespace::kHardware), 1u);
+  EXPECT_EQ(view.record_count(Namespace::kWorkflow), 0u);
+  EXPECT_EQ(view.total_records(), 1u);
 }
 
 TEST(DataStoreTest, RangeQuery) {
   DataStore store;
+  const StoreView view = store.view();
   for (int i = 1; i <= 5; ++i) {
     store.append(Namespace::kWorkflow, "m", SimTime::from_seconds(i),
                  value_node(i));
   }
-  const auto in_range = store.range(Namespace::kWorkflow, "m",
-                                    SimTime::from_seconds(2.0),
-                                    SimTime::from_seconds(4.0));
+  const auto in_range = view.range(Namespace::kWorkflow, "m",
+                                   SimTime::from_seconds(2.0),
+                                   SimTime::from_seconds(4.0));
   ASSERT_EQ(in_range.size(), 3u);
   EXPECT_EQ(in_range.front()->time, SimTime::from_seconds(2.0));
   EXPECT_EQ(in_range.back()->time, SimTime::from_seconds(4.0));
@@ -73,58 +76,56 @@ TEST(DataStoreTest, RangeQuery) {
 
 TEST(DataStoreTest, RangeBoundaries) {
   DataStore store;
+  const StoreView view = store.view();
 
   // Unknown source / empty store.
-  EXPECT_TRUE(store
-                  .range(Namespace::kWorkflow, "missing", SimTime::zero(),
+  EXPECT_TRUE(view.range(Namespace::kWorkflow, "missing", SimTime::zero(),
                          SimTime::from_seconds(10.0))
                   .empty());
 
   // Single record: inclusive on both ends.
   store.append(Namespace::kWorkflow, "m", SimTime::from_seconds(5.0),
                value_node(5.0));
-  const auto exact = store.range(Namespace::kWorkflow, "m",
-                                 SimTime::from_seconds(5.0),
-                                 SimTime::from_seconds(5.0));
+  const auto exact = view.range(Namespace::kWorkflow, "m",
+                                SimTime::from_seconds(5.0),
+                                SimTime::from_seconds(5.0));
   ASSERT_EQ(exact.size(), 1u);
   EXPECT_EQ(exact.front()->time, SimTime::from_seconds(5.0));
-  EXPECT_TRUE(store
-                  .range(Namespace::kWorkflow, "m", SimTime::zero(),
+  EXPECT_TRUE(view.range(Namespace::kWorkflow, "m", SimTime::zero(),
                          SimTime::from_seconds(4.0))
                   .empty());
-  EXPECT_TRUE(store
-                  .range(Namespace::kWorkflow, "m", SimTime::from_seconds(6.0),
+  EXPECT_TRUE(view.range(Namespace::kWorkflow, "m", SimTime::from_seconds(6.0),
                          SimTime::from_seconds(10.0))
                   .empty());
 
   // from == to between records selects nothing; an inverted window is empty.
   store.append(Namespace::kWorkflow, "m", SimTime::from_seconds(7.0),
                value_node(7.0));
-  EXPECT_TRUE(store
-                  .range(Namespace::kWorkflow, "m", SimTime::from_seconds(6.0),
+  EXPECT_TRUE(view.range(Namespace::kWorkflow, "m", SimTime::from_seconds(6.0),
                          SimTime::from_seconds(6.0))
                   .empty());
-  EXPECT_TRUE(store
-                  .range(Namespace::kWorkflow, "m", SimTime::from_seconds(7.0),
+  EXPECT_TRUE(view.range(Namespace::kWorkflow, "m", SimTime::from_seconds(7.0),
                          SimTime::from_seconds(5.0))
                   .empty());
 }
 
 TEST(DataStoreTest, SourcesSorted) {
   DataStore store;
+  const StoreView view = store.view();
   store.append(Namespace::kHardware, "cn0003", SimTime::zero(), {});
   store.append(Namespace::kHardware, "cn0001", SimTime::zero(), {});
-  EXPECT_EQ(store.sources(Namespace::kHardware),
+  EXPECT_EQ(view.sources(Namespace::kHardware),
             (std::vector<std::string>{"cn0001", "cn0003"}));
 }
 
 TEST(DataStoreTest, IngestedBytesTracked) {
   DataStore store;
+  const StoreView view = store.view();
   datamodel::Node big;
   big["text"].set(std::string(1000, 'x'));
   const std::size_t size = big.packed_size();
   store.append(Namespace::kPerformance, "t", SimTime::zero(), std::move(big));
-  EXPECT_EQ(store.ingested_bytes(Namespace::kPerformance), size);
+  EXPECT_EQ(view.ingested_bytes(Namespace::kPerformance), size);
 }
 
 // ---------- SomaService + SomaClient over RPC ----------
@@ -169,7 +170,7 @@ TEST_F(ServiceTest, PublishStoresRecord) {
   EXPECT_TRUE(acked);
   EXPECT_EQ(service.publishes_received(), 1u);
   const TimedRecord* record =
-      service.store().latest(Namespace::kHardware, "cn0001");
+      service.store_view().latest(Namespace::kHardware, "cn0001");
   ASSERT_NE(record, nullptr);
   EXPECT_DOUBLE_EQ(record->data.fetch_existing("v").as_float64(), 0.42);
 }
@@ -180,8 +181,8 @@ TEST_F(ServiceTest, PublishGoesToDeclaredNamespaceOnly) {
                     service.instance(Namespace::kWorkflow).ranks);
   client.publish("rp_monitor", value_node(1.0));
   simulation.run();
-  EXPECT_EQ(service.store().record_count(Namespace::kWorkflow), 1u);
-  EXPECT_EQ(service.store().record_count(Namespace::kHardware), 0u);
+  EXPECT_EQ(service.store_view().record_count(Namespace::kWorkflow), 1u);
+  EXPECT_EQ(service.store_view().record_count(Namespace::kHardware), 0u);
 }
 
 TEST_F(ServiceTest, SourceAffinityIsStable) {
@@ -195,7 +196,8 @@ TEST_F(ServiceTest, SourceAffinityIsStable) {
     client.publish("cn0007", value_node(i));
   }
   simulation.run();
-  const auto series = service.store().series(Namespace::kHardware, "cn0007");
+  const auto series =
+      service.store_view().series(Namespace::kHardware, "cn0007");
   ASSERT_EQ(series.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(series[static_cast<std::size_t>(i)]

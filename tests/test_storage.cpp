@@ -1,8 +1,8 @@
 // Storage-layer tests: StorageBackend implementations (map + log), range
-// boundary semantics, the log backend's LRU latest-snapshot cache, shard
-// routing, and StoreView scatter-gather merges. Backend-behavior tests are
-// parameterized over every StorageBackendKind so a new backend inherits the
-// whole contract suite by adding one enum value below.
+// boundary semantics, shard routing, and StoreView scatter-gather merges.
+// Backend-behavior tests are parameterized over every StorageBackendKind so a
+// new backend inherits the whole contract suite by adding one enum value
+// below.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -246,12 +246,52 @@ TEST_P(BackendContractTest, ClearEmptiesAndStaysReusable) {
   EXPECT_EQ(backend->sources(), (std::vector<std::string>{"cn0001"}));
 }
 
+// ---------- latest: the newest record wins, whatever the arrival order ----
+
+TEST_P(BackendContractTest, LateRecordDoesNotDisplaceNewest) {
+  const auto backend = make_backend(GetParam());
+  backend->append("a", SimTime::from_seconds(1.0), value_node(1.0));
+  ASSERT_NE(backend->latest("a"), nullptr);
+
+  // A newer record supersedes the latest...
+  backend->append("a", SimTime::from_seconds(2.0), value_node(2.0));
+  ASSERT_NE(backend->latest("a"), nullptr);
+  EXPECT_EQ(backend->latest("a")->time, SimTime::from_seconds(2.0));
+
+  // ...and a late (replayed) older record does NOT.
+  backend->append("a", SimTime::from_seconds(1.5), value_node(1.5));
+  ASSERT_NE(backend->latest("a"), nullptr);
+  EXPECT_EQ(backend->latest("a")->time, SimTime::from_seconds(2.0));
+  EXPECT_EQ(backend->series("a").size(), 3u);
+}
+
+TEST_P(BackendContractTest, BatchWithLateRecordKeepsNewestLatest) {
+  const auto backend = make_backend(GetParam());
+  backend->append("a", SimTime::from_seconds(1.0), value_node(1.0));
+  ASSERT_NE(backend->latest("a"), nullptr);
+
+  // A batch carrying a newer record plus a late (replayed) older one leaves
+  // latest at the true newest, as the sequential-append path does.
+  std::vector<BatchItem> items;
+  items.push_back({"a", SimTime::from_seconds(3.0), value_node(3.0)});
+  items.push_back({"a", SimTime::from_seconds(2.0), value_node(2.0)});
+  items.push_back({"b", SimTime::from_seconds(1.0), value_node(9.0)});
+  backend->append_batch(std::move(items));
+
+  const TimedRecord* newest_a = backend->latest("a");
+  ASSERT_NE(newest_a, nullptr);
+  EXPECT_EQ(newest_a->time, SimTime::from_seconds(3.0));
+  ASSERT_NE(backend->latest("b"), nullptr);
+  EXPECT_EQ(backend->series("a").size(), 3u);
+  EXPECT_EQ(backend->batch_count(), 1u);
+}
+
 TEST(LogBackendCacheTest, ClearDropsCachedSnapshots) {
-  // The cache points into the log; clear() must drop both together or the
+  // The index points into the log; clear() must drop both together or the
   // next latest() would dereference freed records.
-  LogBackend backend(/*latest_cache_capacity=*/4);
+  LogBackend backend;
   backend.append("a", SimTime::from_seconds(1.0), value_node(1.0));
-  (void)backend.latest("a");  // populate the cache
+  ASSERT_NE(backend.latest("a"), nullptr);
   backend.clear();
   EXPECT_EQ(backend.latest("a"), nullptr);
   backend.append("a", SimTime::from_seconds(2.0), value_node(2.0));
@@ -264,90 +304,6 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendContractTest,
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
-
-// ---------- log backend LRU latest-snapshot cache ----------
-
-TEST(LogBackendCacheTest, HitsAndMisses) {
-  LogBackend backend(/*latest_cache_capacity=*/4);
-  backend.append("a", SimTime::from_seconds(1.0), value_node(1.0));
-  EXPECT_EQ(backend.latest_cache_hits(), 0u);
-
-  // Append primes the cache, so the first read already hits.
-  ASSERT_NE(backend.latest("a"), nullptr);
-  EXPECT_EQ(backend.latest_cache_hits(), 1u);
-  ASSERT_NE(backend.latest("a"), nullptr);
-  EXPECT_EQ(backend.latest_cache_hits(), 2u);
-  EXPECT_EQ(backend.latest("missing"), nullptr);
-  EXPECT_EQ(backend.latest_cache_misses(), 1u);
-}
-
-TEST(LogBackendCacheTest, EvictsLeastRecentlyUsed) {
-  LogBackend backend(/*latest_cache_capacity=*/2);
-  backend.append("a", SimTime::from_seconds(1.0), value_node(1.0));
-  backend.append("b", SimTime::from_seconds(1.0), value_node(2.0));
-  backend.append("c", SimTime::from_seconds(1.0), value_node(3.0));
-  EXPECT_EQ(backend.latest_cache_size(), 2u);
-
-  // "a" was evicted by "c": reading it is a miss (then re-cached, evicting
-  // the now-least-recent "b").
-  const auto misses_before = backend.latest_cache_misses();
-  ASSERT_NE(backend.latest("a"), nullptr);
-  EXPECT_EQ(backend.latest_cache_misses(), misses_before + 1);
-  ASSERT_NE(backend.latest("c"), nullptr);  // still cached: a hit
-  const auto hits_after_c = backend.latest_cache_hits();
-  ASSERT_NE(backend.latest("b"), nullptr);  // evicted: a miss
-  EXPECT_EQ(backend.latest_cache_hits(), hits_after_c);
-  EXPECT_EQ(backend.latest_cache_size(), 2u);
-}
-
-TEST(LogBackendCacheTest, StaysCoherentAcrossAppends) {
-  LogBackend backend(/*latest_cache_capacity=*/4);
-  backend.append("a", SimTime::from_seconds(1.0), value_node(1.0));
-  ASSERT_NE(backend.latest("a"), nullptr);
-
-  // A newer record must supersede the cached snapshot...
-  backend.append("a", SimTime::from_seconds(2.0), value_node(2.0));
-  ASSERT_NE(backend.latest("a"), nullptr);
-  EXPECT_EQ(backend.latest("a")->time, SimTime::from_seconds(2.0));
-
-  // ...and a late (replayed) older record must NOT.
-  backend.append("a", SimTime::from_seconds(1.5), value_node(1.5));
-  ASSERT_NE(backend.latest("a"), nullptr);
-  EXPECT_EQ(backend.latest("a")->time, SimTime::from_seconds(2.0));
-  EXPECT_EQ(backend.series("a").size(), 3u);
-}
-
-TEST(LogBackendCacheTest, StaysCoherentAcrossBatchAppends) {
-  LogBackend backend(/*latest_cache_capacity=*/4);
-  backend.append("a", SimTime::from_seconds(1.0), value_node(1.0));
-  ASSERT_NE(backend.latest("a"), nullptr);
-
-  // A batch carrying a newer record plus a late (replayed) older one must
-  // leave the cached snapshot pointing at the true newest — same as the
-  // sequential-append path.
-  std::vector<BatchItem> items;
-  items.push_back({"a", SimTime::from_seconds(3.0), value_node(3.0)});
-  items.push_back({"a", SimTime::from_seconds(2.0), value_node(2.0)});
-  items.push_back({"b", SimTime::from_seconds(1.0), value_node(9.0)});
-  backend.append_batch(std::move(items));
-
-  const auto hits_before = backend.latest_cache_hits();
-  const TimedRecord* newest_a = backend.latest("a");
-  ASSERT_NE(newest_a, nullptr);
-  EXPECT_EQ(newest_a->time, SimTime::from_seconds(3.0));
-  EXPECT_EQ(backend.latest_cache_hits(), hits_before + 1);  // still cached
-  ASSERT_NE(backend.latest("b"), nullptr);  // batch primed the new source
-  EXPECT_EQ(backend.latest_cache_hits(), hits_before + 2);
-  EXPECT_EQ(backend.series("a").size(), 3u);
-  EXPECT_EQ(backend.batch_count(), 1u);
-}
-
-TEST(LogBackendCacheTest, CapacityClampedToOne) {
-  LogBackend backend(/*latest_cache_capacity=*/0);
-  EXPECT_EQ(backend.latest_cache_capacity(), 1u);
-  backend.append("a", SimTime::from_seconds(1.0), value_node(1.0));
-  ASSERT_NE(backend.latest("a"), nullptr);
-}
 
 // ---------- shard routing ----------
 
@@ -508,7 +464,8 @@ TEST_P(StoreViewTest, InterleavedBatchAndSingleAppendsMergeIdentically) {
 
   // The serialized export is likewise identical.
   std::ostringstream mixed_out, plain_out;
-  EXPECT_EQ(export_store(mixed, mixed_out), export_store(plain, plain_out));
+  EXPECT_EQ(export_store(mixed.view(), mixed_out),
+            export_store(plain.view(), plain_out));
   EXPECT_EQ(mixed_out.str(), plain_out.str());
 }
 
@@ -531,8 +488,8 @@ TEST_P(StoreViewTest, ExportIsShardCountInvariant) {
   fill(sharded);
 
   std::ostringstream single_out, sharded_out;
-  EXPECT_EQ(export_store(single, single_out),
-            export_store(sharded, sharded_out));
+  EXPECT_EQ(export_store(single.view(), single_out),
+            export_store(sharded.view(), sharded_out));
   EXPECT_EQ(single_out.str(), sharded_out.str());
 }
 
@@ -560,7 +517,7 @@ TEST(ShardCountersTest, CountersFollowRouting) {
       EXPECT_GT(counter.bytes, 0u);
     }
   }
-  EXPECT_EQ(total_records, store.total_records());
+  EXPECT_EQ(total_records, store.view().total_records());
   // namespace-major, shard-minor: 4 namespaces x 2 shards.
   EXPECT_EQ(store.shard_counters().size(), 8u);
 }

@@ -424,6 +424,15 @@ struct StoreDigest {
     }
   }
   void add(const core::StoreView& view) {
+    // Every source lives in its home shard: the one its name hashes to.
+    const core::DataStore& store = view.store();
+    for (const core::Namespace ns : core::kAllNamespaces) {
+      for (int i = 0; i < store.shard_count(); ++i) {
+        for (const std::string& source : store.shard(ns, i).sources()) {
+          EXPECT_EQ(store.shard_index_for(source), i) << source;
+        }
+      }
+    }
     for (const core::Namespace ns :
          {core::Namespace::kWorkflow, core::Namespace::kHardware}) {
       for (const std::string& source : view.sources(ns)) {

@@ -97,7 +97,8 @@ Outcome run(std::size_t batch_records) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_arguments(argc, argv);
   bench::header("Ablation X4",
                 "batched publish: frames and ack latency vs batch window");
 

@@ -127,7 +127,8 @@ Outcome run(rp::PlacementPolicy policy, bool soma_fed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_arguments(argc, argv);
   bench::header("Ablation X3",
                 "utilization-aware placement (paper §4.2 proposal)");
 

@@ -78,7 +78,8 @@ Outcome run(int clients, double period_s, int ranks, double horizon_s) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_arguments(argc, argv);
   bench::header("Ablation X1", "SOMA publish cost vs frequency and ranks");
 
   const int clients = 128;

@@ -6,21 +6,23 @@
 // GPUs are: this ablation sweeps the number of SOMA nodes (i.e. the spare
 // GPU pool) at a fixed workload and reports the shared-vs-exclusive gap.
 
-#include "bench_util.hpp"
+#include "bench_stack.hpp"
 #include "experiments/ddmd_experiment.hpp"
 
 using namespace soma;
 using namespace soma::experiments;
 
-int main() {
+int main(int argc, char** argv) {
   bench::header("Ablation X2",
                 "shared-mode benefit vs spare SOMA-node capacity");
+  const StackConfig stack = bench::parse_stack(argc, argv);
 
   const int pipelines = 32;
   TextTable table({"SOMA nodes", "spare GPUs", "mode", "pipeline time (s)",
                    "shared gain"});
   for (int soma_nodes : {1, 2, 4, 8}) {
     DdmdExperimentConfig exclusive;
+    exclusive.stack() = stack;
     exclusive.pipelines = pipelines;
     exclusive.phases = 1;
     exclusive.app_nodes = pipelines;

@@ -70,7 +70,8 @@ double run_tasks(int units, Duration unit) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_arguments(argc, argv);
   bench::header("RAPTOR throughput",
                 "function-call path vs executable-task path");
 

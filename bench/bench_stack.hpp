@@ -26,15 +26,6 @@
 
 namespace soma::bench {
 
-[[noreturn]] inline void usage_error(const std::string& message) {
-  std::fprintf(stderr,
-               "error: %s\n"
-               "flags: --store-backend map|log, --publish-batch N "
-               "[--batch-delay MS], --replication F, --fault-seed N\n",
-               message.c_str());
-  std::exit(2);
-}
-
 /// `text` as a non-negative decimal integer; anything else is a usage error.
 inline std::uint64_t parse_count(const std::string& what, const char* text) {
   char* end = nullptr;
@@ -159,7 +150,6 @@ inline void print_stack_sections(
     std::printf("  rpc retries:      %llu\n", sum(&T::rpc_retries));
     std::printf("  publish failures: %llu\n", sum(&T::publish_failures));
     std::printf("  replayed:         %llu\n", sum(&T::replayed_publishes));
-    std::printf("  failovers:        %llu\n", sum(&T::failovers));
   }
   if (stack.replication.enabled()) {
     std::string title = "replication (factor ";
@@ -196,14 +186,13 @@ inline void print_run_tables(
 
   if (!stack.faults) return;
   section(fault_section_title(stack).c_str());
-  TextTable faults({"run", "net drops", "rpc retries", "publish failures",
-                    "replayed", "failovers"});
+  TextTable faults(
+      {"run", "net drops", "rpc retries", "publish failures", "replayed"});
   for (const auto& [name, t] : runs) {
     faults.add_row({name, std::to_string(t.net_drops),
                     std::to_string(t.rpc_retries),
                     std::to_string(t.publish_failures),
-                    std::to_string(t.replayed_publishes),
-                    std::to_string(t.failovers)});
+                    std::to_string(t.replayed_publishes)});
   }
   std::printf("%s", faults.to_string().c_str());
 }

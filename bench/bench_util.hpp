@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,6 +26,26 @@ inline void header(const char* artifact, const char* description) {
 }
 
 inline void section(const char* title) { std::printf("\n-- %s --\n", title); }
+
+/// Print `message` and the flags the bench takes (by default the stack flags
+/// of bench_stack.hpp) to stderr, then exit with status 2.
+[[noreturn]] inline void usage_error(
+    const std::string& message,
+    const char* flags = "--store-backend map|log, --publish-batch N "
+                        "[--batch-delay MS], --replication F, --fault-seed N") {
+  std::fprintf(stderr, "error: %s\nflags: %s\n", message.c_str(), flags);
+  std::exit(2);
+}
+
+/// A bench that takes no arguments calls this first: any argument is a
+/// usage error rather than silently ignored.
+inline void reject_arguments(int argc, char** argv) {
+  if (argc < 2) return;
+  std::string message = "unexpected argument '";
+  message += argv[1];
+  message += '\'';
+  usage_error(message, "none");
+}
 
 inline std::string fmt(double value, int precision = 1) {
   return format_seconds(value, precision);

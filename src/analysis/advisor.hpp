@@ -1,7 +1,7 @@
 // In-situ analysis and adaptive advice (paper §4 and §6 / future work).
 //
 // These functions run against the SOMA service's store through the
-// scatter-gather StoreView — the data is already "in SOMA's possession",
+// StoreView — the data is already "in SOMA's possession",
 // sharded across the service ranks — and compute the decisions the paper
 // motivates: which MPI task configuration to use (Fig. 4), where free
 // resources are (Fig. 9 discussion), and how to reconfigure the next DDMD

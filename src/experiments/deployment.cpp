@@ -285,7 +285,6 @@ StackTotals SomaDeployment::reliability_totals() const {
   for (const core::SomaClient* client : clients()) {
     const core::SomaClient::ClientStats& s = client->stats();
     totals.publish_failures += s.publish_failures;
-    totals.failovers += s.failovers;
     totals.dropped_overflow += s.dropped_overflow;
     totals.dropped_batch_records += s.dropped_batch_records;
     totals.batches_sent += s.batches_sent;

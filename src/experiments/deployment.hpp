@@ -57,7 +57,6 @@ struct StackTotals {
   std::uint64_t net_drops = 0;
   // Clients, summed over every client the deployment created.
   std::uint64_t publish_failures = 0;
-  std::uint64_t failovers = 0;
   std::uint64_t dropped_overflow = 0;
   std::uint64_t dropped_batch_records = 0;
   std::uint64_t batches_sent = 0;

@@ -70,7 +70,7 @@ void SomaClient::publish(const std::string& source, datamodel::Node data,
                          std::function<void()> on_ack) {
   ++stats_.published;
   const SimTime now = network_.simulation().now();
-  if (reliability_.retry.enabled() && reliability_.buffer_on_failure) {
+  if (reliability_.degradation_enabled()) {
     // Park the record if its collector is down — or if anything is already
     // parked: replay order must not let a fresh publish overtake a buffered
     // one from the same source.
@@ -83,10 +83,8 @@ void SomaClient::publish(const std::string& source, datamodel::Node data,
     // Coalesce. The batcher keeps a payload copy only when a failed batch
     // must fall back to the re-buffer path (same rule as the single-record
     // send below).
-    const bool keep_copy =
-        reliability_.retry.enabled() && reliability_.buffer_on_failure;
-    batcher_->add(resolve_publish_rank(source), source, std::move(data), now,
-                  std::move(on_ack), keep_copy);
+    batcher_->add(rank_index_for(source), source, std::move(data), now,
+                  std::move(on_ack), reliability_.degradation_enabled());
     return;
   }
   send_publish(source, std::move(data), now, std::move(on_ack),
@@ -97,36 +95,16 @@ void SomaClient::flush_batches() {
   if (batcher_) batcher_->flush_all();
 }
 
-std::size_t SomaClient::resolve_publish_rank(const std::string& source) {
-  std::size_t idx = rank_index_for(source);
-  if (rank_down_[idx] && reliability_.failover &&
-      !reliability_.buffer_on_failure) {
-    // Hash affinity is broken anyway while the home rank is down; redirect
-    // to the next live rank of the instance.
-    for (std::size_t k = 1; k < instance_ranks_.size(); ++k) {
-      const std::size_t alt = (idx + k) % instance_ranks_.size();
-      if (!rank_down_[alt]) {
-        idx = alt;
-        ++stats_.failovers;
-        break;
-      }
-    }
-  }
-  return idx;
-}
-
 void SomaClient::send_publish(const std::string& source, datamodel::Node data,
                               SimTime published_at,
                               std::function<void()> on_ack, bool replay,
                               bool from_batch) {
-  const std::size_t idx = resolve_publish_rank(source);
+  const std::size_t idx = rank_index_for(source);
 
   // Keep a copy only when a failed send must be re-buffered; plain and
-  // failover-only clients never pay it.
+  // retry-only clients never pay it.
   datamodel::Node data_copy;
-  const bool keep_copy =
-      reliability_.retry.enabled() && reliability_.buffer_on_failure;
-  if (keep_copy) data_copy = data;
+  if (reliability_.degradation_enabled()) data_copy = data;
 
   // The body is the packed {ns, source, data[, t]} envelope, written
   // straight into the frame. Replayed records carry their original publish
@@ -240,11 +218,12 @@ void SomaClient::on_publish_failure(std::size_t rank_index,
   SOMA_DEBUG() << "soma client " << address() << ": collector "
                << network_.address(instance_ranks_[rank_index])
                << " unresponsive";
+  // Only a client with retry enabled sees failures, so buffering here means
+  // degradation is enabled; enqueue_buffered starts the probe.
   if (reliability_.buffer_on_failure) {
     enqueue_buffered(source, std::move(data), published_at, std::move(on_ack),
                      from_batch);
   }
-  if (reliability_.degradation_enabled()) ensure_probe_running();
 }
 
 void SomaClient::flush_buffer() {

@@ -12,10 +12,10 @@
 // graceful-degradation mode. With `buffer_on_failure` it buffers publishes
 // locally, probes the dead collector with `soma.ping`, and replays the
 // buffer in original publish order — with original timestamps — once the
-// collector answers again. With `failover` (and no buffering) it redirects
-// publishes to the next live rank of the instance instead. The default
-// config takes none of these paths, so fault-free runs are byte-identical
-// to the pre-reliability client.
+// collector answers again. A source's records never leave its home rank,
+// so each source's series lives in one shard. The default config takes
+// none of these paths, so fault-free runs are byte-identical to the
+// pre-reliability client.
 #pragma once
 
 #include <cstdint>
@@ -42,16 +42,13 @@ struct ClientReliability {
   /// Buffer publishes while the target rank is down and replay them (in
   /// original order, with original timestamps) after it recovers.
   bool buffer_on_failure = false;
-  /// Redirect publishes for a down rank to the next live rank of the
-  /// instance. Ignored while buffering — replay preserves rank affinity.
-  bool failover = false;
   /// How often a degraded client pings its dead collector.
   Duration probe_period = Duration::seconds(5);
   /// Buffer capacity; older records are dropped (and counted) beyond it.
   std::size_t max_buffered = 4096;
 
   [[nodiscard]] bool degradation_enabled() const {
-    return retry.enabled() && (buffer_on_failure || failover);
+    return retry.enabled() && buffer_on_failure;
   }
 };
 
@@ -66,7 +63,6 @@ class SomaClient {
     std::uint64_t publish_failures = 0;  ///< retry budgets exhausted
     std::uint64_t buffered = 0;          ///< publishes parked in the buffer
     std::uint64_t replayed = 0;          ///< buffered publishes re-sent
-    std::uint64_t failovers = 0;         ///< publishes redirected to a live rank
     std::uint64_t dropped_overflow = 0;  ///< buffer-capacity evictions
     /// Buffer-capacity evictions of records that arrived via a failed batch
     /// (kept distinct from dropped_overflow so reliability totals stay exact
@@ -113,8 +109,8 @@ class SomaClient {
     return batcher_ ? batcher_->pending_records() : 0;
   }
 
-  /// True while at least one target rank is considered down (the client is
-  /// buffering or failing over). Monitors report this as degraded ticks.
+  /// True while at least one target rank is considered down (publishes to
+  /// it fail or are buffered). Monitors report this as degraded ticks.
   [[nodiscard]] bool degraded() const { return ranks_down_ > 0; }
   /// Publishes currently parked awaiting collector recovery.
   [[nodiscard]] std::size_t buffered_pending() const { return buffer_.size(); }
@@ -144,11 +140,8 @@ class SomaClient {
     bool from_batch = false;  ///< arrived via a failed batch
   };
 
+  /// The source's home rank: every publish from `source` ships there.
   [[nodiscard]] std::size_t rank_index_for(const std::string& source) const;
-
-  /// The rank a publish ships to right now: the source's home rank, or a
-  /// failover redirect while the home rank is down (counts the failover).
-  [[nodiscard]] std::size_t resolve_publish_rank(const std::string& source);
 
   void send_publish(const std::string& source, datamodel::Node data,
                     SimTime published_at, std::function<void()> on_ack,

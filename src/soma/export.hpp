@@ -17,8 +17,8 @@ namespace soma::core {
 /// Serialize every record visible through `view` to `out`, one JSON object
 /// per line:
 ///   {"ns":"hardware","source":"cn0001","t":123456789,"data":{...}}
-/// Records are written namespace-major, source-major, time-ascending —
-/// scatter-gathered across shards, so the same data produces the same file
+/// Records are written namespace-major, source-major, time-ascending, all
+/// read through the view, so the same data produces the same file
 /// regardless of shard count or backend.
 /// Returns the number of lines written.
 std::size_t export_store(const StoreView& view, std::ostream& out);

@@ -18,8 +18,9 @@ std::vector<TimedRecord>::const_iterator lower_bound_time(
 void MapBackend::append_into(std::vector<TimedRecord>& series, SimTime time,
                              datamodel::Node data) {
   // Series are appended at service-ingest time and so arrive time-sorted;
-  // a late record (client replay across a failover) is inserted in place so
-  // the sorted-series invariant every query relies on holds regardless.
+  // a late record (a client replaying after its rank recovers) is inserted
+  // in place so the sorted-series invariant every query relies on holds
+  // regardless.
   if (series.empty() || !(time < series.back().time)) {
     series.push_back(TimedRecord{time, std::move(data)});
     return;

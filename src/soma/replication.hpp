@@ -1,9 +1,9 @@
 // Shard replication with heartbeat failure detection and crash recovery.
 //
-// PR 2 made clients survive collector crashes (buffer-and-replay, failover),
-// but records already appended on a crashed rank were simply gone: its shard
-// lived only in that rank's memory, and every StoreView read over the crash
-// window returned a hole. This layer makes the sharded store itself durable,
+// Clients survive collector crashes by buffering and replaying to the
+// source's home rank, but records already appended on a crashed rank were
+// simply gone: its shard lived only in that rank's memory, and every
+// StoreView read over the crash window returned a hole. This layer makes the sharded store itself durable,
 // the same shape as LDMS aggregator redundancy:
 //
 //   * Replication — every publish a rank ingests (single-record and batch)
@@ -118,8 +118,8 @@ struct ReplicationShardStatus {
 
 /// Replication + recovery engine of one SomaService. Constructed only when
 /// `config.factor > 1`; owns the replica backends, the per-shard logs, and
-/// the heartbeat tasks. Requires one shard per rank (the service's auto
-/// sharding), so "rank" and "shard" are interchangeable below.
+/// the heartbeat tasks. The service's store has one shard per rank, so
+/// "rank" and "shard" are interchangeable below.
 class ReplicationManager {
  public:
   ReplicationManager(net::Network& network, DataStore& store,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "net/wire.hpp"
@@ -10,14 +12,16 @@
 namespace soma::core {
 namespace {
 
-/// Resolve the auto shard count: one shard per rank of a namespace
-/// instance, so each rank owns exactly the shard its publishes land in.
-StorageConfig resolved_storage(const ServiceConfig& config) {
-  StorageConfig storage = config.storage;
-  if (storage.shards_per_namespace == 0) {
-    storage.shards_per_namespace = std::max(1, config.ranks_per_namespace);
-  }
-  return storage;
+/// Refuse a record that reached a rank other than its source's home rank,
+/// before anything is counted, stored or logged.
+void check_home_shard(const DataStore& store, std::string_view source,
+                      int shard_index) {
+  if (store.shard_index_for(source) == shard_index) return;
+  std::string message = "source '";
+  message += source;
+  message += "' does not hash to rank ";
+  message += std::to_string(shard_index);
+  throw LookupError(message);
 }
 
 }  // namespace
@@ -26,22 +30,13 @@ SomaService::SomaService(net::Network& network, std::vector<NodeId> nodes,
                          ServiceConfig config)
     : network_(network),
       config_(std::move(config)),
-      store_(resolved_storage(config_)) {
+      store_(config_.storage, config_.ranks_per_namespace) {
+  // The store throws ConfigError for ranks_per_namespace < 1.
   if (nodes.empty()) throw ConfigError("SOMA service needs at least one node");
-  if (config_.ranks_per_namespace <= 0) {
-    throw ConfigError("ranks_per_namespace must be > 0");
-  }
   if (config_.namespaces.empty()) {
     throw ConfigError("SOMA service needs >= 1 namespace");
   }
   if (config_.replication.enabled()) {
-    // Replication identifies shards with ranks (the ring successor of a
-    // shard is the next rank), so the explicit-shard escape hatch is out.
-    if (store_.shard_count() != config_.ranks_per_namespace) {
-      throw ConfigError(
-          "replication requires one shard per rank "
-          "(leave storage.shards_per_namespace at 0)");
-    }
     replication_ = std::make_unique<ReplicationManager>(
         network_, store_, config_.replication);
   }
@@ -88,6 +83,7 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
         net::wire::PublishBodyView publish =
             net::wire::decode_publish_body(body);
         const Namespace ns = parse_namespace(publish.ns);
+        check_home_shard(store_, publish.source, shard_index);
         ++publishes_received_;
         // Replayed publishes (buffered by a client while this rank was
         // down) carry their original publish time in "t"; honor it so the
@@ -98,10 +94,8 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
           stamp = SimTime{*publish.t};
           ++replayed_publishes_;
         }
-        // The receiving rank ingests into its own shard. Under normal
-        // routing this is the shard the source hashes to; after a failover
-        // the source's records straddle shards and the StoreView merge
-        // reunifies them.
+        // The receiving rank is the source's home rank, and ingests into
+        // its own shard.
         const std::string source(publish.source);
         if (replication_ != nullptr) {
           replication_->on_append(ns, shard_index, source, stamp,
@@ -126,6 +120,9 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
                           std::span<const std::byte> body) {
         const net::wire::BatchView batch = net::wire::decode_batch_body(body);
         const Namespace ns = parse_namespace(batch.ns);
+        for (const net::wire::BatchRecordView& record : batch.records) {
+          check_home_shard(store_, record.source, shard_index);
+        }
         ++batches_received_;
         publishes_received_ += batch.records.size();
         std::vector<BatchItem> items;

@@ -2,9 +2,11 @@
 //
 // A SomaService owns N service ranks, each an RPC engine pinned to a core of
 // a service node. The ranks are partitioned among the four namespace
-// instances. Clients publish datamodel Nodes to a rank of the appropriate
-// instance; the rank ingests serially (queueing under load), stores the
-// record, and acknowledges.
+// instances. Clients publish datamodel Nodes to the rank of the appropriate
+// instance that their source hashes to; the rank ingests serially
+// (queueing under load), stores the record in its own shard, and
+// acknowledges. A record whose source hashes to another rank is refused
+// with LookupError, like a malformed body.
 //
 // The service also exposes a "query" RPC through which online consumers (the
 // adaptive advisor of §4.3, dashboards) read analysis results back out.
@@ -38,13 +40,12 @@ struct ServiceConfig {
   net::ServiceCost cost{};
   /// Port base for the rank engines.
   int base_port = 9000;
-  /// Storage layer: backend kind and sharding. `shards_per_namespace == 0`
-  /// (auto) shards one-per-rank, so each rank owns the shard its publishes
-  /// land in.
+  /// Storage backend. The store has one shard per rank of each namespace
+  /// instance, so each rank owns the shard its publishes land in.
   StorageConfig storage{};
   /// Shard replication + crash recovery (soma/replication.hpp). The default
   /// factor of 1 constructs nothing — the unreplicated service, byte for
-  /// byte. Factors > 1 require the auto one-shard-per-rank layout.
+  /// byte.
   ReplicationConfig replication{};
 };
 
@@ -57,7 +58,7 @@ struct InstanceInfo {
 /// A server-side analysis routine: runs *inside* the service against the
 /// data it already holds ("in situ processing for runtime decision
 /// actuation", paper §6) and returns its result as a Node. Analyzers read
-/// through the scatter-gather StoreView, never a concrete store or shard.
+/// through the StoreView, never a concrete store or shard.
 using Analyzer = std::function<datamodel::Node(const StoreView&)>;
 
 class SomaService {
@@ -82,7 +83,7 @@ class SomaService {
   /// The ingested data (read by the in-situ analysis).
   [[nodiscard]] const DataStore& store() const { return store_; }
   [[nodiscard]] DataStore& store() { return store_; }
-  /// Scatter-gather read view over the sharded store.
+  /// Read view over the sharded store.
   [[nodiscard]] StoreView store_view() const { return store_.view(); }
 
   /// Register a named in-situ analyzer, callable remotely via the query RPC

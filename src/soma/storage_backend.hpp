@@ -3,8 +3,8 @@
 // A StorageBackend owns the records of ONE shard of ONE namespace instance:
 // a keyspace of per-source time series. The DataStore facade (soma/store.hpp)
 // composes backends into per-namespace shard groups — one shard per service
-// rank — and routes appends to shards by a stable source hash; reads
-// scatter-gather across the group through StoreView.
+// rank — and keeps each source in the one shard its stable hash names;
+// StoreView reads a source from that shard.
 //
 // Two implementations ship today:
 //   * kMap — the historical per-source std::map of record vectors. Simple,
@@ -51,10 +51,6 @@ enum class StorageBackendKind {
 /// Configuration of the storage layer of one service (or offline store).
 struct StorageConfig {
   StorageBackendKind backend = StorageBackendKind::kMap;
-  /// Shards per namespace group. 0 = auto: the SOMA service allocates one
-  /// shard per service rank of the namespace instance; offline stores
-  /// (export/import tools, tests) default to a single shard.
-  int shards_per_namespace = 0;
 };
 
 /// FNV-1a over the source name: stable across runs, platforms, and processes

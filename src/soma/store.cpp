@@ -3,53 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/error.hpp"
+
 namespace soma::core {
 namespace {
 
 std::size_t ns_index(Namespace ns) { return static_cast<std::size_t>(ns); }
 
-/// Merge per-shard time-sorted series into one time-sorted sequence.
-/// Stable by shard order: on equal times the lower shard index comes first,
-/// so merged output is deterministic for a given shard layout.
-std::vector<const TimedRecord*> merge_sorted(
-    std::vector<std::vector<const TimedRecord*>> parts) {
-  std::size_t filled = 0;
-  std::size_t total = 0;
-  std::vector<const TimedRecord*>* only = nullptr;
-  for (auto& part : parts) {
-    if (part.empty()) continue;
-    ++filled;
-    total += part.size();
-    only = &part;
-  }
-  if (filled == 0) return {};
-  if (filled == 1) return std::move(*only);
-
-  std::vector<const TimedRecord*> out;
-  out.reserve(total);
-  std::vector<std::size_t> cursor(parts.size(), 0);
-  while (out.size() < total) {
-    std::size_t best = parts.size();
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (cursor[i] >= parts[i].size()) continue;
-      if (best == parts.size() ||
-          parts[i][cursor[i]]->time < parts[best][cursor[best]]->time) {
-        best = i;
-      }
-    }
-    out.push_back(parts[best][cursor[best]]);
-    ++cursor[best];
-  }
-  return out;
-}
-
 }  // namespace
 
-DataStore::DataStore(StorageConfig config) : config_(std::move(config)) {
-  // Auto (0) means "one shard per service rank" when a SomaService owns the
-  // store; a store built directly (tools, import, tests) has no ranks, so
-  // auto collapses to a single shard.
-  const int shard_count = std::max(1, config_.shards_per_namespace);
+DataStore::DataStore(StorageConfig config, int shard_count)
+    : config_(std::move(config)) {
+  if (shard_count < 1) {
+    throw ConfigError("a store needs >= 1 shard per namespace (one per rank)");
+  }
   for (auto& group : shards_) {
     group.reserve(static_cast<std::size_t>(shard_count));
     for (int i = 0; i < shard_count; ++i) {
@@ -61,25 +28,22 @@ DataStore::DataStore(StorageConfig config) : config_(std::move(config)) {
   }
 }
 
-int DataStore::shard_index_for(const std::string& source) const {
+int DataStore::shard_index_for(std::string_view source) const {
   return static_cast<int>(
       route_source(source, static_cast<std::size_t>(shard_count())));
 }
 
 StorageBackend& DataStore::shard(Namespace ns, int index) {
-  auto& group = shards_[ns_index(ns)];
-  return *group[static_cast<std::size_t>(index) % group.size()];
+  return *shards_[ns_index(ns)][static_cast<std::size_t>(index)];
 }
 
 const StorageBackend& DataStore::shard(Namespace ns, int index) const {
-  const auto& group = shards_[ns_index(ns)];
-  return *group[static_cast<std::size_t>(index) % group.size()];
+  return *shards_[ns_index(ns)][static_cast<std::size_t>(index)];
 }
 
 void DataStore::set_read_override(Namespace ns, int index,
                                   const StorageBackend* backend) {
-  auto& overrides = read_overrides_[ns_index(ns)];
-  overrides[static_cast<std::size_t>(index) % overrides.size()] = backend;
+  read_overrides_[ns_index(ns)][static_cast<std::size_t>(index)] = backend;
 }
 
 void DataStore::clear_read_override(Namespace ns, int index) {
@@ -87,9 +51,8 @@ void DataStore::clear_read_override(Namespace ns, int index) {
 }
 
 const StorageBackend& DataStore::read_shard(Namespace ns, int index) const {
-  const auto& overrides = read_overrides_[ns_index(ns)];
   const StorageBackend* override_backend =
-      overrides[static_cast<std::size_t>(index) % overrides.size()];
+      read_overrides_[ns_index(ns)][static_cast<std::size_t>(index)];
   return override_backend != nullptr ? *override_backend : shard(ns, index);
 }
 
@@ -117,41 +80,23 @@ std::vector<ShardCounters> DataStore::shard_counters() const {
 
 const TimedRecord* StoreView::latest(Namespace ns,
                                      const std::string& source) const {
-  const TimedRecord* best = nullptr;
-  for (int i = 0; i < store_->shard_count(); ++i) {
-    const TimedRecord* candidate = store_->read_shard(ns, i).latest(source);
-    // Strict > keeps the lowest shard index on time ties — deterministic.
-    if (candidate != nullptr &&
-        (best == nullptr || candidate->time > best->time)) {
-      best = candidate;
-    }
-  }
-  return best;
+  return home_shard(ns, source).latest(source);
 }
 
 std::vector<const TimedRecord*> StoreView::series(
     Namespace ns, const std::string& source) const {
-  std::vector<std::vector<const TimedRecord*>> parts;
-  parts.reserve(static_cast<std::size_t>(store_->shard_count()));
-  for (int i = 0; i < store_->shard_count(); ++i) {
-    parts.push_back(store_->read_shard(ns, i).series(source));
-  }
-  return merge_sorted(std::move(parts));
+  return home_shard(ns, source).series(source);
 }
 
 std::vector<const TimedRecord*> StoreView::range(Namespace ns,
                                                  const std::string& source,
                                                  SimTime from,
                                                  SimTime to) const {
-  std::vector<std::vector<const TimedRecord*>> parts;
-  parts.reserve(static_cast<std::size_t>(store_->shard_count()));
-  for (int i = 0; i < store_->shard_count(); ++i) {
-    parts.push_back(store_->read_shard(ns, i).range(source, from, to));
-  }
-  return merge_sorted(std::move(parts));
+  return home_shard(ns, source).range(source, from, to);
 }
 
 std::vector<std::string> StoreView::sources(Namespace ns) const {
+  // Each source lives in one shard, so the shards' sets are disjoint.
   std::vector<std::string> out;
   for (int i = 0; i < store_->shard_count(); ++i) {
     std::vector<std::string> part = store_->read_shard(ns, i).sources();
@@ -159,8 +104,12 @@ std::vector<std::string> StoreView::sources(Namespace ns) const {
                std::make_move_iterator(part.end()));
   }
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+const StorageBackend& StoreView::home_shard(Namespace ns,
+                                            const std::string& source) const {
+  return store_->read_shard(ns, store_->shard_index_for(source));
 }
 
 std::uint64_t StoreView::record_count(Namespace ns) const {

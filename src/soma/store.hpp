@@ -3,18 +3,19 @@
 //
 // Each namespace instance's storage is split into shards — one per service
 // rank when owned by a SomaService, one total for offline stores (tools,
-// import, tests). Appends route to a shard by the same stable source hash
-// the client stub uses for rank affinity, so the shard a rank owns is
-// exactly the shard its publishes land in. Reads scatter-gather across the
-// shard group through StoreView, the interface every analysis routine and
-// experiment consumes: a source that failed over between ranks (and so
-// spans shards) still reads back as one merged, time-sorted series.
+// import, tests). Every source has one home shard, picked by the same stable
+// source hash the client stub uses for rank affinity: the rank a source
+// publishes to owns that shard, and the service refuses a record that
+// reaches any other rank. Reads go through StoreView, the interface every
+// analysis routine and experiment consumes; a per-source read touches only
+// the source's home shard.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,9 +37,10 @@ struct ShardCounters {
 
 class DataStore {
  public:
-  /// `config.shards_per_namespace == 0` (auto) collapses to one shard —
-  /// the offline default. The SOMA service passes its rank count instead.
-  explicit DataStore(StorageConfig config = {});
+  /// `shard_count` shards per namespace group: one for offline stores, one
+  /// per rank of a namespace instance for a SomaService. Throws ConfigError
+  /// below 1.
+  explicit DataStore(StorageConfig config = {}, int shard_count = 1);
 
   [[nodiscard]] const StorageConfig& config() const { return config_; }
   [[nodiscard]] StorageBackendKind backend_kind() const {
@@ -50,11 +52,10 @@ class DataStore {
   }
 
   /// The shard `source` routes to (same hash as SomaClient rank affinity).
-  [[nodiscard]] int shard_index_for(const std::string& source) const;
+  [[nodiscard]] int shard_index_for(std::string_view source) const;
 
   /// Direct shard access. A service rank appends into its own shard here;
-  /// `index` wraps modulo the shard count so a service forced to fewer
-  /// shards than ranks still maps every rank somewhere.
+  /// `index` is in [0, shard_count()).
   [[nodiscard]] StorageBackend& shard(Namespace ns, int index);
   [[nodiscard]] const StorageBackend& shard(Namespace ns, int index) const;
 
@@ -72,8 +73,8 @@ class DataStore {
   /// installed, the primary otherwise. All StoreView reads go through this.
   [[nodiscard]] const StorageBackend& read_shard(Namespace ns, int index) const;
 
-  /// Scatter-gather read facade over every shard of every namespace: the
-  /// store's only cross-shard read API.
+  /// Read facade over every shard of every namespace: the store's only
+  /// cross-shard read API.
   [[nodiscard]] StoreView view() const;
 
   /// Per-shard counters, namespace-major then shard order.
@@ -89,18 +90,16 @@ class DataStore {
       read_overrides_;
 };
 
-/// Read-only scatter-gather interface over a DataStore's shard groups.
+/// Read-only interface over a DataStore's shard groups.
 ///
 /// This is the seam analysis routines program against (`Analyzer` takes a
 /// `const StoreView&`): they see one logical store per namespace no matter
-/// how many shards or which backend sit underneath. Merge semantics:
-///   * series/range — per-shard series merged time-ascending; ties keep
-///     shard order (deterministic across runs).
-///   * latest       — the newest record over all shards; ties resolve to
-///     the lowest shard index.
-///   * sources      — union of shard sources, sorted, deduplicated.
-/// The view borrows the store: it stays valid while the store does, and
-/// returned record pointers are valid until the next append.
+/// how many shards or which backend sit underneath. latest/series/range
+/// read only the source's home shard (through read_shard, so a replication
+/// read override applies); sources sorts the shards' disjoint source sets;
+/// the counts sum over shards. The view borrows the store: it stays valid
+/// while the store does, and returned record pointers are valid until the
+/// next append.
 class StoreView {
  public:
   explicit StoreView(const DataStore& store) : store_(&store) {}
@@ -120,6 +119,9 @@ class StoreView {
   [[nodiscard]] std::uint64_t ingested_bytes(Namespace ns) const;
 
  private:
+  [[nodiscard]] const StorageBackend& home_shard(
+      Namespace ns, const std::string& source) const;
+
   const DataStore* store_;
 };
 

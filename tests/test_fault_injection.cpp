@@ -1,7 +1,7 @@
 // Failure-matrix tests for deterministic fault injection and the RPC/client
 // reliability layer: injector semantics, retry/timeout edge cases,
-// buffer-and-replay, failover, and a {drop rate x crash schedule x retry
-// policy} matrix asserting same-seed runs are bit-identical.
+// buffer-and-replay, and a {drop rate x crash schedule x retry policy}
+// matrix asserting same-seed runs are bit-identical.
 //
 // The matrix seed can be overridden with SOMA_FAULT_SEED (CI runs three fixed
 // seeds under ASan/UBSan); every suite name contains "Fault" so the CI leg
@@ -476,7 +476,7 @@ TEST_F(FaultRetryTest, ZeroRetryPolicyMatchesLegacyBitForBit) {
   EXPECT_EQ(legacy.responses, 5u);
 }
 
-// ---------- Client buffer-and-replay / failover ----------
+// ---------- Client buffer-and-replay ----------
 
 struct ReplayRunOutcome {
   std::vector<double> values;       // per-record payload, series order
@@ -669,51 +669,6 @@ TEST(FaultReplayTest, DegradedFollowsEachFailureAndRecovery) {
   EXPECT_EQ(service.publishes_received(), 4u);
 }
 
-TEST(FaultFailoverTest, PublishesRedirectToLiveRank) {
-  // Two ranks; crash one of them and publish twice. In the run where the
-  // crashed rank owns the source, the first publish exhausts its retries and
-  // the second fails over to the surviving rank; in the other run nothing is
-  // affected. Source affinity hashing is platform-stable, so exactly one of
-  // the two runs fails over.
-  std::uint64_t failovers = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t stored = 0;
-  for (int crashed_rank = 0; crashed_rank < 2; ++crashed_rank) {
-    sim::Simulation simulation;
-    net::Network network{simulation, net::NetworkConfig{}};
-    ServiceConfig service_config;
-    service_config.namespaces = {Namespace::kHardware};
-    service_config.ranks_per_namespace = 2;
-    SomaService service(network, {0}, service_config);
-    const auto& ranks = service.instance(Namespace::kHardware).ranks;
-    net::FaultInjector& injector =
-        network.install_faults(net::FaultConfig{});
-    injector.crash_endpoint(ranks[static_cast<std::size_t>(crashed_rank)],
-                            SimTime::zero(), SimTime::from_seconds(1e6));
-
-    ClientReliability reliability;
-    reliability.retry.max_attempts = 2;
-    reliability.retry.timeout = Duration::milliseconds(10);
-    reliability.failover = true;
-    SomaClient client(network, 1, 6000, Namespace::kHardware, ranks,
-                      reliability);
-
-    client.publish("cn0042", value_node(1.0));
-    simulation.schedule_at(SimTime::from_seconds(1.0), [&client] {
-      client.publish("cn0042", value_node(2.0));
-    });
-    simulation.run_until(SimTime::from_seconds(3.0));
-
-    failovers += client.stats().failovers;
-    failures += client.stats().publish_failures;
-    stored += service.publishes_received();
-  }
-  EXPECT_EQ(failovers, 1u);
-  EXPECT_EQ(failures, 1u);
-  // 2 publishes in the clean run + the failed-over one in the crashed run.
-  EXPECT_EQ(stored, 3u);
-}
-
 // ---------- Record conservation under crash-and-replay ----------
 
 // With crash windows only (no random drops, so no at-least-once duplicates),
@@ -848,7 +803,6 @@ struct MatrixOutcome {
   std::uint64_t failures = 0;
   std::uint64_t buffered = 0;
   std::uint64_t replayed = 0;
-  std::uint64_t failovers = 0;
   std::uint64_t retries = 0;
   bool operator==(const MatrixOutcome&) const = default;
 };
@@ -918,7 +872,6 @@ MatrixOutcome run_matrix_case(double drop_probability, bool crash_schedule,
     outcome.failures += client->stats().publish_failures;
     outcome.buffered += client->stats().buffered;
     outcome.replayed += client->stats().replayed;
-    outcome.failovers += client->stats().failovers;
     outcome.retries += client->engine_stats().retries;
   }
   return outcome;

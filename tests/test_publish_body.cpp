@@ -216,16 +216,17 @@ TEST_F(PublishBodyIngestTest, AcksAndShardBytesArePinned) {
   const auto& ranks = service.instance(Namespace::kHardware).ranks;
 
   // A live record, a replayed one, an empty one, and a body with no "data"
-  // field at all (stored as an empty record).
+  // field at all (stored as an empty record). Each source hashes to the
+  // rank it is sent to.
   Node no_data;
   no_data["ns"].set("hardware");
   no_data["source"].set("cn0003");
   send_publish(ranks[0],
-               envelope("hardware", "cn0001", sample_record()).pack());
-  send_publish(ranks[1], envelope("PROC", "cn0002", sample_record(),
+               envelope("hardware", "cn0002", sample_record()).pack());
+  send_publish(ranks[1], envelope("PROC", "cn0001", sample_record(),
                                   SimTime::from_seconds(0.5).nanos())
                              .pack());
-  send_publish(ranks[0], envelope("hardware", "cn0001", Node{}).pack());
+  send_publish(ranks[0], envelope("hardware", "cn0002", Node{}).pack());
   send_publish(ranks[1], no_data.pack());
   simulation.run();
 
@@ -247,7 +248,7 @@ TEST_F(PublishBodyIngestTest, AcksAndShardBytesArePinned) {
   EXPECT_EQ(shard1.record_count(), 2u);
   EXPECT_EQ(shard0.ingested_bytes(), 79u);
   EXPECT_EQ(shard1.ingested_bytes(), 79u);
-  const core::TimedRecord* replayed = shard1.latest("cn0002");
+  const core::TimedRecord* replayed = shard1.latest("cn0001");
   ASSERT_NE(replayed, nullptr);
   EXPECT_EQ(replayed->time, SimTime::from_seconds(0.5));
   const core::TimedRecord* missing = shard1.latest("cn0003");
@@ -520,6 +521,48 @@ TEST_F(PublishBodyIngestTest, MalformedBodySurfacesFromRun) {
                   });
   EXPECT_THROW(simulation.run(), LookupError);
   EXPECT_EQ(service.publishes_received(), 0u);
+}
+
+// A record whose source hashes to another rank is refused before anything
+// is counted, stored or logged, whether it arrives alone or in a batch (here
+// behind a record that is home on the receiving rank).
+TEST(PublishBodyRoutingTest, MisroutedRecordsSurfaceFromRun) {
+  ASSERT_EQ(core::route_source("cn0001", 2), 1u);
+  ASSERT_EQ(core::route_source("cn0002", 2), 0u);
+  wire::BatchBodyWriter batch("hardware");
+  batch.add("cn0002", 1, sample_record());
+  batch.add("cn0001", 2, sample_record());
+  std::vector<std::byte> batch_body;
+  batch.encode(batch_body);
+  const std::pair<const char*, std::vector<std::byte>> cases[] = {
+      {"soma.publish", envelope("hardware", "cn0001", sample_record()).pack()},
+      {"soma.publish_batch", batch_body}};
+
+  for (const auto& [rpc, body] : cases) {
+    sim::Simulation simulation;
+    net::Network network{simulation, net::NetworkConfig{}};
+    core::ServiceConfig config;
+    config.namespaces = {Namespace::kHardware};
+    config.ranks_per_namespace = 2;
+    config.replication.factor = 2;
+    core::SomaService service(network, {0}, config);
+    net::Engine sender(network, net::make_address(1, 6000));
+    const net::Address& rank0 = service.instance(Namespace::kHardware).ranks[0];
+    sender.call_raw(network.resolve(rank0), rpc, body.size(),
+                    [&body = body](std::vector<std::byte>& frame) {
+                      frame.insert(frame.end(), body.begin(), body.end());
+                    });
+    EXPECT_THROW(simulation.run_until(SimTime::from_seconds(1.0)),
+                 LookupError)
+        << rpc;
+    EXPECT_EQ(service.publishes_received(), 0u) << rpc;
+    EXPECT_EQ(service.batches_received(), 0u) << rpc;
+    EXPECT_EQ(service.store_view().total_records(), 0u) << rpc;
+    for (const core::ReplicationShardStatus& shard :
+         service.replication()->shard_status()) {
+      EXPECT_EQ(shard.log_records, 0u) << rpc;
+    }
+  }
 }
 
 TEST_F(PublishBodyIngestTest, NonIntTimeSurfacesFromRun) {

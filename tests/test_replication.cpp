@@ -140,17 +140,6 @@ TEST(ReplicationConfigTest, FactorOneConstructsNothing) {
   EXPECT_EQ(service.replication(), nullptr);
 }
 
-TEST(ReplicationConfigTest, FactorRequiresOneShardPerRank) {
-  sim::Simulation simulation;
-  net::Network network{simulation, net::NetworkConfig{}};
-  ServiceConfig service_config;
-  service_config.namespaces = {Namespace::kHardware};
-  service_config.ranks_per_namespace = 2;
-  service_config.storage.shards_per_namespace = 1;  // fewer shards than ranks
-  service_config.replication.factor = 2;
-  EXPECT_THROW(SomaService(network, {0}, service_config), ConfigError);
-}
-
 // ---------- steady-state replication ----------
 
 class ReplicationPipelineTest : public ::testing::Test {

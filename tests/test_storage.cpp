@@ -1,5 +1,5 @@
 // Storage-layer tests: StorageBackend implementations (map + log), range
-// boundary semantics, shard routing, and StoreView scatter-gather merges.
+// boundary semantics, shard routing, and StoreView reads over home shards.
 // Backend-behavior tests are parameterized over every StorageBackendKind so a
 // new backend inherits the whole contract suite by adding one enum value
 // below.
@@ -320,9 +320,7 @@ TEST(ShardRoutingTest, StableHashIsStable) {
 }
 
 TEST(ShardRoutingTest, DataStoreRoutesByTheSharedHash) {
-  StorageConfig config;
-  config.shards_per_namespace = 4;
-  DataStore store(config);
+  DataStore store(StorageConfig{}, 4);
   ASSERT_EQ(store.shard_count(), 4);
 
   const std::vector<std::string> sources = {"cn0001", "cn0002", "task.0001",
@@ -339,134 +337,28 @@ TEST(ShardRoutingTest, DataStoreRoutesByTheSharedHash) {
   }
 }
 
-// ---------- StoreView scatter-gather ----------
+// ---------- StoreView over home shards ----------
 
 class StoreViewTest : public ::testing::TestWithParam<StorageBackendKind> {
  protected:
   static DataStore sharded_store(StorageBackendKind kind, int shards) {
-    StorageConfig config;
-    config.backend = kind;
-    config.shards_per_namespace = shards;
-    return DataStore(config);
+    return DataStore(StorageConfig{kind}, shards);
   }
 };
 
-TEST_P(StoreViewTest, MergesSeriesAcrossShardsTimeSorted) {
-  DataStore store = sharded_store(GetParam(), 3);
-  // Simulate a source that failed over between ranks: its records are
-  // split across shards (bypassing hash routing via direct shard access).
-  store.shard(Namespace::kWorkflow, 0)
-      .append("task.1", SimTime::from_seconds(1.0), value_node(1.0));
-  store.shard(Namespace::kWorkflow, 2)
-      .append("task.1", SimTime::from_seconds(2.0), value_node(2.0));
-  store.shard(Namespace::kWorkflow, 1)
-      .append("task.1", SimTime::from_seconds(3.0), value_node(3.0));
-
-  const StoreView view = store.view();
-  const auto series = view.series(Namespace::kWorkflow, "task.1");
-  ASSERT_EQ(series.size(), 3u);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    EXPECT_EQ(series[i]->time, SimTime::from_seconds(1.0 + i));
-  }
-  const auto window = view.range(Namespace::kWorkflow, "task.1",
-                                 SimTime::from_seconds(2.0),
-                                 SimTime::from_seconds(3.0));
-  ASSERT_EQ(window.size(), 2u);
-  EXPECT_EQ(window.front()->time, SimTime::from_seconds(2.0));
-}
-
-TEST_P(StoreViewTest, LatestTieResolvesToLowestShard) {
-  DataStore store = sharded_store(GetParam(), 3);
-  store.shard(Namespace::kWorkflow, 2)
-      .append("task.1", SimTime::from_seconds(5.0), value_node(22.0));
-  store.shard(Namespace::kWorkflow, 1)
-      .append("task.1", SimTime::from_seconds(5.0), value_node(11.0));
-
-  const TimedRecord* latest =
-      store.view().latest(Namespace::kWorkflow, "task.1");
-  ASSERT_NE(latest, nullptr);
-  EXPECT_DOUBLE_EQ(latest->data.fetch_existing("v").as_float64(), 11.0);
-}
-
-TEST_P(StoreViewTest, TimeTiesKeepShardOrder) {
-  DataStore store = sharded_store(GetParam(), 2);
-  store.shard(Namespace::kWorkflow, 1)
-      .append("m", SimTime::from_seconds(1.0), value_node(1.0));
-  store.shard(Namespace::kWorkflow, 0)
-      .append("m", SimTime::from_seconds(1.0), value_node(0.0));
-
-  const auto series = store.view().series(Namespace::kWorkflow, "m");
-  ASSERT_EQ(series.size(), 2u);
-  // Equal timestamps: shard 0's record sorts first, deterministically.
-  EXPECT_DOUBLE_EQ(series[0]->data.fetch_existing("v").as_float64(), 0.0);
-  EXPECT_DOUBLE_EQ(series[1]->data.fetch_existing("v").as_float64(), 1.0);
-}
-
 TEST_P(StoreViewTest, SourcesUnionSortedDeduplicated) {
   DataStore store = sharded_store(GetParam(), 2);
-  store.shard(Namespace::kHardware, 0)
-      .append("cn0002", SimTime::from_seconds(1.0), value_node(1.0));
-  store.shard(Namespace::kHardware, 1)
-      .append("cn0001", SimTime::from_seconds(1.0), value_node(1.0));
-  store.shard(Namespace::kHardware, 1)
-      .append("cn0002", SimTime::from_seconds(2.0), value_node(2.0));
+  ASSERT_NE(store.shard_index_for("cn0001"), store.shard_index_for("cn0002"));
+  store.append(Namespace::kHardware, "cn0002", SimTime::from_seconds(1.0),
+               value_node(1.0));
+  store.append(Namespace::kHardware, "cn0001", SimTime::from_seconds(1.0),
+               value_node(1.0));
+  store.append(Namespace::kHardware, "cn0002", SimTime::from_seconds(2.0),
+               value_node(2.0));
 
   EXPECT_EQ(store.view().sources(Namespace::kHardware),
             (std::vector<std::string>{"cn0001", "cn0002"}));
   EXPECT_EQ(store.view().record_count(Namespace::kHardware), 3u);
-}
-
-TEST_P(StoreViewTest, InterleavedBatchAndSingleAppendsMergeIdentically) {
-  // Two stores fed the same logical records — one mixing batch frames and
-  // single appends across shards, one using only single appends — must
-  // merge bit-identically: same order, same tie resolution.
-  DataStore mixed = sharded_store(GetParam(), 3);
-  DataStore plain = sharded_store(GetParam(), 3);
-
-  // Shard 1 ingests a batch; shards 0 and 2 ingest singles, with time ties
-  // against the batched records.
-  std::vector<BatchItem> items;
-  items.push_back({"m", SimTime::from_seconds(1.0), value_node(11.0)});
-  items.push_back({"m", SimTime::from_seconds(2.0), value_node(12.0)});
-  items.push_back({"m", SimTime::from_seconds(4.0), value_node(14.0)});
-  mixed.shard(Namespace::kWorkflow, 1).append_batch(std::move(items));
-  mixed.shard(Namespace::kWorkflow, 0)
-      .append("m", SimTime::from_seconds(2.0), value_node(2.0));
-  mixed.shard(Namespace::kWorkflow, 2)
-      .append("m", SimTime::from_seconds(4.0), value_node(24.0));
-
-  plain.shard(Namespace::kWorkflow, 1)
-      .append("m", SimTime::from_seconds(1.0), value_node(11.0));
-  plain.shard(Namespace::kWorkflow, 1)
-      .append("m", SimTime::from_seconds(2.0), value_node(12.0));
-  plain.shard(Namespace::kWorkflow, 1)
-      .append("m", SimTime::from_seconds(4.0), value_node(14.0));
-  plain.shard(Namespace::kWorkflow, 0)
-      .append("m", SimTime::from_seconds(2.0), value_node(2.0));
-  plain.shard(Namespace::kWorkflow, 2)
-      .append("m", SimTime::from_seconds(4.0), value_node(24.0));
-
-  const auto a = mixed.view().series(Namespace::kWorkflow, "m");
-  const auto b = plain.view().series(Namespace::kWorkflow, "m");
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i]->time, b[i]->time) << i;
-    EXPECT_DOUBLE_EQ(a[i]->data.fetch_existing("v").as_float64(),
-                     b[i]->data.fetch_existing("v").as_float64())
-        << i;
-  }
-  // Time tie at 2.0: shard 0's record first. Latest tie at 4.0: lowest
-  // shard (1) wins — the batched record.
-  EXPECT_DOUBLE_EQ(a[1]->data.fetch_existing("v").as_float64(), 2.0);
-  const TimedRecord* latest = mixed.view().latest(Namespace::kWorkflow, "m");
-  ASSERT_NE(latest, nullptr);
-  EXPECT_DOUBLE_EQ(latest->data.fetch_existing("v").as_float64(), 14.0);
-
-  // The serialized export is likewise identical.
-  std::ostringstream mixed_out, plain_out;
-  EXPECT_EQ(export_store(mixed.view(), mixed_out),
-            export_store(plain.view(), plain_out));
-  EXPECT_EQ(mixed_out.str(), plain_out.str());
 }
 
 TEST_P(StoreViewTest, ExportIsShardCountInvariant) {
@@ -502,9 +394,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, StoreViewTest,
 // ---------- shard counters / report ----------
 
 TEST(ShardCountersTest, CountersFollowRouting) {
-  StorageConfig config;
-  config.shards_per_namespace = 2;
-  DataStore store(config);
+  DataStore store(StorageConfig{}, 2);
   store.append(Namespace::kWorkflow, "task.1", SimTime::from_seconds(1.0),
                value_node(1.0));
   store.append(Namespace::kHardware, "cn0001", SimTime::from_seconds(1.0),
@@ -523,10 +413,7 @@ TEST(ShardCountersTest, CountersFollowRouting) {
 }
 
 TEST(ShardCountersTest, ExportShardReportShape) {
-  StorageConfig config;
-  config.backend = StorageBackendKind::kLog;
-  config.shards_per_namespace = 2;
-  DataStore store(config);
+  DataStore store(StorageConfig{StorageBackendKind::kLog}, 2);
   store.append(Namespace::kWorkflow, "task.1", SimTime::from_seconds(1.0),
                value_node(1.0));
 

@@ -62,7 +62,6 @@ class BatchSystem {
 
   [[nodiscard]] int free_nodes() const;
   [[nodiscard]] std::size_t queued_jobs() const { return queue_.size(); }
-  [[nodiscard]] std::size_t running_jobs() const { return running_.size(); }
 
  private:
   struct PendingJob {

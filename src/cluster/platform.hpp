@@ -76,7 +76,6 @@ class ComputeNode {
   void release_gpus(const std::vector<GpuId>& gpus, const std::string& owner);
 
   // ---- memory ----
-  [[nodiscard]] double used_ram_mib() const { return used_ram_mib_; }
   [[nodiscard]] double available_ram_mib() const {
     return config_.ram_mib - used_ram_mib_;
   }
@@ -86,7 +85,6 @@ class ComputeNode {
   // ---- processes (for the /proc "Num Processes" field) ----
   [[nodiscard]] int num_processes() const { return num_processes_; }
   void process_started() { ++num_processes_; }
-  void process_stopped() { --num_processes_; }
 
   /// Adjust the activity of cores already owned by `owner` (e.g. a task
   /// whose compute phase ended but still holds its slots).

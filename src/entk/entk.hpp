@@ -66,9 +66,6 @@ class AppManager {
   [[nodiscard]] const std::vector<PipelineResult>& results() const {
     return results_;
   }
-  [[nodiscard]] std::size_t pipeline_count() const {
-    return pipelines_.size();
-  }
 
  private:
   struct PipelineState {

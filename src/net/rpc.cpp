@@ -119,19 +119,17 @@ void Engine::on_timeout(std::uint64_t request_id) {
   ++stats_.timeouts;
 
   if (call.attempt + 1 >= call.policy.max_attempts) {
-    // Retry budget exhausted: settle the call and surface the failure.
+    // Retry budget exhausted: settle the call and hand its body back.
     ++stats_.calls_failed;
     settled_retries_.insert(request_id);
     ErrorCallback on_error = std::move(call.on_error);
+    const std::vector<std::byte> frame = std::move(call.frame);
     const int attempts = call.attempt + 1;
     const Address& dest = network_.address(call.dest);
     pending_.erase(it);
     SOMA_DEBUG() << "rpc engine " << address() << ": call to " << dest
                  << " failed after " << attempts << " attempt(s)";
-    if (on_error) {
-      on_error("rpc to " + dest + " timed out after " +
-               std::to_string(attempts) + " attempt(s)");
-    }
+    if (on_error) on_error(wire::decode_header(frame).body);
     return;
   }
 

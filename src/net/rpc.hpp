@@ -79,9 +79,13 @@ struct ServiceCost {
 /// With a timeout set, the call is retransmitted with exponential backoff —
 /// attempt k waits timeout * backoff_multiplier^k (capped at max_timeout when
 /// set) — until a response arrives or max_attempts transmissions have timed
-/// out, at which point the error callback fires. Retries reuse the original
-/// request id (at-least-once semantics); a late response racing a retry is
-/// delivered once and subsequent duplicates are suppressed and counted.
+/// out, at which point the error callback fires with the request body. The
+/// engine keeps that one copy of the frame, as a Mercury handle keeps its
+/// serialized input until released, so a caller that re-sends a failed call
+/// rebuilds it from the body instead of keeping its own copy. Retries reuse
+/// the original request id (at-least-once semantics); a late response racing
+/// a retry is delivered once and subsequent duplicates are suppressed and
+/// counted.
 struct RetryPolicy {
   /// Total transmissions (1 = no retries).
   int max_attempts = 1;
@@ -117,7 +121,6 @@ struct EngineStats {
   Duration total_queue_delay;
   Duration max_queue_delay;
   Duration total_service_time;
-  Duration busy_time() const { return total_service_time; }
 
   /// Accumulate `other` field by field (max for max_queue_delay).
   EngineStats& operator+=(const EngineStats& other);
@@ -133,8 +136,11 @@ class Engine {
                                                 datamodel::Node args)>;
   /// A client-side completion callback.
   using ResponseCallback = std::function<void(datamodel::Node response)>;
-  /// Fired when a call exhausts its retry budget without a response.
-  using ErrorCallback = std::function<void(const std::string& error)>;
+  /// Fired when a call exhausts its retry budget without a response, with
+  /// the request body the engine kept for retransmission. The view is valid
+  /// only during the callback; the caller copies out what it keeps.
+  using ErrorCallback =
+      std::function<void(std::span<const std::byte> request_body)>;
   /// A server-side handler over the raw frame body; the handler owns the
   /// decode. Every registered RPC is one of these.
   using RawHandler = std::function<datamodel::Node(
@@ -201,8 +207,9 @@ class Engine {
     ErrorCallback on_error;
     EndpointId dest;
     RetryPolicy policy;
-    /// Encoded request, kept for retransmission (empty unless the policy is
-    /// enabled — plain calls never pay the copy).
+    /// Encoded request, kept for retransmission and handed back, body only,
+    /// to `on_error` (empty unless the policy is enabled — plain calls never
+    /// pay the copy).
     std::vector<std::byte> frame;
     int attempt = 0;
     sim::EventHandle timeout;

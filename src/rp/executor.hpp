@@ -78,7 +78,6 @@ class Executor {
   void set_node_noise(NodeId node, double fraction);
   [[nodiscard]] double node_noise(NodeId node) const;
 
-  [[nodiscard]] std::size_t running_count() const { return running_.size(); }
   [[nodiscard]] bool is_running(const std::string& uid) const {
     return running_.contains(uid);
   }

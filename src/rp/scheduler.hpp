@@ -83,7 +83,6 @@ class AgentScheduler {
     utilization_ = std::move(fn);
   }
 
-  void set_policy(PlacementPolicy policy) { config_.policy = policy; }
   [[nodiscard]] PlacementPolicy policy() const { return config_.policy; }
 
   /// Enqueue a task for placement. The task must be in AGENT_SCHEDULING.

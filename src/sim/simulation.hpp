@@ -87,10 +87,6 @@ class Simulation {
   /// first. Events scheduled exactly at `until` are executed.
   SimTime run_until(SimTime until);
 
-  /// Run for `span` of simulated time from the current clock (fault tests
-  /// advance through outage windows in measured steps).
-  SimTime run_for(Duration span) { return run_until(now_ + span); }
-
   /// Execute at most one pending event. Returns false if the queue is empty.
   bool step();
 
@@ -195,7 +191,6 @@ class PeriodicTask {
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] Duration period() const { return period_; }
-  void set_period(Duration period) { period_ = period; }
 
  private:
   void arm(Duration delay);

@@ -26,13 +26,12 @@ PublishBatcher::~PublishBatcher() {
 }
 
 void PublishBatcher::add(std::size_t rank_index, const std::string& source,
-                         datamodel::Node data, SimTime published_at,
-                         std::function<void()> on_ack, bool keep_copy) {
+                         const datamodel::Node& data, SimTime published_at,
+                         std::function<void()> on_ack) {
   check(rank_index < ranks_.size(), "batcher rank index out of range");
   PerRank& rank = ranks_[rank_index];
   if (!rank.open) {
-    rank.open.emplace(
-        Batch{net::wire::BatchBodyWriter(ns_), std::vector<PendingRecord>{}});
+    rank.open.emplace(Batch{net::wire::BatchBodyWriter(ns_), {}});
     rank.timer = simulation_.schedule(config_.max_delay, [this, rank_index] {
       ++stats_.delay_flushes;
       flush(rank_index);
@@ -41,12 +40,7 @@ void PublishBatcher::add(std::size_t rank_index, const std::string& source,
 
   Batch& batch = *rank.open;
   batch.body.add(source, published_at.nanos(), data);
-  PendingRecord record;
-  record.source = source;
-  if (keep_copy) record.data = std::move(data);
-  record.published_at = published_at;
-  record.on_ack = std::move(on_ack);
-  batch.records.push_back(std::move(record));
+  batch.on_acks.push_back(std::move(on_ack));
   ++stats_.records_batched;
 
   if (batch.body.record_count() >= config_.max_records) {
@@ -76,7 +70,7 @@ void PublishBatcher::flush_all() {
 std::size_t PublishBatcher::pending_records() const {
   std::size_t total = 0;
   for (const PerRank& rank : ranks_) {
-    if (rank.open) total += rank.open->records.size();
+    if (rank.open) total += rank.open->body.record_count();
   }
   return total;
 }

@@ -12,9 +12,10 @@
 // behind a frame header.
 //
 // The batcher is policy-free about delivery: the owner (SomaClient) supplies
-// the flush function and keeps per-record state (`PendingRecord`) so a failed
-// batch can fall back to the single-record reliability path with original
-// timestamps.
+// the flush function. The packed body is the only copy of a batch's records;
+// when a batch fails, the RPC engine hands its kept body back and the owner
+// decodes each record, with its original timestamp, from it. A batch keeps
+// only what the body cannot carry: each record's ack callback.
 #pragma once
 
 #include <cstdint>
@@ -48,20 +49,11 @@ struct BatchingConfig {
 
 class PublishBatcher {
  public:
-  /// Client-side state for one batched record, kept alongside the packed
-  /// wire body so a failed batch can be re-buffered record by record.
-  /// `data` is populated only when the owner asked for a re-buffer copy.
-  struct PendingRecord {
-    std::string source;
-    datamodel::Node data;
-    SimTime published_at;
-    std::function<void()> on_ack;
-  };
-
-  /// One flushed batch: the encoded wire body plus its per-record state.
+  /// One flushed batch: the encoded wire body and, in record order, each
+  /// record's ack callback (null when its publisher set none).
   struct Batch {
     net::wire::BatchBodyWriter body;
-    std::vector<PendingRecord> records;
+    std::vector<std::function<void()>> on_acks;
   };
 
   struct Stats {
@@ -81,12 +73,11 @@ class PublishBatcher {
   PublishBatcher& operator=(const PublishBatcher&) = delete;
 
   /// Buffer one record for `rank_index`. `data` is packed into the wire body
-  /// immediately; a copy is kept in the batch's record state only when
-  /// `keep_copy` is set (the owner's reliability layer needs re-buffering).
-  /// May flush synchronously when a size/byte trigger fires.
+  /// immediately and not kept. May flush synchronously when a size/byte
+  /// trigger fires.
   void add(std::size_t rank_index, const std::string& source,
-           datamodel::Node data, SimTime published_at,
-           std::function<void()> on_ack, bool keep_copy);
+           const datamodel::Node& data, SimTime published_at,
+           std::function<void()> on_ack);
 
   /// Flush `rank_index`'s open batch now (no-op when empty).
   void flush(std::size_t rank_index);

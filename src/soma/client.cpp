@@ -75,36 +75,30 @@ void SomaClient::publish(const std::string& source, datamodel::Node data,
     // parked: replay order must not let a fresh publish overtake a buffered
     // one from the same source.
     if (!buffer_.empty() || rank_down_[rank_index_for(source)]) {
-      enqueue_buffered(source, std::move(data), now, std::move(on_ack));
+      enqueue_buffered(Buffered{source, std::move(data), now,
+                                std::move(on_ack)});
       return;
     }
   }
   if (batcher_) {
-    // Coalesce. The batcher keeps a payload copy only when a failed batch
-    // must fall back to the re-buffer path (same rule as the single-record
-    // send below).
-    batcher_->add(rank_index_for(source), source, std::move(data), now,
-                  std::move(on_ack), reliability_.degradation_enabled());
+    // Coalesce: the record is packed into its rank's open batch.
+    batcher_->add(rank_index_for(source), source, data, now,
+                  std::move(on_ack));
     return;
   }
-  send_publish(source, std::move(data), now, std::move(on_ack),
-               /*replay=*/false);
+  send_publish(source, data, now, std::move(on_ack), /*replay=*/false);
 }
 
 void SomaClient::flush_batches() {
   if (batcher_) batcher_->flush_all();
 }
 
-void SomaClient::send_publish(const std::string& source, datamodel::Node data,
+void SomaClient::send_publish(const std::string& source,
+                              const datamodel::Node& data,
                               SimTime published_at,
                               std::function<void()> on_ack, bool replay,
                               bool from_batch) {
   const std::size_t idx = rank_index_for(source);
-
-  // Keep a copy only when a failed send must be re-buffered; plain and
-  // retry-only clients never pay it.
-  datamodel::Node data_copy;
-  if (reliability_.degradation_enabled()) data_copy = data;
 
   // The body is the packed {ns, source, data[, t]} envelope, written
   // straight into the frame. Replayed records carry their original publish
@@ -129,14 +123,16 @@ void SomaClient::send_publish(const std::string& source, datamodel::Node data,
   };
 
   // A disabled retry policy sends once and never fails, so plain clients
-  // build no error path.
+  // build no error path. A failed record is decoded from the body the
+  // engine kept for retransmission.
   net::Engine::ErrorCallback on_error;
   if (reliability_.retry.enabled()) {
-    on_error = [this, idx, source, data_copy = std::move(data_copy),
-                published_at, on_ack,
-                from_batch](const std::string& /*error*/) mutable {
-      on_publish_failure(idx, source, std::move(data_copy), published_at,
-                         std::move(on_ack), from_batch);
+    on_error = [this, idx, published_at, on_ack,
+                from_batch](std::span<const std::byte> body) mutable {
+      net::wire::PublishBodyView failed = net::wire::decode_publish_body(body);
+      on_publish_failure(idx, Buffered{std::string(failed.source),
+                                       std::move(failed.data), published_at,
+                                       std::move(on_ack), from_batch});
     };
   }
   engine_->call_raw(instance_ranks_[idx], "soma.publish",
@@ -147,23 +143,23 @@ void SomaClient::send_publish(const std::string& source, datamodel::Node data,
 
 void SomaClient::send_batch(std::size_t rank_index,
                             PublishBatcher::Batch batch) {
-  if (batch.records.empty()) return;
+  if (batch.on_acks.empty()) return;
   ++stats_.batches_sent;
-  const std::size_t count = batch.records.size();
-  // The per-record state is shared between the ack and error callbacks (only
-  // one of them ever consumes it).
-  auto records = std::make_shared<std::vector<PublishBatcher::PendingRecord>>(
-      std::move(batch.records));
+  const std::size_t count = batch.on_acks.size();
+  // The ack callbacks are shared between the ack and error callbacks (only
+  // one of them ever consumes them).
+  auto on_acks = std::make_shared<std::vector<std::function<void()>>>(
+      std::move(batch.on_acks));
 
   const SimTime sent_at = network_.simulation().now();
-  auto on_response = [this, sent_at, records,
+  auto on_response = [this, sent_at, on_acks,
                       count](const datamodel::Node& /*reply*/) {
     stats_.acked += count;
     const Duration latency = network_.simulation().now() - sent_at;
     stats_.total_ack_latency += latency * static_cast<double>(count);
     stats_.max_ack_latency = std::max(stats_.max_ack_latency, latency);
-    for (PublishBatcher::PendingRecord& record : *records) {
-      if (record.on_ack) record.on_ack();
+    for (const std::function<void()>& on_ack : *on_acks) {
+      if (on_ack) on_ack();
     }
   };
 
@@ -173,15 +169,21 @@ void SomaClient::send_batch(std::size_t rank_index,
 
   net::Engine::ErrorCallback on_error;
   if (reliability_.retry.enabled()) {
-    on_error = [this, rank_index, records](const std::string& /*error*/) {
+    on_error = [this, rank_index,
+                on_acks](std::span<const std::byte> body) {
       // A failed batch degrades to the single-record reliability path:
-      // every record re-buffers (or is counted failed) with its original
-      // publish timestamp, so replay is indistinguishable from a failed
-      // record-at-a-time run.
-      for (PublishBatcher::PendingRecord& record : *records) {
-        on_publish_failure(rank_index, record.source, std::move(record.data),
-                           record.published_at, std::move(record.on_ack),
-                           /*from_batch=*/true);
+      // every record, decoded from the body the engine kept, re-buffers (or
+      // is counted failed) with its original publish timestamp, so replay is
+      // indistinguishable from a failed record-at-a-time run.
+      const net::wire::BatchView failed = net::wire::decode_batch_body(body);
+      for (std::size_t i = 0; i < failed.records.size(); ++i) {
+        const net::wire::BatchRecordView& record = failed.records[i];
+        on_publish_failure(
+            rank_index,
+            Buffered{std::string(record.source),
+                     datamodel::Node::unpack(record.payload),
+                     SimTime(record.t_nanos), std::move((*on_acks)[i]),
+                     /*from_batch=*/true});
       }
     };
   }
@@ -190,10 +192,7 @@ void SomaClient::send_batch(std::size_t rank_index,
                     reliability_.retry, std::move(on_error));
 }
 
-void SomaClient::enqueue_buffered(const std::string& source,
-                                  datamodel::Node data, SimTime published_at,
-                                  std::function<void()> on_ack,
-                                  bool from_batch) {
+void SomaClient::enqueue_buffered(Buffered record) {
   if (buffer_.size() >= reliability_.max_buffered) {
     if (buffer_.front().from_batch) {
       ++stats_.dropped_batch_records;
@@ -202,28 +201,22 @@ void SomaClient::enqueue_buffered(const std::string& source,
     }
     buffer_.pop_front();
   }
-  buffer_.push_back(Buffered{next_buffer_seq_++, source, std::move(data),
-                             published_at, std::move(on_ack), from_batch});
+  buffer_.push_back(std::move(record));
   ++stats_.buffered;
   ensure_probe_running();
 }
 
 void SomaClient::on_publish_failure(std::size_t rank_index,
-                                    const std::string& source,
-                                    datamodel::Node data, SimTime published_at,
-                                    std::function<void()> on_ack,
-                                    bool from_batch) {
+                                    Buffered record) {
   ++stats_.publish_failures;
-  set_rank_down(rank_index, true);
   SOMA_DEBUG() << "soma client " << address() << ": collector "
                << network_.address(instance_ranks_[rank_index])
                << " unresponsive";
-  // Only a client with retry enabled sees failures, so buffering here means
-  // degradation is enabled; enqueue_buffered starts the probe.
-  if (reliability_.buffer_on_failure) {
-    enqueue_buffered(source, std::move(data), published_at, std::move(on_ack),
-                     from_batch);
-  }
+  // A retry-only client has no probe to bring a rank back up, so it marks
+  // none down. enqueue_buffered starts the probe.
+  if (!reliability_.degradation_enabled()) return;
+  set_rank_down(rank_index, true);
+  enqueue_buffered(std::move(record));
 }
 
 void SomaClient::flush_buffer() {
@@ -239,18 +232,16 @@ void SomaClient::flush_buffer() {
   }
   // Replay in original publish order. Records re-buffered by a late failure
   // carry an earlier publish time than their enqueue position, so sort by
-  // (published_at, seq) rather than trusting queue order — the store's
-  // per-source series must stay time-ascending.
-  std::sort(ready.begin(), ready.end(),
-            [](const Buffered& a, const Buffered& b) {
-              if (a.published_at != b.published_at) {
-                return a.published_at < b.published_at;
-              }
-              return a.seq < b.seq;
-            });
+  // publish time rather than trusting queue order — the store's per-source
+  // series must stay time-ascending. The sort is stable, so records with
+  // equal times keep their (FIFO) enqueue order.
+  std::stable_sort(ready.begin(), ready.end(),
+                   [](const Buffered& a, const Buffered& b) {
+                     return a.published_at < b.published_at;
+                   });
   for (Buffered& record : ready) {
     ++stats_.replayed;
-    send_publish(record.source, std::move(record.data), record.published_at,
+    send_publish(record.source, record.data, record.published_at,
                  std::move(record.on_ack), /*replay=*/true,
                  record.from_batch);
   }
@@ -282,7 +273,7 @@ void SomaClient::probe_tick() {
                        << " recovered";
           flush_buffer();
         },
-        probe, [this, i](const std::string& /*error*/) {
+        probe, [this, i](std::span<const std::byte> /*request_body*/) {
           probe_in_flight_[i] = 0;
         });
   }

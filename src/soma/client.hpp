@@ -8,14 +8,17 @@
 // affinity) so per-source time series stay ordered.
 //
 // Reliability (optional, off by default): a `ClientReliability` config arms
-// per-publish retry/timeout, and on retry exhaustion the client enters a
-// graceful-degradation mode. With `buffer_on_failure` it buffers publishes
-// locally, probes the dead collector with `soma.ping`, and replays the
-// buffer in original publish order — with original timestamps — once the
-// collector answers again. A source's records never leave its home rank,
-// so each source's series lives in one shard. The default config takes
-// none of these paths, so fault-free runs are byte-identical to the
-// pre-reliability client.
+// per-publish retry/timeout. A retry-only client counts a call that exhausts
+// its retries and moves on. With `buffer_on_failure` as well, the client
+// degrades instead: it marks the collector down, buffers publishes locally,
+// probes the dead collector with `soma.ping`, and replays the buffer in
+// original publish order — with original timestamps — once the collector
+// answers again. The client keeps no copy of a record it sends: the RPC
+// engine keeps the frame for retransmission and hands its body back on
+// failure, and the client decodes the failed records from it. A source's
+// records never leave its home rank, so each source's series lives in one
+// shard. The default config takes none of these paths, so fault-free runs
+// are byte-identical to the pre-reliability client.
 #pragma once
 
 #include <cstdint>
@@ -104,13 +107,10 @@ class SomaClient {
   [[nodiscard]] PublishBatcher::Stats batcher_stats() const {
     return batcher_ ? batcher_->stats() : PublishBatcher::Stats{};
   }
-  /// Records coalesced but not yet shipped (0 when batching is off).
-  [[nodiscard]] std::size_t batched_pending() const {
-    return batcher_ ? batcher_->pending_records() : 0;
-  }
 
   /// True while at least one target rank is considered down (publishes to
-  /// it fail or are buffered). Monitors report this as degraded ticks.
+  /// it are buffered). Only a degrading client marks ranks down, and its
+  /// probe marks them back up. Monitors report this as degraded ticks.
   [[nodiscard]] bool degraded() const { return ranks_down_ > 0; }
   /// Publishes currently parked awaiting collector recovery.
   [[nodiscard]] std::size_t buffered_pending() const { return buffer_.size(); }
@@ -132,7 +132,6 @@ class SomaClient {
  private:
   /// One publish parked while its collector is down.
   struct Buffered {
-    std::uint64_t seq;
     std::string source;
     datamodel::Node data;
     SimTime published_at;
@@ -143,17 +142,14 @@ class SomaClient {
   /// The source's home rank: every publish from `source` ships there.
   [[nodiscard]] std::size_t rank_index_for(const std::string& source) const;
 
-  void send_publish(const std::string& source, datamodel::Node data,
+  void send_publish(const std::string& source, const datamodel::Node& data,
                     SimTime published_at, std::function<void()> on_ack,
                     bool replay, bool from_batch = false);
   void send_batch(std::size_t rank_index, PublishBatcher::Batch batch);
-  void enqueue_buffered(const std::string& source, datamodel::Node data,
-                        SimTime published_at, std::function<void()> on_ack,
-                        bool from_batch = false);
-  void on_publish_failure(std::size_t rank_index, const std::string& source,
-                          datamodel::Node data, SimTime published_at,
-                          std::function<void()> on_ack,
-                          bool from_batch = false);
+  void enqueue_buffered(Buffered record);
+  /// Count one failed record. A degrading client marks `rank_index` down and
+  /// buffers the record; a retry-only client only counts it.
+  void on_publish_failure(std::size_t rank_index, Buffered record);
   /// Replay buffered publishes whose target rank is back up, oldest first.
   void flush_buffer();
   void ensure_probe_running();
@@ -173,7 +169,6 @@ class SomaClient {
   std::size_t ranks_down_ = 0;        // count of 1s in rank_down_
   std::vector<char> probe_in_flight_; // 1 = ping outstanding
   std::deque<Buffered> buffer_;
-  std::uint64_t next_buffer_seq_ = 0;
   std::unique_ptr<sim::PeriodicTask> probe_task_;
   ClientStats stats_;
 };

@@ -241,7 +241,8 @@ void ReplicationManager::ship(std::size_t owner, std::size_t link) {
         maybe_send(owner, link);
       },
       config_.replicate_retry,
-      [this, owner, link, epoch](const std::string& /*error*/) {
+      [this, owner, link,
+       epoch](std::span<const std::byte> /*request_body*/) {
         Window* w = live_window(owner, link, epoch);
         if (w == nullptr) return;
         w->in_flight = false;
@@ -371,7 +372,8 @@ void ReplicationManager::send_heartbeats(std::size_t index) {
           record_heartbeat_ack(target);
         },
         policy,
-        [this, index, target, epoch](const std::string& /*error*/) {
+        [this, index, target,
+         epoch](std::span<const std::byte> /*request_body*/) {
           // A dead observer's verdicts do not count (it could not have sent
           // the probe); epoch staleness covers crash-then-restart races.
           if (ranks_[index].epoch != epoch || ranks_[index].down) return;

@@ -145,8 +145,11 @@ class PublishBatcherTest : public ::testing::Test {
           Flushed f;
           f.rank = rank;
           f.records = batch.body.record_count();
-          for (const auto& record : batch.records) {
-            f.sources.push_back(record.source);
+          std::vector<std::byte> body;
+          batch.body.encode(body);
+          const auto view = net::wire::decode_batch_body(body);
+          for (const auto& record : view.records) {
+            f.sources.emplace_back(record.source);
           }
           flushed.push_back(std::move(f));
         });
@@ -154,8 +157,7 @@ class PublishBatcherTest : public ::testing::Test {
 
   void add(PublishBatcher& batcher, std::size_t rank,
            const std::string& source) {
-    batcher.add(rank, source, value_node(1.0), simulation.now(), nullptr,
-                /*keep_copy=*/true);
+    batcher.add(rank, source, value_node(1.0), simulation.now(), nullptr);
   }
 
   sim::Simulation simulation;

@@ -69,21 +69,20 @@ void Engine::define_raw(const std::string& rpc, RawHandler handler) {
 }
 
 void Engine::call(EndpointId dest, std::string_view rpc,
-                  const datamodel::Node& args, ResponseCallback on_response,
-                  RetryPolicy policy, ErrorCallback on_error) {
+                  const datamodel::Node& args, Completion on_done,
+                  RetryPolicy policy) {
   const std::size_t body_size = args.packed_size();
   call_raw(
       dest, rpc, body_size,
       [&args, body_size](std::vector<std::byte>& frame) {
         args.pack(frame, body_size);
       },
-      std::move(on_response), policy, std::move(on_error));
+      std::move(on_done), policy);
 }
 
 void Engine::call_raw(EndpointId dest, std::string_view rpc,
                       std::size_t body_size, const BodyEncoder& append_body,
-                      ResponseCallback on_response, RetryPolicy policy,
-                      ErrorCallback on_error) {
+                      Completion on_done, RetryPolicy policy) {
   check(policy.max_attempts >= 1, "retry policy needs at least one attempt");
   const std::uint64_t id = next_request_id_++;
 
@@ -93,10 +92,9 @@ void Engine::call_raw(EndpointId dest, std::string_view rpc,
   append_body(frame);
 
   // Register the pending call (and its retry timer), then send.
-  if (on_response || on_error || policy.enabled()) {
+  if (on_done || policy.enabled()) {
     PendingCall pending;
-    pending.on_response = std::move(on_response);
-    pending.on_error = std::move(on_error);
+    pending.on_done = std::move(on_done);
     pending.dest = dest;
     pending.policy = policy;
     if (policy.enabled()) {
@@ -122,14 +120,14 @@ void Engine::on_timeout(std::uint64_t request_id) {
     // Retry budget exhausted: settle the call and hand its body back.
     ++stats_.calls_failed;
     settled_retries_.insert(request_id);
-    ErrorCallback on_error = std::move(call.on_error);
+    Completion on_done = std::move(call.on_done);
     const std::vector<std::byte> frame = std::move(call.frame);
     const int attempts = call.attempt + 1;
     const Address& dest = network_.address(call.dest);
     pending_.erase(it);
     SOMA_DEBUG() << "rpc engine " << address() << ": call to " << dest
                  << " failed after " << attempts << " attempt(s)";
-    if (on_error) on_error(wire::decode_header(frame).body);
+    if (on_done) on_done({false, wire::decode_header(frame).body});
     return;
   }
 
@@ -167,7 +165,7 @@ void Engine::on_message(EndpointId from, std::vector<std::byte> payload) {
     call.timeout.cancel();
     // Only retried calls can see duplicates; remember them for suppression.
     if (call.attempt > 0) settled_retries_.insert(header.request_id);
-    if (call.on_response) call.on_response(datamodel::Node::unpack(header.body));
+    if (call.on_done) call.on_done({true, header.body});
   }
 }
 

@@ -112,84 +112,73 @@ void SomaClient::send_publish(const std::string& source,
     net::wire::encode_publish_body(frame, ns, source, data, data_size, t);
   };
 
+  // The ack's body is never read. A failed record (only a client with a
+  // retry policy has failures) is decoded from the request body the engine
+  // kept for retransmission.
   const SimTime sent_at = network_.simulation().now();
-  auto on_response = [this, sent_at,
-                      on_ack](const datamodel::Node& /*reply*/) {
-    ++stats_.acked;
-    const Duration latency = network_.simulation().now() - sent_at;
-    stats_.total_ack_latency += latency;
-    stats_.max_ack_latency = std::max(stats_.max_ack_latency, latency);
-    if (on_ack) on_ack();
+  auto on_done = [this, idx, sent_at, published_at, from_batch,
+                  on_ack = std::move(on_ack)](
+                     net::Engine::Result result) mutable {
+    if (result.ok) {
+      record_acks(sent_at, 1);
+      if (on_ack) on_ack();
+      return;
+    }
+    net::wire::PublishBodyView failed =
+        net::wire::decode_publish_body(result.body);
+    on_publish_failure(idx, Buffered{std::string(failed.source),
+                                     std::move(failed.data), published_at,
+                                     std::move(on_ack), from_batch});
   };
-
-  // A disabled retry policy sends once and never fails, so plain clients
-  // build no error path. A failed record is decoded from the body the
-  // engine kept for retransmission.
-  net::Engine::ErrorCallback on_error;
-  if (reliability_.retry.enabled()) {
-    on_error = [this, idx, published_at, on_ack,
-                from_batch](std::span<const std::byte> body) mutable {
-      net::wire::PublishBodyView failed = net::wire::decode_publish_body(body);
-      on_publish_failure(idx, Buffered{std::string(failed.source),
-                                       std::move(failed.data), published_at,
-                                       std::move(on_ack), from_batch});
-    };
-  }
   engine_->call_raw(instance_ranks_[idx], "soma.publish",
                     net::wire::publish_body_size(ns, source, data_size, replay),
-                    encode, std::move(on_response), reliability_.retry,
-                    std::move(on_error));
+                    encode, std::move(on_done), reliability_.retry);
+}
+
+void SomaClient::record_acks(SimTime sent_at, std::size_t count) {
+  stats_.acked += count;
+  const Duration latency = network_.simulation().now() - sent_at;
+  stats_.total_ack_latency += latency * static_cast<double>(count);
+  stats_.max_ack_latency = std::max(stats_.max_ack_latency, latency);
 }
 
 void SomaClient::send_batch(std::size_t rank_index,
                             PublishBatcher::Batch batch) {
   if (batch.on_acks.empty()) return;
   ++stats_.batches_sent;
-  const std::size_t count = batch.on_acks.size();
-  // The ack callbacks are shared between the ack and error callbacks (only
-  // one of them ever consumes them).
-  auto on_acks = std::make_shared<std::vector<std::function<void()>>>(
-      std::move(batch.on_acks));
-
-  const SimTime sent_at = network_.simulation().now();
-  auto on_response = [this, sent_at, on_acks,
-                      count](const datamodel::Node& /*reply*/) {
-    stats_.acked += count;
-    const Duration latency = network_.simulation().now() - sent_at;
-    stats_.total_ack_latency += latency * static_cast<double>(count);
-    stats_.max_ack_latency = std::max(stats_.max_ack_latency, latency);
-    for (const std::function<void()>& on_ack : *on_acks) {
-      if (on_ack) on_ack();
-    }
-  };
-
   const auto encode = [&batch](std::vector<std::byte>& frame) {
     batch.body.encode(frame);
   };
-
-  net::Engine::ErrorCallback on_error;
-  if (reliability_.retry.enabled()) {
-    on_error = [this, rank_index,
-                on_acks](std::span<const std::byte> body) {
-      // A failed batch degrades to the single-record reliability path:
-      // every record, decoded from the body the engine kept, re-buffers (or
-      // is counted failed) with its original publish timestamp, so replay is
-      // indistinguishable from a failed record-at-a-time run.
-      const net::wire::BatchView failed = net::wire::decode_batch_body(body);
-      for (std::size_t i = 0; i < failed.records.size(); ++i) {
-        const net::wire::BatchRecordView& record = failed.records[i];
-        on_publish_failure(
-            rank_index,
-            Buffered{std::string(record.source),
-                     datamodel::Node::unpack(record.payload),
-                     SimTime(record.t_nanos), std::move((*on_acks)[i]),
-                     /*from_batch=*/true});
+  const SimTime sent_at = network_.simulation().now();
+  auto on_done = [this, rank_index, sent_at,
+                  on_acks = std::move(batch.on_acks)](
+                     net::Engine::Result result) mutable {
+    if (result.ok) {
+      record_acks(sent_at, on_acks.size());
+      for (const std::function<void()>& on_ack : on_acks) {
+        if (on_ack) on_ack();
       }
-    };
-  }
+      return;
+    }
+    // A failed batch degrades to the single-record reliability path: every
+    // record, decoded from the body the engine kept, re-buffers (or is
+    // counted failed) with its original publish timestamp, so replay is
+    // indistinguishable from a failed record-at-a-time run.
+    const net::wire::BatchView failed =
+        net::wire::decode_batch_body(result.body);
+    for (std::size_t i = 0; i < failed.records.size(); ++i) {
+      const net::wire::BatchRecordView& record = failed.records[i];
+      on_publish_failure(
+          rank_index,
+          Buffered{std::string(record.source),
+                   datamodel::Node::unpack(record.payload),
+                   SimTime(record.t_nanos), std::move(on_acks[i]),
+                   /*from_batch=*/true});
+    }
+  };
   engine_->call_raw(instance_ranks_[rank_index], "soma.publish_batch",
-                    batch.body.body_size(), encode, std::move(on_response),
-                    reliability_.retry, std::move(on_error));
+                    batch.body.body_size(), encode, std::move(on_done),
+                    reliability_.retry);
 }
 
 void SomaClient::enqueue_buffered(Buffered record) {
@@ -265,17 +254,16 @@ void SomaClient::probe_tick() {
     probe.timeout = reliability_.retry.timeout;
     engine_->call(
         instance_ranks_[i], "soma.ping", datamodel::Node{},
-        [this, i](const datamodel::Node& /*reply*/) {
+        [this, i](net::Engine::Result result) {
           probe_in_flight_[i] = 0;
+          if (!result.ok) return;  // still down: the next tick probes again
           set_rank_down(i, false);
           SOMA_DEBUG() << "soma client " << address() << ": collector "
                        << network_.address(instance_ranks_[i])
                        << " recovered";
           flush_buffer();
         },
-        probe, [this, i](std::span<const std::byte> /*request_body*/) {
-          probe_in_flight_[i] = 0;
-        });
+        probe);
   }
   if (!any_down && buffer_.empty()) probe_task_->stop();
 }
@@ -284,9 +272,12 @@ void SomaClient::query(datamodel::Node request,
                        std::function<void(datamodel::Node)> on_reply) {
   check(on_reply != nullptr, "query requires a reply callback");
   // Queries go to the instance's first rank; query volume is negligible
-  // next to publish volume.
-  engine_->call(instance_ranks_.front(), "soma.query", std::move(request),
-                std::move(on_reply));
+  // next to publish volume. A query has no retry policy, so it completes
+  // only with its reply.
+  engine_->call(instance_ranks_.front(), "soma.query", request,
+                [on_reply = std::move(on_reply)](net::Engine::Result result) {
+                  on_reply(datamodel::Node::unpack(result.body));
+                });
 }
 
 }  // namespace soma::core

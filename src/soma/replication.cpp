@@ -19,8 +19,18 @@ constexpr std::uint8_t kFrameReplicate = 0;
 constexpr std::uint8_t kFrameResync = 1;
 constexpr std::size_t kPrefixBytes = 1 + 4 + 8;
 
-std::uint64_t ack_seq(const datamodel::Node& response) {
-  if (const auto* seq = response.find_child("seq")) {
+// Failure detector: consecutive missed probes before a rank is suspected,
+// and before it is declared dead (detection latency is
+// O(kDeadAfter * heartbeat_period)).
+constexpr int kSuspectAfter = 2;
+constexpr int kDeadAfter = 3;
+// Backoff policy for replication and resync frames.
+constexpr net::RetryPolicy kReplicateRetry{3, Duration::milliseconds(50), 2.0,
+                                           Duration::milliseconds(400)};
+
+std::uint64_t ack_seq(std::span<const std::byte> response) {
+  const datamodel::Node ack = datamodel::Node::unpack(response);
+  if (const auto* seq = ack.find_child("seq")) {
     return static_cast<std::uint64_t>(seq->as_int64());
   }
   return 0;
@@ -43,9 +53,6 @@ ReplicationManager::ReplicationManager(net::Network& network, DataStore& store,
     : network_(network), store_(store), config_(std::move(config)) {
   if (config_.factor < 2) {
     throw ConfigError("ReplicationManager needs factor >= 2");
-  }
-  if (config_.suspect_after < 1 || config_.dead_after < config_.suspect_after) {
-    throw ConfigError("replication needs 1 <= suspect_after <= dead_after");
   }
   if (config_.max_batch_records == 0) {
     throw ConfigError("replication max_batch_records must be > 0");
@@ -179,14 +186,6 @@ void ReplicationManager::send_resync_chunk(std::size_t target_index) {
   ship(target_index, kResyncLink);
 }
 
-ReplicationManager::Window* ReplicationManager::live_window(
-    std::size_t owner, std::size_t link, std::uint64_t epoch) {
-  Rank& rank = ranks_[owner];
-  if (rank.epoch != epoch) return nullptr;  // wiped since; stale future
-  if (link != kResyncLink) return &rank.links[link].window;
-  return rank.resync == nullptr ? nullptr : &rank.resync->window;
-}
-
 void ReplicationManager::ship(std::size_t owner, std::size_t link) {
   Rank& rank = ranks_[owner];
   const bool resync = link == kResyncLink;
@@ -223,31 +222,31 @@ void ReplicationManager::ship(std::size_t owner, std::size_t link) {
         net::wire::put_u64(frame.data() + at + 5, base);
         writer.encode(frame);
       },
-      [this, owner, link, epoch, base](datamodel::Node response) {
-        Window* w = live_window(owner, link, epoch);
-        if (w == nullptr) return;
-        w->in_flight = false;
+      [this, owner, link, epoch, base](net::Engine::Result result) {
+        // Stale once the owner's epoch moved on or its resync is gone.
+        Rank& o = ranks_[owner];
+        if (o.epoch != epoch) return;
+        const bool resync = link == kResyncLink;
+        if (resync && o.resync == nullptr) return;
+        Window& w = resync ? o.resync->window : o.links[link].window;
+        w.in_flight = false;
+        if (!result.ok) {
+          w.stalled = true;  // re-kicked by the owner's next live tick
+          return;
+        }
         // The receiver's cumulative ack is authoritative: a holder that lost
         // its replica (crash) acks low and the window rewinds to re-ship.
-        const auto acked = static_cast<std::size_t>(ack_seq(response));
-        const Rank& o = ranks_[owner];
-        if (link == kResyncLink) {
-          w->acked = std::min(acked, o.resync->entries.size());
+        const auto acked = static_cast<std::size_t>(ack_seq(result.body));
+        if (resync) {
+          w.acked = std::min(acked, o.resync->entries.size());
           send_resync_chunk(owner);
           return;
         }
-        w->acked = std::min(acked, o.log.size());
-        if (w->acked > base) stats_.records_replicated += w->acked - base;
+        w.acked = std::min(acked, o.log.size());
+        if (w.acked > base) stats_.records_replicated += w.acked - base;
         maybe_send(owner, link);
       },
-      config_.replicate_retry,
-      [this, owner, link,
-       epoch](std::span<const std::byte> /*request_body*/) {
-        Window* w = live_window(owner, link, epoch);
-        if (w == nullptr) return;
-        w->in_flight = false;
-        w->stalled = true;  // re-kicked by the owner's next live tick
-      });
+      kReplicateRetry);
 }
 
 datamodel::Node ReplicationManager::handle_replicate(
@@ -367,18 +366,19 @@ void ReplicationManager::send_heartbeats(std::size_t index) {
     probe["from"].set(static_cast<std::int64_t>(rank.shard));
     rank.engine->call(
         ranks_[target].engine->id(), "soma.heartbeat", std::move(probe),
-        [this, index, target, epoch](datamodel::Node /*response*/) {
-          if (ranks_[index].epoch != epoch) return;
-          record_heartbeat_ack(target);
+        [this, index, target, epoch](net::Engine::Result result) {
+          // Epoch staleness covers crash-then-restart races, and a dead
+          // observer's misses do not count (it could not have sent the
+          // probe).
+          const Rank& observer = ranks_[index];
+          if (observer.epoch != epoch) return;
+          if (result.ok) {
+            record_heartbeat_ack(target);
+          } else if (!observer.down) {
+            record_missed_heartbeat(target);
+          }
         },
-        policy,
-        [this, index, target,
-         epoch](std::span<const std::byte> /*request_body*/) {
-          // A dead observer's verdicts do not count (it could not have sent
-          // the probe); epoch staleness covers crash-then-restart races.
-          if (ranks_[index].epoch != epoch || ranks_[index].down) return;
-          record_missed_heartbeat(target);
-        });
+        policy);
   }
 }
 
@@ -395,13 +395,13 @@ void ReplicationManager::record_missed_heartbeat(std::size_t target_index) {
   Rank& target = ranks_[target_index];
   ++target.missed_heartbeats;
   ++stats_.heartbeats_missed;
-  if (target.missed_heartbeats >= config_.dead_after &&
+  if (target.missed_heartbeats >= kDeadAfter &&
       target.health != RankHealth::kDead &&
       target.health != RankHealth::kRecovering) {
     target.health = RankHealth::kDead;
     ++stats_.dead_transitions;
     update_instance_read_routes(target.ns);
-  } else if (target.missed_heartbeats >= config_.suspect_after &&
+  } else if (target.missed_heartbeats >= kSuspectAfter &&
              target.health == RankHealth::kLive) {
     target.health = RankHealth::kSuspected;
     ++stats_.suspected_transitions;

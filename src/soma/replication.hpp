@@ -65,17 +65,11 @@ struct ReplicationConfig {
   int factor = 1;
   /// Seeds the heartbeat phase stagger (deterministic, like FaultConfig).
   std::uint64_t seed = 1;
-  /// Heartbeat probe period per rank; detection latency is
-  /// O(dead_after * heartbeat_period).
+  /// Heartbeat probe period per rank; a rank is declared dead after three
+  /// consecutive missed probes.
   Duration heartbeat_period = Duration::seconds(5.0);
   /// Per-probe response timeout (single attempt; a miss is a miss).
   Duration heartbeat_timeout = Duration::seconds(2.0);
-  /// Consecutive missed probes before a rank is suspected / declared dead.
-  int suspect_after = 2;
-  int dead_after = 3;
-  /// Backoff policy for replication and resync frames (PR 2 machinery).
-  net::RetryPolicy replicate_retry{3, Duration::milliseconds(50), 2.0,
-                                   Duration::milliseconds(400)};
   /// Records per replication / resync frame window.
   std::size_t max_batch_records = 64;
 
@@ -240,12 +234,8 @@ class ReplicationManager {
   /// Ship the next window of one stream owned by rank `owner`: its link
   /// `link` (replica append, sent by the owner) or, for kResyncLink, its
   /// resync (sent by the source holder to the owner). The owner's epoch
-  /// stales the callbacks: a wipe or a new recovery replaces the stream.
+  /// stales its completion: a wipe or a new recovery replaces the stream.
   void ship(std::size_t owner, std::size_t link);
-  /// The window a `ship` callback advances, or null when the callback is
-  /// stale: the owner's epoch moved on, or its resync is gone.
-  [[nodiscard]] Window* live_window(std::size_t owner, std::size_t link,
-                                    std::uint64_t epoch);
   /// Freshest live holder of `index`'s shard (ties resolve to the nearest
   /// successor), or ranks_.size() when no holder is live.
   [[nodiscard]] std::size_t freshest_holder(std::size_t index) const;

@@ -351,15 +351,20 @@ TEST_F(FaultRetryTest, RetryExhaustionSurfacesError) {
   std::optional<datamodel::Node> failed_body;
   int responses = 0;
   // Nothing is bound at the destination: every transmission vanishes.
-  client.call(net::make_address(0, 100), "echo", payload(1),
-              [&](datamodel::Node) { ++responses; }, policy,
-              [&](std::span<const std::byte> body) {
-                failed_body = datamodel::Node::unpack(body);
-              });
+  client.call(
+      net::make_address(0, 100), "echo", payload(1),
+      [&](net::Engine::Result result) {
+        if (result.ok) {
+          ++responses;
+        } else {
+          failed_body = datamodel::Node::unpack(result.body);
+        }
+      },
+      policy);
   simulation.run();
 
   EXPECT_EQ(responses, 0);
-  // The error callback gets back exactly the request body that was sent.
+  // The failed call gets back exactly the request body that was sent.
   ASSERT_TRUE(failed_body.has_value());
   EXPECT_EQ(*failed_body, payload(1));
   EXPECT_EQ(client.stats().timeouts, 3u);
@@ -386,9 +391,10 @@ TEST_F(FaultRetryTest, RetrySucceedsAfterTransientCrash) {
 
   int responses = 0;
   int errors = 0;
-  client.call(server.address(), "echo", payload(7),
-              [&](datamodel::Node) { ++responses; }, policy,
-              [&](std::span<const std::byte>) { ++errors; });
+  client.call(
+      server.address(), "echo", payload(7),
+      [&](net::Engine::Result result) { ++(result.ok ? responses : errors); },
+      policy);
   simulation.run();
 
   EXPECT_EQ(responses, 1);
@@ -400,35 +406,62 @@ TEST_F(FaultRetryTest, RetrySucceedsAfterTransientCrash) {
 }
 
 TEST_F(FaultRetryTest, DuplicateResponsesSuppressedAndCounted) {
-  // A slow (5 ms) server against a 1 ms timeout: all three attempts arrive
-  // and are answered, but the caller must see exactly one completion and the
-  // two late replies must be counted as duplicates.
+  // A slow (5 ms) server against a 1 ms timeout: every attempt arrives and
+  // is answered, but the caller must see exactly one completion and the late
+  // replies must be counted as duplicates, never delivered.
   net::ServiceCost cost;
   cost.base = Duration::milliseconds(5);
   cost.per_kib = Duration::zero();
   net::Engine server(network, net::make_address(0, 100), cost);
-  net::Engine client(network, net::make_address(1, 100));
   server.define("slow", [](const net::Address&, const datamodel::Node& args) {
     return args;
   });
+  struct Completions {
+    int fired = 0;
+    bool ok = false;
+    std::vector<std::byte> body;
+  };
+  const auto call = [&](net::Engine& client, int max_attempts,
+                        Completions& seen) {
+    net::RetryPolicy policy;
+    policy.max_attempts = max_attempts;
+    policy.timeout = Duration::milliseconds(1);
+    client.call(
+        server.address(), "slow", payload(9),
+        [&seen](net::Engine::Result result) {
+          ++seen.fired;
+          seen.ok = result.ok;
+          seen.body.assign(result.body.begin(), result.body.end());
+        },
+        policy);
+    simulation.run();
+  };
+  const std::vector<std::byte> sent = payload(9).pack();
 
-  net::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.timeout = Duration::milliseconds(1);
-
-  int responses = 0;
-  int errors = 0;
-  client.call(server.address(), "slow", payload(9),
-              [&](datamodel::Node) { ++responses; }, policy,
-              [&](std::span<const std::byte>) { ++errors; });
-  simulation.run();
-
-  EXPECT_EQ(responses, 1);
-  EXPECT_EQ(errors, 0);
+  // Three attempts (timeouts at 1, 3 and 7 ms): the first reply, at 5 ms,
+  // settles the call; the other two are duplicates.
+  net::Engine client(network, net::make_address(1, 100));
+  Completions answered;
+  call(client, 3, answered);
+  EXPECT_EQ(answered.fired, 1);
+  EXPECT_TRUE(answered.ok);
+  EXPECT_EQ(answered.body, sent);  // the echo
   EXPECT_EQ(server.stats().requests_handled, 3u);
   EXPECT_EQ(server.stats().retried_requests, 2u);
   EXPECT_EQ(client.stats().duplicate_responses, 2u);
   EXPECT_EQ(client.stats().calls_failed, 0u);
+
+  // Two attempts (timeouts at 1 and 3 ms): the call fails before any reply,
+  // with the request body, and both replies arrive late.
+  net::Engine late(network, net::make_address(2, 100));
+  Completions failed;
+  call(late, 2, failed);
+  EXPECT_EQ(failed.fired, 1);
+  EXPECT_FALSE(failed.ok);
+  EXPECT_EQ(failed.body, sent);
+  EXPECT_EQ(late.stats().calls_failed, 1u);
+  EXPECT_EQ(late.stats().responses_received, 2u);
+  EXPECT_EQ(late.stats().duplicate_responses, 2u);
 }
 
 struct EchoRunOutcome {
@@ -453,12 +486,12 @@ EchoRunOutcome run_echo_burst(bool via_default_policy) {
   for (int i = 0; i < 5; ++i) {
     datamodel::Node args;
     args["value"].set(std::int64_t{i});
-    auto on_response = [](datamodel::Node) {};
+    auto on_done = [](net::Engine::Result) {};
     if (via_default_policy) {
-      client.call(server.address(), "echo", std::move(args), on_response,
-                  net::RetryPolicy{}, nullptr);
+      client.call(server.address(), "echo", std::move(args), on_done,
+                  net::RetryPolicy{});
     } else {
-      client.call(server.address(), "echo", std::move(args), on_response);
+      client.call(server.address(), "echo", std::move(args), on_done);
     }
   }
   EchoRunOutcome outcome;

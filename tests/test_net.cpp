@@ -327,13 +327,44 @@ TEST_F(RpcTest, CallInvokesHandlerAndReturnsResponse) {
 
   std::int64_t result = 0;
   client.call(server.address(), "echo", make_payload(21),
-              [&](datamodel::Node reply) {
-                result = reply.fetch_existing("echoed").as_int64();
+              [&](Engine::Result done) {
+                result = datamodel::Node::unpack(done.body)
+                             .fetch_existing("echoed")
+                             .as_int64();
               });
   simulation.run();
   EXPECT_EQ(result, 42);
   EXPECT_EQ(server.stats().requests_handled, 1u);
   EXPECT_EQ(client.stats().responses_received, 1u);
+}
+
+TEST_F(RpcTest, CompletionOwnsMoveOnlyCaptureAndFiresOnce) {
+  Engine server(network, make_address(0, 100));
+  Engine client(network, make_address(1, 100));
+  const auto reply_for = [](const datamodel::Node& args) {
+    datamodel::Node reply;
+    reply["echoed"].set(args.fetch_existing("value").as_int64() * 2);
+    return reply;
+  };
+  server.define("echo", [&](const Address&, const datamodel::Node& args) {
+    return reply_for(args);
+  });
+
+  int fired = 0;
+  bool ok = false;
+  std::vector<std::byte> body;
+  auto owned = std::make_unique<std::int64_t>(21);
+  client.call(server.address(), "echo", make_payload(21),
+              [&, owned = std::move(owned)](Engine::Result done) {
+                ++fired;
+                ok = done.ok;
+                body.assign(done.body.begin(), done.body.end());
+                EXPECT_EQ(*owned, 21);
+              });
+  simulation.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(body, reply_for(make_payload(21)).pack());
 }
 
 TEST_F(RpcTest, CallerAddressPassedToHandler) {
@@ -357,8 +388,8 @@ TEST_F(RpcTest, UnknownRpcReturnsError) {
   datamodel::Node reply;
   SimTime replied;
   client.call(server.address(), "nope", make_payload(5),
-              [&](datamodel::Node r) {
-                reply = std::move(r);
+              [&](Engine::Result done) {
+                reply = datamodel::Node::unpack(done.body);
                 replied = simulation.now();
               });
   simulation.run();
@@ -463,7 +494,7 @@ TEST_F(RpcTest, SerialServiceQueuesRequests) {
   SimTime last_ack;
   for (int i = 0; i < 5; ++i) {
     client.call(server.address(), "work", make_payload(i),
-                [&](datamodel::Node) {
+                [&](Engine::Result) {
                   ++acks;
                   last_ack = simulation.now();
                 });
@@ -521,7 +552,9 @@ TEST_F(RpcTest, ManyConcurrentClients) {
     clients.push_back(
         std::make_unique<Engine>(network, make_address(i % 5 + 1, 200 + i)));
     clients.back()->call(server.address(), "inc", make_payload(i),
-                         [&, i](datamodel::Node reply) {
+                         [&, i](Engine::Result done) {
+                           const datamodel::Node reply =
+                               datamodel::Node::unpack(done.body);
                            if (reply.fetch_existing("v").as_int64() == i + 1) {
                              ++correct;
                            }
@@ -542,26 +575,27 @@ TEST_F(RpcTest, ResponseCallbackMayBindNewEngines) {
   });
   std::vector<std::unique_ptr<Engine>> late;
   std::vector<std::int64_t> replies;
+  const auto value = [](Engine::Result done) {
+    return datamodel::Node::unpack(done.body)
+        .fetch_existing("value")
+        .as_int64();
+  };
   client.call(server.address(), "echo", make_payload(1),
-              [&](datamodel::Node reply) {
+              [&](Engine::Result done) {
                 for (int i = 0; i < 64; ++i) {
                   late.push_back(std::make_unique<Engine>(
                       network, make_address(2 + i % 3, 300 + i)));
                 }
-                replies.push_back(reply.fetch_existing("value").as_int64());
+                replies.push_back(value(done));
                 for (int i = 0; i < 64; ++i) {
                   late[static_cast<std::size_t>(i)]->call(
                       server.address(), "echo", make_payload(100 + i),
-                      [&](datamodel::Node r) {
-                        replies.push_back(r.fetch_existing("value").as_int64());
-                      });
+                      [&](Engine::Result r) { replies.push_back(value(r)); });
                 }
               });
   simulation.run();
   client.call(server.address(), "echo", make_payload(7),
-              [&](datamodel::Node reply) {
-                replies.push_back(reply.fetch_existing("value").as_int64());
-              });
+              [&](Engine::Result done) { replies.push_back(value(done)); });
   simulation.run();
   ASSERT_EQ(replies.size(), 66u);
   EXPECT_EQ(replies.front(), 1);
@@ -584,8 +618,9 @@ TEST_F(RpcTest, RebindWhileInFlightDeliversToTheNewBinding) {
     return make_payload(1);
   });
   std::int64_t answered_by = 0;
-  client.call(first->address(), "who", {}, [&](datamodel::Node reply) {
-    answered_by = reply.fetch_existing("value").as_int64();
+  client.call(first->address(), "who", {}, [&](Engine::Result done) {
+    answered_by =
+        datamodel::Node::unpack(done.body).fetch_existing("value").as_int64();
   });
   first.reset();
   Engine second(network, make_address(0, 100));
@@ -604,7 +639,7 @@ TEST_F(RpcTest, UnbindWithRequestInFlightCountsTheDropUnderItsAddress) {
   const Address gone = server->address();
   bool answered = false;
   client.call(gone, "x", make_payload(3),
-              [&](datamodel::Node) { answered = true; });
+              [&](Engine::Result) { answered = true; });
   server.reset();
   simulation.run();
   EXPECT_FALSE(answered);

@@ -10,7 +10,6 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -37,18 +36,17 @@ class Channel {
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
 
   /// Enqueue a message; it reaches the consumer after the channel latency.
-  /// Works for move-only payloads (the event closure must stay copyable for
-  /// std::function, so the message rides in a shared holder).
+  /// Works for move-only payloads: the event closure owns the message.
   void put(T message) {
-    auto holder = std::make_shared<T>(std::move(message));
-    simulation_.schedule(latency_, [this, holder] {
+    auto deliver = [this, message = std::move(message)]() mutable {
       if (consumer_) {
         ++delivered_;
-        consumer_(std::move(*holder));
+        consumer_(std::move(message));
       } else {
-        buffer_.push_back(std::move(*holder));
+        buffer_.push_back(std::move(message));
       }
-    });
+    };
+    simulation_.schedule(latency_, std::move(deliver));
   }
 
   /// Register the consuming callback; buffered messages are delivered

@@ -41,20 +41,23 @@ void AgentScheduler::set_agent_nodes(std::vector<NodeId> nodes) {
   assign_role(kAgentRole, nodes);
 }
 
+bool AgentScheduler::app_eligible(NodeId node) const {
+  // App tasks (and worker pools) never land on agent nodes, and avoid
+  // service nodes unless the deployment is "shared".
+  if (has_role(node, kAgentRole)) return false;
+  return !has_role(node, kServiceRole) || shared_service_nodes_;
+}
+
 bool AgentScheduler::node_eligible(NodeId node, const Task& task) const {
   if (task.description().pinned_node) {
     return node == *task.description().pinned_node;
   }
-  const bool is_service_node = has_role(node, kServiceRole);
   if (task.description().kind == TaskKind::kApplication ||
       task.description().kind == TaskKind::kWorker) {
-    // App tasks (and worker pools) never land on agent nodes, and avoid
-    // service nodes unless the deployment is "shared".
-    if (has_role(node, kAgentRole)) return false;
-    return !is_service_node || shared_service_nodes_;
+    return app_eligible(node);
   }
   // Unpinned service tasks go to the service nodes when any are defined.
-  if (any_service_nodes_) return is_service_node;
+  if (any_service_nodes_) return has_role(node, kServiceRole);
   return true;
 }
 
@@ -236,24 +239,21 @@ void AgentScheduler::schedule_pass() {
   }
 }
 
-int AgentScheduler::free_app_cores() const {
+int AgentScheduler::free_on_app_nodes(
+    int (cluster::ComputeNode::*free)() const) const {
   int total = 0;
   for (NodeId id : nodes_) {
-    const bool service = has_role(id, kServiceRole);
-    if (service && !shared_service_nodes_) continue;
-    total += platform_.node(id).free_cores();
+    if (app_eligible(id)) total += (platform_.node(id).*free)();
   }
   return total;
 }
 
+int AgentScheduler::free_app_cores() const {
+  return free_on_app_nodes(&cluster::ComputeNode::free_cores);
+}
+
 int AgentScheduler::free_app_gpus() const {
-  int total = 0;
-  for (NodeId id : nodes_) {
-    const bool service = has_role(id, kServiceRole);
-    if (service && !shared_service_nodes_) continue;
-    total += platform_.node(id).free_gpus();
-  }
-  return total;
+  return free_on_app_nodes(&cluster::ComputeNode::free_gpus);
 }
 
 }  // namespace soma::rp

@@ -103,7 +103,12 @@ class AgentScheduler {
   std::optional<Placement> try_place(const Task& task);
   /// Scan the waitlist and start decisions for everything that fits.
   void schedule_pass();
+  /// Whether application tasks (and worker pools) may use `node`.
+  [[nodiscard]] bool app_eligible(NodeId node) const;
   [[nodiscard]] bool node_eligible(NodeId node, const Task& task) const;
+  /// Sum of `free` (free cores or GPUs) over the app-eligible nodes.
+  [[nodiscard]] int free_on_app_nodes(
+      int (cluster::ComputeNode::*free)() const) const;
   /// kLeastUtilized's node order; kContinuous walks `nodes_` itself.
   [[nodiscard]] std::vector<NodeId> least_utilized_order() const;
 

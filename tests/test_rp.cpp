@@ -346,6 +346,16 @@ TEST_F(SchedulerTest, FreeAppResourcesExcludeExclusiveServiceNodes) {
   EXPECT_EQ(scheduler.free_app_cores(), 42 * 4);
 }
 
+TEST_F(SchedulerTest, FreeAppResourcesExcludeAgentNodesEvenShared) {
+  scheduler.set_agent_nodes({0});
+  scheduler.set_service_nodes({3}, /*shared=*/true);
+  EXPECT_EQ(scheduler.free_app_cores(), 42 * 3);
+  EXPECT_EQ(scheduler.free_app_gpus(), 6 * 3);
+  scheduler.set_service_nodes({3}, /*shared=*/false);
+  EXPECT_EQ(scheduler.free_app_cores(), 42 * 2);
+  EXPECT_EQ(scheduler.free_app_gpus(), 6 * 2);
+}
+
 TEST_F(SchedulerTest, SettingServiceNodesAgainReplacesTheSet) {
   scheduler.set_service_nodes({0, 1}, /*shared=*/false);
   scheduler.set_service_nodes({3}, /*shared=*/false);

@@ -73,7 +73,10 @@ TEST_F(BatchTest, WalltimeCallbackFires) {
       JobRequest{.nodes = 2, .walltime = Duration::seconds(100.0)},
       [](const Allocation&) {},
       [&](JobId) { expired = true; });
+  testing::internal::CaptureStderr();
   simulation.run();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] batch job 1 hit walltime limit\n");
   EXPECT_TRUE(expired);
   EXPECT_EQ(batch.free_nodes(), 2);  // nodes reclaimed
 }

@@ -206,9 +206,13 @@ TEST(FailureTest, WalltimeKillFinalizesSession) {
     d.fixed_duration = Duration::seconds(10000.0);
     task = session.submit(d);
   });
+  testing::internal::CaptureStderr();
   session.run();
   // The pilot hit its walltime; the session drained without hanging and the
-  // long task never completed.
+  // long task never completed. The batch system and the session each warn.
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] batch job 1 hit walltime limit\n"
+            "[WARN] pilot hit walltime; finalizing session\n");
   EXPECT_NE(task->state(), TaskState::kDone);
 }
 

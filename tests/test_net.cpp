@@ -392,7 +392,10 @@ TEST_F(RpcTest, UnknownRpcReturnsError) {
                 reply = datamodel::Node::unpack(done.body);
                 replied = simulation.now();
               });
+  testing::internal::CaptureStderr();
   simulation.run();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] rpc engine sim://node0:100: unknown rpc 'nope'\n");
   EXPECT_EQ(reply.fetch_existing("error").as_string(), "unknown rpc: nope");
 
   // An unknown rpc still occupies the engine for its service cost.

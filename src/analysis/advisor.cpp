@@ -1,42 +1,12 @@
 #include "analysis/advisor.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 #include "rp/states.hpp"
 #include "soma/namespaces.hpp"
 
 namespace soma::analysis {
-
-std::optional<std::string> ConfigScaling::best_efficiency(
-    const std::map<std::string, int>& ranks_of) const {
-  std::optional<std::string> best;
-  double best_cost = std::numeric_limits<double>::max();
-  for (const auto& [label, summary] : by_label) {
-    const auto it = ranks_of.find(label);
-    if (it == ranks_of.end() || summary.count == 0) continue;
-    const double cost = summary.mean * static_cast<double>(it->second);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = label;
-    }
-  }
-  return best;
-}
-
-std::optional<std::string> ConfigScaling::fastest() const {
-  std::optional<std::string> best;
-  double best_mean = std::numeric_limits<double>::max();
-  for (const auto& [label, summary] : by_label) {
-    if (summary.count == 0) continue;
-    if (summary.mean < best_mean) {
-      best_mean = summary.mean;
-      best = label;
-    }
-  }
-  return best;
-}
 
 double FreeResourceReport::mean_utilization() const {
   if (nodes.empty()) return 0.0;
@@ -50,15 +20,6 @@ double FreeResourceReport::mean_gpu_utilization() const {
   double total = 0.0;
   for (const auto& node : nodes) total += node.mean_gpu_utilization;
   return total / static_cast<double>(nodes.size());
-}
-
-std::vector<std::string> FreeResourceReport::underutilized(
-    double threshold) const {
-  std::vector<std::string> out;
-  for (const auto& node : nodes) {
-    if (node.last_utilization < threshold) out.push_back(node.hostname);
-  }
-  return out;
 }
 
 FreeResourceReport analyze_hardware(const core::StoreView& view) {

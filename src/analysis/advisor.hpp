@@ -3,38 +3,18 @@
 // These functions run against the SOMA service's store through the
 // StoreView — the data is already "in SOMA's possession",
 // sharded across the service ranks — and compute the decisions the paper
-// motivates: which MPI task configuration to use (Fig. 4), where free
-// resources are (Fig. 9 discussion), and how to reconfigure the next DDMD
-// phase (Table 2, "Adaptive"). The feedback loop into RP that the paper
-// lists as future work is implemented here and demonstrated in
-// examples/adaptive_feedback.cpp.
+// motivates: where free resources are (Fig. 9 discussion) and how to
+// reconfigure the next DDMD phase (Table 2, "Adaptive"). The feedback loop
+// into RP that the paper lists as future work is implemented here and
+// demonstrated in examples/adaptive_feedback.cpp.
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "soma/store.hpp"
 
 namespace soma::analysis {
-
-/// Mean/σ execution time per task configuration (label -> summary), from the
-/// workflow-namespace summaries plus per-task events. Populated by the
-/// caller from its own completion records or from the store.
-struct ConfigScaling {
-  std::map<std::string, Summary> by_label;
-
-  /// The configuration with the best resource-time product (ranks * mean
-  /// seconds) — "run more tasks at smaller scale" when scaling flattens.
-  /// `ranks_of` maps a label to its rank count.
-  [[nodiscard]] std::optional<std::string> best_efficiency(
-      const std::map<std::string, int>& ranks_of) const;
-
-  /// The configuration with the lowest mean time (pure turnaround).
-  [[nodiscard]] std::optional<std::string> fastest() const;
-};
 
 /// Per-node free-resource estimate derived from the hardware namespace.
 struct FreeResourceReport {
@@ -50,9 +30,6 @@ struct FreeResourceReport {
 
   [[nodiscard]] double mean_utilization() const;
   [[nodiscard]] double mean_gpu_utilization() const;
-  /// Hosts whose latest utilization is below `threshold`.
-  [[nodiscard]] std::vector<std::string> underutilized(
-      double threshold = 0.5) const;
 };
 
 /// Scan the hardware namespace of the store behind `view` and summarize

@@ -1,6 +1,7 @@
 #include "batch/batch.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -75,7 +76,7 @@ void BatchSystem::try_start_jobs() {
                 return j.allocation.job == job_id;
               });
           if (it == running_.end()) return;
-          SOMA_WARN() << "batch job " << job_id << " hit walltime limit";
+          warn({"batch job ", std::to_string(job_id), " hit walltime limit"});
           WalltimeCallback callback = std::move(it->on_walltime);
           release(job_id);
           if (callback) callback(job_id);

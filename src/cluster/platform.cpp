@@ -67,21 +67,6 @@ std::optional<std::vector<CoreId>> ComputeNode::allocate_cores(
   return claimed;
 }
 
-void ComputeNode::set_core_activity(const std::vector<CoreId>& cores,
-                                    const std::string& owner,
-                                    double activity) {
-  check(activity >= 0.0 && activity <= 1.0,
-        "set_core_activity: activity outside [0, 1]");
-  integrate();
-  for (CoreId c : cores) {
-    check(c >= 0 && static_cast<std::size_t>(c) < core_owner_.size(),
-          "set_core_activity: core id out of range");
-    check(core_owner_[static_cast<std::size_t>(c)] == owner,
-          "set_core_activity: core not owned by caller");
-    core_activity_[static_cast<std::size_t>(c)] = activity;
-  }
-}
-
 void ComputeNode::release_cores(const std::vector<CoreId>& cores,
                                 const std::string& owner) {
   integrate();
@@ -170,14 +155,6 @@ double ComputeNode::busy_gpu_seconds() const {
   return busy_gpu_seconds_ + dt * static_cast<double>(busy_gpus_);
 }
 
-double ComputeNode::utilization_since(SimTime from,
-                                      double busy_core_seconds_at_from) const {
-  const double window = (simulation_.now() - from).to_seconds();
-  if (window <= 0.0 || usable_cores() == 0) return utilization_now();
-  const double busy = busy_core_seconds() - busy_core_seconds_at_from;
-  return busy / (window * static_cast<double>(usable_cores()));
-}
-
 Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
     : simulation_(simulation), config_(config) {
   check(config_.nodes > 0, "platform must have at least one node");
@@ -197,18 +174,6 @@ const ComputeNode& Platform::node(NodeId id) const {
   check(id >= 0 && static_cast<std::size_t>(id) < nodes_.size(),
         "platform: node id out of range");
   return nodes_[static_cast<std::size_t>(id)];
-}
-
-int Platform::total_free_cores() const {
-  int total = 0;
-  for (const auto& n : nodes_) total += n.free_cores();
-  return total;
-}
-
-int Platform::total_free_gpus() const {
-  int total = 0;
-  for (const auto& n : nodes_) total += n.free_gpus();
-  return total;
 }
 
 }  // namespace soma::cluster

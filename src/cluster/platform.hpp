@@ -86,11 +86,6 @@ class ComputeNode {
   [[nodiscard]] int num_processes() const { return num_processes_; }
   void process_started() { ++num_processes_; }
 
-  /// Adjust the activity of cores already owned by `owner` (e.g. a task
-  /// whose compute phase ended but still holds its slots).
-  void set_core_activity(const std::vector<CoreId>& cores,
-                         const std::string& owner, double activity);
-
   // ---- utilization ----
   /// Instantaneous activity-weighted utilization over usable cores, [0, 1].
   [[nodiscard]] double utilization_now() const;
@@ -98,9 +93,6 @@ class ComputeNode {
   [[nodiscard]] double busy_core_seconds() const;
   /// Cumulative busy seconds of one core since t=0.
   [[nodiscard]] double core_busy_seconds(CoreId core) const;
-  /// Mean utilization over [from, now] given the integral at `from`.
-  [[nodiscard]] double utilization_since(SimTime from,
-                                         double busy_core_seconds_at_from) const;
 
   /// Instantaneous GPU utilization (allocated fraction), in [0, 1].
   [[nodiscard]] double gpu_utilization_now() const;
@@ -141,10 +133,6 @@ class Platform {
   }
   [[nodiscard]] ComputeNode& node(NodeId id);
   [[nodiscard]] const ComputeNode& node(NodeId id) const;
-
-  /// Total free cores across a node range.
-  [[nodiscard]] int total_free_cores() const;
-  [[nodiscard]] int total_free_gpus() const;
 
  private:
   sim::Simulation& simulation_;

@@ -61,9 +61,6 @@ class Channel {
     }
   }
 
-  /// Remove the consumer; subsequent messages buffer again.
-  void clear_consumer() { consumer_ = nullptr; }
-
  private:
   sim::Simulation& simulation_;
   std::string name_;

@@ -1,47 +1,15 @@
 #include "common/log.hpp"
 
 #include <cstdio>
+#include <string>
 
 namespace soma {
-namespace {
 
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace: return "TRACE";
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
-
-}  // namespace
-
-Logger& Logger::instance() {
-  static Logger logger;
-  return logger;
-}
-
-Logger::Logger() {
-  sink_ = [](LogLevel level, const std::string& message) {
-    std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
-  };
-}
-
-void Logger::set_sink(Sink sink) {
-  if (sink) {
-    sink_ = std::move(sink);
-  } else {
-    sink_ = [](LogLevel level, const std::string& message) {
-      std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
-    };
-  }
-}
-
-void Logger::write(LogLevel level, const std::string& message) {
-  if (enabled(level)) sink_(level, message);
+void warn(std::initializer_list<std::string_view> parts) {
+  std::string line = "[WARN] ";
+  for (std::string_view part : parts) line += part;
+  line += '\n';
+  std::fputs(line.c_str(), stderr);
 }
 
 }  // namespace soma

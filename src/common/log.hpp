@@ -1,68 +1,13 @@
-// Minimal leveled logger.
-//
-// Simulation code logs through this instead of writing to std::cout so that
-// benches and tests can silence or capture output. The logger is a process
-// singleton; levels below the threshold cost one branch.
+// Warnings a run survives but a user should see: an unknown rpc, a walltime
+// kill. They go to stderr, never to the stdout that benches print results on.
 #pragma once
 
-#include <functional>
-#include <sstream>
-#include <string>
+#include <initializer_list>
+#include <string_view>
 
 namespace soma {
 
-enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
-
-class Logger {
- public:
-  using Sink = std::function<void(LogLevel, const std::string&)>;
-
-  static Logger& instance();
-
-  void set_level(LogLevel level) { level_ = level; }
-  [[nodiscard]] LogLevel level() const { return level_; }
-  [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }
-
-  /// Replace the output sink (default: stderr). Pass nullptr to restore.
-  void set_sink(Sink sink);
-
-  void write(LogLevel level, const std::string& message);
-
- private:
-  Logger();
-  LogLevel level_ = LogLevel::kWarn;
-  Sink sink_;
-};
-
-namespace detail {
-class LogLine {
- public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { Logger::instance().write(level_, stream_.str()); }
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
-
-  template <typename T>
-  LogLine& operator<<(const T& value) {
-    stream_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-}  // namespace detail
+/// Write "[WARN] ", the parts in order and a newline to stderr as one line.
+void warn(std::initializer_list<std::string_view> parts);
 
 }  // namespace soma
-
-#define SOMA_LOG(level)                                  \
-  if (!::soma::Logger::instance().enabled(level)) {      \
-  } else                                                 \
-    ::soma::detail::LogLine(level)
-
-#define SOMA_TRACE() SOMA_LOG(::soma::LogLevel::kTrace)
-#define SOMA_DEBUG() SOMA_LOG(::soma::LogLevel::kDebug)
-#define SOMA_INFO() SOMA_LOG(::soma::LogLevel::kInfo)
-#define SOMA_WARN() SOMA_LOG(::soma::LogLevel::kWarn)
-#define SOMA_ERROR() SOMA_LOG(::soma::LogLevel::kError)

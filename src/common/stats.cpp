@@ -42,12 +42,6 @@ Summary summarize(const std::vector<double>& samples) {
   return s;
 }
 
-double coefficient_of_variation(const std::vector<double>& samples) {
-  const Summary s = summarize(samples);
-  if (s.mean == 0.0) return 0.0;
-  return s.stddev / s.mean;
-}
-
 double load_imbalance(const std::vector<double>& per_rank_values) {
   if (per_rank_values.empty()) return 0.0;
   const double sum = std::accumulate(per_rank_values.begin(),
@@ -58,25 +52,5 @@ double load_imbalance(const std::vector<double>& per_rank_values) {
       *std::max_element(per_rank_values.begin(), per_rank_values.end());
   return max / mean - 1.0;
 }
-
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace soma

@@ -26,32 +26,8 @@ Summary summarize(const std::vector<double>& samples);
 /// Linear-interpolated percentile, q in [0, 100]. Empty input yields 0.
 double percentile(std::vector<double> samples, double q);
 
-/// Coefficient of variation (stddev / mean); 0 when mean is 0.
-double coefficient_of_variation(const std::vector<double>& samples);
-
 /// Load-imbalance metric across ranks: max / mean - 1. Zero means perfectly
 /// balanced. Empty or zero-mean input yields 0.
 double load_imbalance(const std::vector<double>& per_rank_values);
-
-/// Running (online) mean/variance accumulator (Welford). Suitable for the
-/// SOMA service, which must digest metrics incrementally.
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return mean_; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace soma

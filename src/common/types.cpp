@@ -10,8 +10,4 @@ std::string format_seconds(double seconds, int precision) {
   return buffer;
 }
 
-std::string format_time(SimTime t, int precision) {
-  return format_seconds(t.to_seconds(), precision);
-}
-
 }  // namespace soma

@@ -109,7 +109,4 @@ using RankId = std::int32_t;   ///< MPI rank index within a task
 /// Format seconds with fixed precision for reports ("12.345").
 std::string format_seconds(double seconds, int precision = 3);
 
-/// Format a SimTime as seconds-since-start.
-std::string format_time(SimTime t, int precision = 3);
-
 }  // namespace soma

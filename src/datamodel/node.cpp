@@ -309,13 +309,6 @@ bool Node::has_path(std::string_view path) const {
   return rest.empty() ? true : c->has_path(rest);
 }
 
-bool Node::remove_child(std::string_view name) {
-  const auto it = std::ranges::find(children_, name, &Child::name);
-  if (it == children_.end()) return false;
-  children_.erase(it);
-  return true;
-}
-
 const Node& Node::child_at(std::size_t index) const {
   check(index < children_.size(), "child_at: index out of range");
   return children_[index].node;
@@ -343,13 +336,6 @@ bool Node::operator==(const Node& other) const {
     if (!(children_[i].node == other.children_[i].node)) return false;
   }
   return true;
-}
-
-std::size_t Node::leaf_count() const {
-  if (is_leaf()) return 1;
-  std::size_t total = 0;
-  for (const Child& c : children_) total += c.node.leaf_count();
-  return total;
 }
 
 std::size_t Node::packed_size() const {

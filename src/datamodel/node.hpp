@@ -113,9 +113,6 @@ class Node {
   [[nodiscard]] bool has_child(std::string_view name) const;
   [[nodiscard]] bool has_path(std::string_view path) const;
 
-  /// Remove a direct child; returns true if it existed.
-  bool remove_child(std::string_view name);
-
   [[nodiscard]] std::size_t number_of_children() const;
   /// Random-access view of the child names in insertion order;
   /// `child_names()[i]` is a `const std::string&`.
@@ -139,8 +136,6 @@ class Node {
   bool operator==(const Node& other) const;
 
   // ---- introspection ----
-  /// Total number of leaf values in the subtree.
-  [[nodiscard]] std::size_t leaf_count() const;
   /// Serialized size in bytes (matches pack() exactly). Walks the subtree on
   /// every call; nothing is cached, so no mutation can leave it stale.
   [[nodiscard]] std::size_t packed_size() const;

@@ -1,7 +1,6 @@
 #include "entk/entk.hpp"
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace soma::entk {
 
@@ -70,9 +69,8 @@ void AppManager::on_task_complete(const std::shared_ptr<rp::Task>& task) {
   // Pipeline done.
   state.result.finished = now;
   results_.push_back(state.result);
-  if (++pipelines_finished_ == pipelines_.size()) {
-    SOMA_DEBUG() << "entk: all " << pipelines_.size() << " pipelines done";
-    if (on_all_done_) on_all_done_();
+  if (++pipelines_finished_ == pipelines_.size() && on_all_done_) {
+    on_all_done_();
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include "analysis/advisor.hpp"
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace soma::experiments {
 
@@ -110,11 +109,6 @@ void SomaDeployment::register_standard_analyzers() {
 }
 
 void SomaDeployment::start_monitors() {
-  std::vector<NodeId> monitored = config_.monitored_nodes;
-  if (monitored.empty() && config_.enable_hw_monitors) {
-    monitored = session_.pilot_nodes();
-  }
-
   // Count the monitor tasks that must reach rank_start before the
   // deployment is ready.
   auto outstanding = std::make_shared<int>(0);
@@ -164,9 +158,10 @@ void SomaDeployment::start_monitors() {
     monitor_starts_.emplace(rp_monitor_task_.get(), MonitorStart{});
   }
 
-  // (Fig. 2, step 5) one hardware monitoring task per compute node, each on
+  // (Fig. 2, step 5) one hardware monitoring task per pilot node, each on
   // a reserved core, running for the whole workflow.
   if (config_.enable_hw_monitors) {
+    const std::vector<NodeId>& monitored = session_.pilot_nodes();
     for (std::size_t i = 0; i < monitored.size(); ++i) {
       const NodeId node_id = monitored[i];
       auto client = std::make_unique<core::SomaClient>(

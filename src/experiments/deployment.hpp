@@ -104,9 +104,8 @@ struct DeploymentConfig {
   monitors::HwMonitorConfig hw_monitor{};
 
   bool enable_rp_monitor = true;
+  /// One hardware monitor per pilot node.
   bool enable_hw_monitors = true;
-  /// Monitored nodes (hardware monitors); empty = all pilot nodes.
-  std::vector<NodeId> monitored_nodes;
 
   /// Scale factor from the RP monitor's agent-node CPU share to scheduler
   /// decision slowdown. The agent's scheduler and the monitor compete for

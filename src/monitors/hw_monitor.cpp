@@ -37,7 +37,6 @@ double HwMonitor::noise_fraction() const {
 
 void HwMonitor::tick() {
   ++ticks_;
-  if (client_.degraded()) ++degraded_ticks_;
   const SimTime now = simulation_.now();
   datamodel::Node snapshot =
       cluster::make_proc_snapshot(node_, now, rng_, config_.proc);

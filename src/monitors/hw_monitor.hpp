@@ -56,11 +56,6 @@ class HwMonitor {
     return samples_;
   }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
-  /// Ticks taken while the client was in degraded mode (collector down,
-  /// publishes buffered or redirected) — the graceful-degradation signal.
-  [[nodiscard]] std::uint64_t degraded_ticks() const {
-    return degraded_ticks_;
-  }
   [[nodiscard]] const HwMonitorConfig& config() const { return config_; }
   [[nodiscard]] const cluster::ComputeNode& node() const { return node_; }
 
@@ -74,7 +69,6 @@ class HwMonitor {
   HwMonitorConfig config_;
   std::unique_ptr<sim::PeriodicTask> periodic_;
   std::uint64_t ticks_ = 0;
-  std::uint64_t degraded_ticks_ = 0;
   std::vector<std::int64_t> last_cpu_stat_;
   SimTime last_tick_;
   double last_gpu_busy_seconds_ = 0.0;

@@ -128,7 +128,6 @@ WorkflowSummary RpMonitor::compute_summary() const {
 
 void RpMonitor::tick() {
   ++ticks_;
-  if (client_.degraded()) ++degraded_ticks_;
   WorkflowSummary summary = compute_summary();
   summary.throughput_per_min =
       static_cast<double>(summary.tasks_done - done_at_last_tick_) /

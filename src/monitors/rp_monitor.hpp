@@ -66,11 +66,6 @@ class RpMonitor {
     return last_summary_;
   }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
-  /// Ticks taken while the client was in degraded mode (collector down,
-  /// publishes buffered or redirected) — the graceful-degradation signal.
-  [[nodiscard]] std::uint64_t degraded_ticks() const {
-    return degraded_ticks_;
-  }
   [[nodiscard]] const RpMonitorConfig& config() const { return config_; }
 
   /// Compute the summary without publishing (used by tests/advisor).
@@ -114,7 +109,6 @@ class RpMonitor {
   std::unique_ptr<sim::PeriodicTask> periodic_;
   std::size_t profile_cursor_ = 0;
   std::uint64_t ticks_ = 0;
-  std::uint64_t degraded_ticks_ = 0;
   std::int64_t done_at_last_tick_ = 0;
   WorkflowSummary last_summary_;
 

@@ -4,7 +4,6 @@
 #include <charconv>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "net/fault.hpp"
 
 namespace soma::net {
@@ -114,8 +113,6 @@ SimTime Network::send(EndpointId from, EndpointId to,
                         simulation_.now(), arrival);
     if (verdict.drop) {
       count_drop(endpoint(to));
-      SOMA_DEBUG() << "network: fault dropped message " << address(from)
-                   << " -> " << address(to);
       return arrival;
     }
     arrival = arrival + verdict.extra_latency;
@@ -135,7 +132,6 @@ void Network::deliver(EndpointId from, EndpointId to,
   Endpoint& target = endpoint(to);
   if (!target.delivery) {
     count_drop(target);
-    SOMA_DEBUG() << "network: dropped message to unbound " << target.address;
     return;
   }
   target.delivery(from, std::move(payload));

@@ -122,11 +122,7 @@ void Engine::on_timeout(std::uint64_t request_id) {
     settled_retries_.insert(request_id);
     Completion on_done = std::move(call.on_done);
     const std::vector<std::byte> frame = std::move(call.frame);
-    const int attempts = call.attempt + 1;
-    const Address& dest = network_.address(call.dest);
     pending_.erase(it);
-    SOMA_DEBUG() << "rpc engine " << address() << ": call to " << dest
-                 << " failed after " << attempts << " attempt(s)";
     if (on_done) on_done({false, wire::decode_header(frame).body});
     return;
   }
@@ -204,8 +200,7 @@ void Engine::serve_request(EndpointId from, std::uint64_t request_id,
   if (const auto it = handlers_.find(header.rpc); it != handlers_.end()) {
     response = it->second(network_.address(from), header.body);
   } else {
-    SOMA_WARN() << "rpc engine " << address() << ": unknown rpc '"
-                << header.rpc << "'";
+    warn({"rpc engine ", address(), ": unknown rpc '", header.rpc, "'"});
     std::string error = "unknown rpc: ";
     error += header.rpc;
     response["error"].set(std::move(error));

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace soma::raptor {
 
@@ -113,7 +112,6 @@ void RaptorMaster::dispatch_pending() {
     const SimTime now = session_.simulation().now();
     master_busy_until_ =
         std::max(now, master_busy_until_) + config_.dispatch_overhead;
-    if (!first_dispatch_) first_dispatch_ = now;
     Worker* target = best;
     FunctionCall routed = std::move(call);
     session_.simulation().schedule_at(
@@ -127,7 +125,6 @@ void RaptorMaster::on_worker_done(int worker_index,
                                   const FunctionResult& result) {
   --workers_[static_cast<std::size_t>(worker_index)]->busy_slots;
   ++completed_;
-  last_completion_ = session_.simulation().now();
 
   const auto it = callbacks_.find(result.id);
   if (it != callbacks_.end()) {
@@ -136,13 +133,6 @@ void RaptorMaster::on_worker_done(int worker_index,
     if (callback) callback(result);
   }
   dispatch_pending();
-}
-
-double RaptorMaster::throughput_per_second() const {
-  if (completed_ == 0 || !first_dispatch_) return 0.0;
-  const double span = (last_completion_ - *first_dispatch_).to_seconds();
-  if (span <= 0.0) return 0.0;
-  return static_cast<double>(completed_) / span;
 }
 
 void RaptorMaster::shutdown() {

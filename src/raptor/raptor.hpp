@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <unordered_map>
 #include <functional>
 #include <memory>
@@ -77,9 +76,6 @@ class RaptorMaster {
   [[nodiscard]] bool ready() const { return workers_ready_ == config_.workers; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
   [[nodiscard]] std::uint64_t submitted() const { return next_call_id_ - 1; }
-  /// Completed calls per second between the first dispatch and the last
-  /// completion (0 before any completion).
-  [[nodiscard]] double throughput_per_second() const;
 
  private:
   struct Worker {
@@ -105,8 +101,6 @@ class RaptorMaster {
   std::unordered_map<std::uint64_t, ResultCallback> callbacks_;
   SimTime master_busy_until_;
   std::uint64_t completed_ = 0;
-  std::optional<SimTime> first_dispatch_;
-  SimTime last_completion_;
 };
 
 }  // namespace soma::raptor

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "rp/execution_model.hpp"
 
 namespace soma::rp {

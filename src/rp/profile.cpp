@@ -26,12 +26,4 @@ std::vector<ProfileRecord> ProfileStore::read_since(
   return out;
 }
 
-std::vector<ProfileRecord> ProfileStore::for_uid(std::string_view uid) const {
-  std::vector<ProfileRecord> out;
-  for (const auto& r : records_) {
-    if (r.uid == uid) out.push_back(r);
-  }
-  return out;
-}
-
 }  // namespace soma::rp

@@ -33,10 +33,6 @@ class ProfileStore {
   [[nodiscard]] std::vector<ProfileRecord> read_since(
       std::size_t& cursor) const;
 
-  /// All records for one uid, in append order.
-  [[nodiscard]] std::vector<ProfileRecord> for_uid(
-      std::string_view uid) const;
-
  private:
   std::vector<ProfileRecord> records_;
 };

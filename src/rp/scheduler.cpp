@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace soma::rp {
 

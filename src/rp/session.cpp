@@ -39,7 +39,7 @@ void Session::start(std::function<void()> on_ready) {
         bootstrap_agent(allocation);
       },
       [this](batch::JobId) {
-        SOMA_WARN() << "pilot hit walltime; finalizing session";
+        warn({"pilot hit walltime; finalizing session"});
         abort_running_tasks();
         finalize();
       });

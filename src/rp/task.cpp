@@ -57,11 +57,4 @@ std::optional<Duration> Task::rank_duration() const {
   return *stop - *start;
 }
 
-std::optional<Duration> Task::launch_duration() const {
-  const auto start = event_time(events::kLaunchStart);
-  const auto stop = event_time(events::kLaunchStop);
-  if (!start || !stop) return std::nullopt;
-  return *stop - *start;
-}
-
 }  // namespace soma::rp

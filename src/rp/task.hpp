@@ -130,8 +130,6 @@ class Task {
 
   /// rank_start -> rank_stop span, when both are recorded.
   [[nodiscard]] std::optional<Duration> rank_duration() const;
-  /// launch_start -> launch_stop span, when both are recorded.
-  [[nodiscard]] std::optional<Duration> launch_duration() const;
 
  private:
   TaskDescription description_;

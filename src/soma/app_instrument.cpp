@@ -15,21 +15,15 @@ AppInstrument::AppInstrument(SomaClient& client, std::string app_id)
 
 void AppInstrument::report_metric(const std::string& name, double value) {
   buffer_[name].set(value);
-  maybe_auto_commit();
 }
 
 void AppInstrument::report_metric(const std::string& name,
                                   std::int64_t value) {
   buffer_[name].set(value);
-  maybe_auto_commit();
 }
 
 void AppInstrument::report_progress(double fraction) {
   report_metric("progress", std::clamp(fraction, 0.0, 1.0));
-}
-
-void AppInstrument::maybe_auto_commit() {
-  if (auto_commit_ > 0 && buffer_.size() >= auto_commit_) commit();
 }
 
 bool AppInstrument::commit() {

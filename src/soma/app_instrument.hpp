@@ -43,19 +43,13 @@ class AppInstrument {
   /// No-op when nothing is buffered. Returns true if a publish happened.
   bool commit();
 
-  /// Commit automatically once `count` metrics are buffered (0 disables).
-  void set_auto_commit(std::size_t count) { auto_commit_ = count; }
-
   [[nodiscard]] std::uint64_t commits() const { return commits_; }
   [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
 
  private:
-  void maybe_auto_commit();
-
   SomaClient& client_;
   std::string app_id_;
   std::map<std::string, datamodel::Node> buffer_;
-  std::size_t auto_commit_ = 0;
   std::uint64_t commits_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "net/wire.hpp"
 #include "soma/storage_backend.hpp"
 
@@ -16,8 +15,7 @@ SomaClient::SomaClient(net::Network& network, NodeId node, int port,
                        ClientReliability reliability, BatchingConfig batching)
     : network_(network),
       ns_(ns),
-      reliability_(reliability),
-      batching_(batching) {
+      reliability_(reliability) {
   check(!instance_ranks.empty(), "SOMA client needs >= 1 service rank");
   // Resolved once: every publish addresses its rank by id.
   instance_ranks_.reserve(instance_ranks.size());
@@ -38,10 +36,10 @@ SomaClient::SomaClient(net::Network& network, NodeId node, int port,
         network_.simulation(), reliability_.probe_period,
         [this] { probe_tick(); });
   }
-  if (batching_.enabled()) {
+  if (batching.enabled()) {
     batcher_ = std::make_unique<PublishBatcher>(
         network_.simulation(), std::string(to_string(ns_)),
-        instance_ranks_.size(), batching_,
+        instance_ranks_.size(), batching,
         [this](std::size_t rank_index, PublishBatcher::Batch batch) {
           send_batch(rank_index, std::move(batch));
         });
@@ -198,9 +196,6 @@ void SomaClient::enqueue_buffered(Buffered record) {
 void SomaClient::on_publish_failure(std::size_t rank_index,
                                     Buffered record) {
   ++stats_.publish_failures;
-  SOMA_DEBUG() << "soma client " << address() << ": collector "
-               << network_.address(instance_ranks_[rank_index])
-               << " unresponsive";
   // A retry-only client has no probe to bring a rank back up, so it marks
   // none down. enqueue_buffered starts the probe.
   if (!reliability_.degradation_enabled()) return;
@@ -258,9 +253,6 @@ void SomaClient::probe_tick() {
           probe_in_flight_[i] = 0;
           if (!result.ok) return;  // still down: the next tick probes again
           set_rank_down(i, false);
-          SOMA_DEBUG() << "soma client " << address() << ": collector "
-                       << network_.address(instance_ranks_[i])
-                       << " recovered";
           flush_buffer();
         },
         probe);

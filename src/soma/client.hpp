@@ -93,17 +93,10 @@ class SomaClient {
 
   [[nodiscard]] Namespace target_namespace() const { return ns_; }
   [[nodiscard]] net::Network& network() { return network_; }
-  [[nodiscard]] const net::Address& address() const {
-    return engine_->address();
-  }
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
   [[nodiscard]] const net::EngineStats& engine_stats() const {
     return engine_->stats();
   }
-  [[nodiscard]] const ClientReliability& reliability() const {
-    return reliability_;
-  }
-  [[nodiscard]] const BatchingConfig& batching() const { return batching_; }
   /// Batcher flush statistics (zeroed when batching is off).
   [[nodiscard]] PublishBatcher::Stats batcher_stats() const {
     return batcher_ ? batcher_->stats() : PublishBatcher::Stats{};
@@ -111,7 +104,7 @@ class SomaClient {
 
   /// True while at least one target rank is considered down (publishes to
   /// it are buffered). Only a degrading client marks ranks down, and its
-  /// probe marks them back up. Monitors report this as degraded ticks.
+  /// probe marks them back up.
   [[nodiscard]] bool degraded() const { return ranks_down_ > 0; }
   /// Publishes currently parked awaiting collector recovery.
   [[nodiscard]] std::size_t buffered_pending() const { return buffer_.size(); }
@@ -165,7 +158,6 @@ class SomaClient {
   /// The instance's ranks, in shard order.
   std::vector<net::EndpointId> instance_ranks_;
   ClientReliability reliability_;
-  BatchingConfig batching_;
   std::unique_ptr<net::Engine> engine_;
   std::unique_ptr<PublishBatcher> batcher_;  ///< null when batching is off
   std::vector<char> rank_down_;       // 1 = considered down

@@ -211,13 +211,6 @@ void SomaService::register_analyzer(const std::string& name,
   if (!inserted) throw ConfigError("analyzer already registered: " + name);
 }
 
-std::vector<std::string> SomaService::analyzer_names() const {
-  std::vector<std::string> names;
-  names.reserve(analyzers_.size());
-  for (const auto& [name, analyzer] : analyzers_) names.push_back(name);
-  return names;
-}
-
 net::EngineStats SomaService::instance_stats(Namespace ns) const {
   // Engines are built namespace-major: instance i owns the i-th block of
   // ranks_per_namespace engines.

@@ -89,7 +89,6 @@ class SomaService {
   /// Register a named in-situ analyzer, callable remotely via the query RPC
   /// {"kind":"analyze","analyzer":<name>}. Throws ConfigError on duplicates.
   void register_analyzer(const std::string& name, Analyzer analyzer);
-  [[nodiscard]] std::vector<std::string> analyzer_names() const;
 
   // ---- service-side accounting ----
   [[nodiscard]] std::uint64_t publishes_received() const {

@@ -131,8 +131,6 @@ TEST(AdvisorTest, AnalyzeHardware) {
   EXPECT_NEAR(report.nodes[0].last_utilization, 0.4, 1e-12);
   EXPECT_EQ(report.nodes[0].available_ram_mib, 900);
   EXPECT_NEAR(report.mean_utilization(), (0.3 + 0.9) / 2.0, 1e-12);
-  EXPECT_EQ(report.underutilized(0.5),
-            (std::vector<std::string>{"cn0001"}));
 }
 
 TEST(AdvisorTest, AnalyzeHardwareGpuFields) {
@@ -205,28 +203,6 @@ TEST(AdvisorTest, ObservedTaskStartsSortedByTime) {
   EXPECT_EQ(starts[0].second, "task.a");
   EXPECT_EQ(starts[0].first, SimTime::from_seconds(1.0));
   EXPECT_EQ(starts[1].second, "task.b");
-}
-
-// ---------- config scaling ----------
-
-TEST(AdvisorTest, ConfigScalingBestChoices) {
-  ConfigScaling scaling;
-  scaling.by_label["of-20"] = summarize({400.0, 410.0});
-  scaling.by_label["of-82"] = summarize({160.0, 165.0});
-  scaling.by_label["of-164"] = summarize({155.0, 160.0});
-  const std::map<std::string, int> ranks{
-      {"of-20", 20}, {"of-82", 82}, {"of-164", 164}};
-
-  // Fastest is 164, but 82 wins on resource-time product: the paper's
-  // "run more tasks, each at a smaller scale".
-  EXPECT_EQ(scaling.fastest().value(), "of-164");
-  EXPECT_EQ(scaling.best_efficiency(ranks).value(), "of-20");
-}
-
-TEST(AdvisorTest, ConfigScalingEmpty) {
-  ConfigScaling scaling;
-  EXPECT_FALSE(scaling.fastest().has_value());
-  EXPECT_FALSE(scaling.best_efficiency({}).has_value());
 }
 
 // ---------- DDMD advice ----------

@@ -110,22 +110,6 @@ TEST_F(ClusterTest, ActivityWeightsUtilization) {
   EXPECT_NEAR(node.utilization_now(), 0.2, 1e-12);
 }
 
-TEST_F(ClusterTest, SetCoreActivity) {
-  Platform platform(simulation, summit(1));
-  auto& node = platform.node(0);
-  auto cores = node.allocate_cores(10, "t", 1.0);
-  simulation.schedule(Duration::seconds(5.0), [&] {
-    node.set_core_activity(*cores, "t", 0.0);
-  });
-  simulation.schedule(Duration::seconds(10.0), [&] {
-    node.release_cores(*cores, "t");
-  });
-  simulation.run();
-  // Busy only for the first 5 seconds.
-  EXPECT_NEAR(node.busy_core_seconds(), 50.0, 1e-9);
-  EXPECT_THROW(node.set_core_activity({0}, "t", 2.0), InternalError);
-}
-
 TEST_F(ClusterTest, PerCoreBusySeconds) {
   Platform platform(simulation, summit(1));
   auto& node = platform.node(0);
@@ -137,26 +121,6 @@ TEST_F(ClusterTest, PerCoreBusySeconds) {
   EXPECT_NEAR(node.core_busy_seconds((*cores)[0]), 3.0, 1e-9);
   // An unused core stays at zero.
   EXPECT_DOUBLE_EQ(node.core_busy_seconds(41), 0.0);
-}
-
-TEST_F(ClusterTest, UtilizationSinceWindow) {
-  Platform platform(simulation, summit(1));
-  auto& node = platform.node(0);
-  const SimTime t0 = simulation.now();
-  const double busy0 = node.busy_core_seconds();
-
-  node.allocate_cores(42, "t", 1.0);
-  simulation.schedule(Duration::seconds(10.0), [] {});
-  simulation.run();
-  EXPECT_NEAR(node.utilization_since(t0, busy0), 1.0, 1e-9);
-}
-
-TEST_F(ClusterTest, TotalsAcrossPlatform) {
-  Platform platform(simulation, summit(2));
-  platform.node(0).allocate_cores(10, "a");
-  platform.node(1).allocate_gpus(2, "b");
-  EXPECT_EQ(platform.total_free_cores(), 42 * 2 - 10);
-  EXPECT_EQ(platform.total_free_gpus(), 12 - 2);
 }
 
 TEST_F(ClusterTest, GpuBusySecondsIntegrate) {

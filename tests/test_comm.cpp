@@ -54,22 +54,6 @@ TEST(ChannelTest, BuffersUntilConsumerRegisters) {
   EXPECT_EQ(channel.delivered(), 2u);
 }
 
-TEST(ChannelTest, ClearConsumerBuffersAgain) {
-  sim::Simulation simulation;
-  Channel<int> channel(simulation, "test");
-  int received = 0;
-  channel.set_consumer([&](int) { ++received; });
-  channel.put(1);
-  simulation.run();
-  EXPECT_EQ(received, 1);
-
-  channel.clear_consumer();
-  channel.put(2);
-  simulation.run();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(channel.buffered(), 1u);
-}
-
 TEST(ChannelTest, MoveOnlyPayloads) {
   sim::Simulation simulation;
   Channel<std::unique_ptr<int>> channel(simulation, "move-only");

@@ -68,7 +68,6 @@ TEST(SimTimeTest, Ordering) {
 TEST(FormatTest, FormatSeconds) {
   EXPECT_EQ(format_seconds(1.23456, 3), "1.235");
   EXPECT_EQ(format_seconds(0.0, 1), "0.0");
-  EXPECT_EQ(format_time(SimTime::from_seconds(2.5), 2), "2.50");
 }
 
 // ---------- Rng ----------
@@ -233,38 +232,11 @@ TEST(StatsTest, PercentileUnsortedInput) {
   EXPECT_DOUBLE_EQ(percentile({30.0, 10.0, 20.0}, 50.0), 20.0);
 }
 
-TEST(StatsTest, CoefficientOfVariation) {
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({5.0, 5.0, 5.0}), 0.0);
-  EXPECT_GT(coefficient_of_variation({1.0, 9.0}), 0.5);
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({}), 0.0);
-}
-
 TEST(StatsTest, LoadImbalance) {
   EXPECT_DOUBLE_EQ(load_imbalance({2.0, 2.0, 2.0}), 0.0);
   EXPECT_NEAR(load_imbalance({1.0, 3.0}), 0.5, 1e-12);  // max 3 / mean 2 - 1
   EXPECT_DOUBLE_EQ(load_imbalance({}), 0.0);
   EXPECT_DOUBLE_EQ(load_imbalance({0.0, 0.0}), 0.0);
-}
-
-TEST(StatsTest, RunningStatsMatchesBatch) {
-  const std::vector<double> samples = {3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0};
-  RunningStats running;
-  for (double s : samples) running.add(s);
-  const Summary batch = summarize(samples);
-  EXPECT_EQ(running.count(), samples.size());
-  EXPECT_NEAR(running.mean(), batch.mean, 1e-12);
-  EXPECT_NEAR(running.stddev(), batch.stddev, 1e-12);
-  EXPECT_DOUBLE_EQ(running.min(), 1.0);
-  EXPECT_DOUBLE_EQ(running.max(), 9.0);
-}
-
-TEST(StatsTest, RunningStatsEdgeCases) {
-  RunningStats r;
-  EXPECT_EQ(r.count(), 0u);
-  EXPECT_DOUBLE_EQ(r.variance(), 0.0);
-  r.add(7.0);
-  EXPECT_DOUBLE_EQ(r.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(r.mean(), 7.0);
 }
 
 // ---------- table ----------

@@ -151,19 +151,6 @@ TEST(NodeTest, KeysMayContainDots) {
             "launch_start");
 }
 
-TEST(NodeTest, RemoveChild) {
-  Node node;
-  node["a"].set(std::int64_t{1});
-  node["b"].set(std::int64_t{2});
-  node["c"].set(std::int64_t{3});
-  EXPECT_TRUE(node.remove_child("b"));
-  EXPECT_FALSE(node.remove_child("b"));
-  EXPECT_EQ(node.number_of_children(), 2u);
-  // Index integrity after removal.
-  EXPECT_EQ(node.find_child("c")->as_int64(), 3);
-  EXPECT_EQ(node.child_names()[1], "c");
-}
-
 TEST(NodeTest, ResetClearsEverything) {
   Node node;
   node["a"]["b"].set(std::int64_t{1});
@@ -234,15 +221,6 @@ TEST(NodeTest, UpdateEmptyIsNoop) {
   Node empty;
   base.update(empty);
   EXPECT_EQ(base.fetch_existing("k").as_int64(), 1);
-}
-
-TEST(NodeTest, LeafCount) {
-  Node node;
-  EXPECT_EQ(node.leaf_count(), 0u);
-  node.fetch("a/b").set(std::int64_t{1});
-  node.fetch("a/c").set(std::int64_t{2});
-  node.fetch("d").set("x");
-  EXPECT_EQ(node.leaf_count(), 3u);
 }
 
 TEST(NodeTest, ChildAtOutOfRangeThrows) {
@@ -342,10 +320,7 @@ TEST(NodeSerdeTest, PackedSizeCacheTracksMutation) {
   node["a"]["b"].set(std::vector<std::int64_t>{1, 2, 3});  // via operator[]
   EXPECT_EQ(node.packed_size(), node.pack().size());
 
-  node.find_child("a")->remove_child("b");  // via mutable find_child
-  EXPECT_EQ(node.packed_size(), node.pack().size());
-
-  node.remove_child("c");
+  node.find_child("a")->child("e").set(std::int64_t{7});  // via find_child
   EXPECT_EQ(node.packed_size(), node.pack().size());
 
   node.reset();

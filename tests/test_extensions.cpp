@@ -198,18 +198,6 @@ TEST_F(AppInstrumentTest, LatestValueWinsWithinBatch) {
       2.0);
 }
 
-TEST_F(AppInstrumentTest, AutoCommit) {
-  core::SomaClient client(
-      network, 1, 5000, core::Namespace::kApplication,
-      service.instance(core::Namespace::kApplication).ranks);
-  core::AppInstrument app(client, "app");
-  app.set_auto_commit(2);
-  app.report_metric("a", 1.0);
-  EXPECT_EQ(app.commits(), 0u);
-  app.report_metric("b", 2.0);
-  EXPECT_EQ(app.commits(), 1u);
-}
-
 TEST_F(AppInstrumentTest, ProgressClamped) {
   core::SomaClient client(
       network, 1, 5000, core::Namespace::kApplication,

@@ -166,7 +166,6 @@ TEST(RaptorTest, ThroughputBeatsExecutableTaskPath) {
   EXPECT_EQ(tasks_done, units);
   // "Ravenous throughput": well over 2x faster end to end.
   EXPECT_LT(raptor_span * 2.0, task_span);
-  EXPECT_GT(master.throughput_per_second(), 10.0);
 }
 
 TEST(RaptorTest, InvalidConfigRejected) {

@@ -80,7 +80,6 @@ TEST(TaskTest, EventLog) {
   EXPECT_FALSE(task.event_time(events::kExecStop).has_value());
   ASSERT_TRUE(task.rank_duration().has_value());
   EXPECT_EQ(*task.rank_duration(), Duration::seconds(15.0));
-  EXPECT_FALSE(task.launch_duration().has_value());
 }
 
 TEST(TaskTest, FirstOccurrenceWins) {
@@ -134,16 +133,7 @@ TEST(ProfileStoreTest, CursorReads) {
   auto second = store.read_since(cursor);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].event, "z");
-}
-
-TEST(ProfileStoreTest, ForUid) {
-  ProfileStore store;
-  store.record(SimTime::from_seconds(1.0), "a", "x");
-  store.record(SimTime::from_seconds(2.0), "b", "y");
-  store.record(SimTime::from_seconds(3.0), "a", "z");
-  const auto records = store.for_uid("a");
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].event, "z");
+  EXPECT_EQ(store.at(2).event, "z");
   EXPECT_THROW(store.at(99), InternalError);
 }
 

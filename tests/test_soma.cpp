@@ -323,7 +323,6 @@ TEST_F(ServiceTest, InSituAnalyzerOverRpc) {
     result["total"].set(static_cast<std::int64_t>(view.total_records()));
     return result;
   });
-  EXPECT_EQ(service.analyzer_names(), (std::vector<std::string>{"count"}));
 
   SomaClient client(network, 1, 5000, Namespace::kHardware,
                     service.instance(Namespace::kHardware).ranks);

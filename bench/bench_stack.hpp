@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,11 +38,21 @@ inline std::uint64_t parse_count(const std::string& what, const char* text) {
   return value;
 }
 
+/// `text` as a decimal integer in [0, INT_MAX]; anything else, a larger
+/// value included, is a usage error rather than a silently narrowed int.
+inline int parse_int(const std::string& what, const char* text) {
+  const std::uint64_t value = parse_count(what, text);
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    usage_error(what + " is out of range, got '" + text + "'");
+  }
+  return static_cast<int>(value);
+}
+
 /// The max-scale positional of the Scaling B sweeps (fig11, overhead
 /// analysis): at least 64; absent, the whole sweep up to 512 nodes.
 inline int parse_max_scale(const char* text) {
   if (text == nullptr) return 512;
-  const int max_scale = static_cast<int>(parse_count("max scale", text));
+  const int max_scale = parse_int("max scale", text);
   if (max_scale < 64) usage_error("max scale must be at least 64");
   return max_scale;
 }
@@ -84,15 +95,18 @@ inline experiments::StackConfig parse_stack(
       stack.batching.max_records = parse_count(arg, value);
       batching_set = true;
     } else if (arg == "--batch-delay") {
+      // At least one nanosecond, and at most 2^62 ns (about 146 years), so
+      // that neither the Duration nor the clock plus it can overflow.
       char* end = nullptr;
-      const double ms = std::strtod(value, &end);
-      if (*end != '\0' || !(ms > 0.0)) {
-        usage_error("--batch-delay needs a positive millisecond value");
+      const double seconds = std::strtod(value, &end) * 1e-3;
+      const double nanos = seconds * 1e9;
+      if (*end != '\0' || !(nanos >= 1.0 && nanos <= 0x1p62)) {
+        usage_error("--batch-delay needs milliseconds from 1 ns to 2^62 ns");
       }
-      stack.batching.max_delay = Duration::seconds(ms * 1e-3);
+      stack.batching.max_delay = Duration::seconds(seconds);
       batching_set = true;
     } else if (arg == "--replication") {
-      stack.replication.factor = static_cast<int>(parse_count(arg, value));
+      stack.replication.factor = parse_int(arg, value);
       if (!stack.replication.enabled()) {
         usage_error("--replication needs a factor >= 2");
       }

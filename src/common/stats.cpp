@@ -8,14 +8,18 @@ namespace soma {
 
 double percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  if (q <= 0.0) return samples.front();
-  if (q >= 100.0) return samples.back();
+  if (q <= 0.0) return *std::ranges::min_element(samples);
+  if (q >= 100.0) return *std::ranges::max_element(samples);
   const double pos = q / 100.0 * static_cast<double>(samples.size() - 1);
   const auto lower = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(lower);
-  if (lower + 1 >= samples.size()) return samples.back();
-  return samples[lower] * (1.0 - frac) + samples[lower + 1] * frac;
+  if (lower + 1 >= samples.size()) return *std::ranges::max_element(samples);
+  // The two order statistics a full sort would put at `lower` and
+  // `lower + 1`: a selection, then the least of what it put above.
+  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(lower);
+  std::ranges::nth_element(samples, nth);
+  const double above = *std::ranges::min_element(nth + 1, samples.end());
+  return *nth * (1.0 - frac) + above * frac;
 }
 
 Summary summarize(const std::vector<double>& samples) {

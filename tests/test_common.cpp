@@ -1,11 +1,14 @@
 // Unit tests for src/common: time types, RNG, statistics, tables, callables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -230,6 +233,38 @@ TEST(StatsTest, PercentileInterpolates) {
 
 TEST(StatsTest, PercentileUnsortedInput) {
   EXPECT_DOUBLE_EQ(percentile({30.0, 10.0, 20.0}, 50.0), 20.0);
+}
+
+// percentile() selects instead of sorting; it must return the very double
+// the sort-and-interpolate definition gives.
+double sorted_percentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  if (q <= 0.0) return samples.front();
+  if (q >= 100.0) return samples.back();
+  const double pos = q / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lower = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lower);
+  if (lower + 1 >= samples.size()) return samples.back();
+  return samples[lower] * (1.0 - frac) + samples[lower + 1] * frac;
+}
+
+TEST(StatsTest, PercentileMatchesSortedDefinitionBitForBit) {
+  Rng rng(2024);
+  for (std::size_t n : {1, 2, 3, 7, 100, 1001}) {
+    for (bool duplicates : {false, true}) {
+      std::vector<double> samples(n);
+      for (double& x : samples) {
+        // Few distinct values when `duplicates`, so equal keys abound.
+        x = duplicates ? static_cast<double>(rng.uniform_index(4))
+                       : rng.uniform(-50.0, 250.0);
+      }
+      for (double q : {0.0, 0.1, 50.0, 99.0, 99.99, 100.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(samples, q)),
+                  std::bit_cast<std::uint64_t>(sorted_percentile(samples, q)))
+            << "n=" << n << " duplicates=" << duplicates << " q=" << q;
+      }
+    }
+  }
 }
 
 TEST(StatsTest, LoadImbalance) {

@@ -13,9 +13,9 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Ablation X2",
-                "shared-mode benefit vs spare SOMA-node capacity");
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Ablation X2",
+      "shared-mode benefit vs spare SOMA-node capacity");
 
   const int pipelines = 32;
   TextTable table({"SOMA nodes", "spare GPUs", "mode", "pipeline time (s)",

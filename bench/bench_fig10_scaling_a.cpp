@@ -13,10 +13,9 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Figure 10",
-                "DDMD Scaling A: 64 pipelines, SOMA rank ratio x shared/excl");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 10",
+      "DDMD Scaling A: 64 pipelines, SOMA rank ratio x shared/excl");
 
   struct Row {
     int soma_nodes;

@@ -14,12 +14,10 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Figure 11",
-                "DDMD Scaling B: pipeline-runtime distributions per config");
-
-  const char* max_scale_arg = nullptr;
-  const StackConfig stack = bench::parse_stack(argc, argv, &max_scale_arg);
-  const int max_scale = bench::parse_max_scale(max_scale_arg);
+  int max_scale = 0;
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 11",
+      "DDMD Scaling B: pipeline-runtime distributions per config", &max_scale);
 
   struct Config {
     const char* name;

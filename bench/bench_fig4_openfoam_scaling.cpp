@@ -12,9 +12,8 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Figure 4", "OpenFOAM task strong scaling (overloaded run)");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 4", "OpenFOAM task strong scaling (overloaded run)");
 
   auto config = OpenFoamExperimentConfig::overloaded();
   config.stack() = stack;

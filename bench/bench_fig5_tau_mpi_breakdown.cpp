@@ -15,10 +15,9 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Figure 5",
-                "TAU profile: per-rank MPI time of one 164-rank task");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 5",
+      "TAU profile: per-rank MPI time of one 164-rank task");
 
   // The tuning run is enough: it publishes one 164-rank profile.
   auto config = OpenFoamExperimentConfig::tuning();

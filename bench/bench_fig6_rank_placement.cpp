@@ -14,10 +14,9 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Figure 6",
-                "OpenFOAM execution time by node spread (20 / 41 ranks)");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 6",
+      "OpenFOAM execution time by node spread (20 / 41 ranks)");
 
   // Aggregate several seeds: one overloaded run yields few distinct spread
   // groups, and the figure is a distribution.

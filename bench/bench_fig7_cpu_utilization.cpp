@@ -16,10 +16,9 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Figure 7",
-                "per-node CPU utilization, OpenFOAM tuning workflow");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 7",
+      "per-node CPU utilization, OpenFOAM tuning workflow");
 
   auto config = OpenFoamExperimentConfig::tuning();
   config.stack() = stack;

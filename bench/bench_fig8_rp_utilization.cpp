@@ -28,9 +28,8 @@ void report(const char* name, const OpenFoamResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::header("Figure 8", "RP resource utilization maps (OpenFOAM)");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 8", "RP resource utilization maps (OpenFOAM)");
 
   auto overload_config = OpenFoamExperimentConfig::overloaded();
   overload_config.stack() = stack;

@@ -13,9 +13,9 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Figure 9", "DDMD mini-app tuning: CPU utilization per phase");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Figure 9",
+      "DDMD mini-app tuning: CPU utilization per phase");
 
   auto config = DdmdExperimentConfig::tuning();
   config.stack() = stack;

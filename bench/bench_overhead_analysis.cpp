@@ -16,12 +16,10 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Overhead analysis",
-                "cost decomposition of SOMA monitoring (Scaling B axis)");
-
-  const char* max_scale_arg = nullptr;
-  const StackConfig stack = bench::parse_stack(argc, argv, &max_scale_arg);
-  const int max_scale = bench::parse_max_scale(max_scale_arg);
+  int max_scale = 0;
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Overhead analysis",
+      "cost decomposition of SOMA monitoring (Scaling B axis)", &max_scale);
 
   TextTable table({"app nodes", "freq (s)", "publishes", "mean ack (ms)",
                    "max ack (ms)", "svc max queue (ms)",

@@ -57,22 +57,26 @@ inline int parse_max_scale(const char* text) {
   return max_scale;
 }
 
-/// Parse the stack flags of argv. A bench that takes one positional
-/// argument (fig11's max scale) passes `positional`, which receives it;
-/// otherwise a positional argument is a usage error, like an unknown flag or
-/// a flag without its value.
-inline experiments::StackConfig parse_stack(
-    int argc, char** argv, const char** positional = nullptr) {
+/// Parse the stack flags of argv, then print the bench's banner (header) and
+/// announce the flags given, so that a usage error writes nothing to stdout.
+/// The Scaling B sweeps pass `max_scale`, which receives their one positional
+/// argument (parse_max_scale); for any other bench a positional argument is a
+/// usage error, like an unknown flag or a flag without its value.
+inline experiments::StackConfig parse_stack(int argc, char** argv,
+                                            const char* artifact,
+                                            const char* description,
+                                            int* max_scale = nullptr) {
   experiments::StackConfig stack;
+  const char* positional = nullptr;
   bool storage_set = false;
   bool batching_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      if (positional == nullptr || *positional != nullptr) {
+      if (max_scale == nullptr || positional != nullptr) {
         usage_error("unexpected argument '" + arg + "'");
       }
-      *positional = argv[i];
+      positional = argv[i];
       continue;
     }
     static constexpr std::string_view kFlags[] = {
@@ -125,6 +129,8 @@ inline experiments::StackConfig parse_stack(
       stack.reliability.probe_period = Duration::seconds(5);
     }
   }
+  if (max_scale != nullptr) *max_scale = parse_max_scale(positional);
+  header(artifact, description);
   if (storage_set) {
     std::printf("store backend: %s\n",
                 std::string(core::to_string(stack.storage.backend)).c_str());

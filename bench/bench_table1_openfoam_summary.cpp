@@ -11,9 +11,8 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Table 1", "OpenFOAM experiment summary");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Table 1", "OpenFOAM experiment summary");
 
   auto tuning = OpenFoamExperimentConfig::tuning();
   tuning.stack() = stack;

@@ -11,9 +11,8 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  bench::header("Table 2", "DeepDriveMD mini-app experiment summary");
-
-  const StackConfig stack = bench::parse_stack(argc, argv);
+  const StackConfig stack = bench::parse_stack(
+      argc, argv, "Table 2", "DeepDriveMD mini-app experiment summary");
 
   TextTable table({"Experiment", "Phases (n)", "Pipelines (m)", "App Nodes",
                    "SOMA Nodes", "Cores/Sim", "Train Tasks", "Cores/Train",

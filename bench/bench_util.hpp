@@ -19,6 +19,8 @@
 
 namespace soma::bench {
 
+/// Print the banner. A bench calls it (or parse_stack, which does) only after
+/// it has checked argv, so that a usage error writes nothing to stdout.
 inline void header(const char* artifact, const char* description) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", artifact, description);

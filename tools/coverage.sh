@@ -5,8 +5,8 @@
 #
 # Configures an unoptimised build with --coverage in BUILD_DIR, builds it,
 # runs every golden ctest (each fig/table bench configuration, the full
-# fig11 sweep included, and four examples), then runs gcov over the src/
-# objects. It prints one row per source file, most unexecuted lines first:
+# fig11 sweep included, the raptor bench and four examples), then runs gcov
+# over the src/ objects. It prints one row per source file, most unexecuted lines first:
 # executable lines, unexecuted lines and the unexecuted line numbers, then
 # the totals. It is a report, not a gate: it sets no threshold and fails
 # only when the build or a golden fails.

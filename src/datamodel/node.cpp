@@ -4,12 +4,13 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
+#include <cstdio>
 #include <functional>
 #include <numeric>
 #include <sstream>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace soma::datamodel {
@@ -52,130 +53,7 @@ void json_number(double v, std::ostringstream& out) {
   }
 }
 
-// ---- binary wire helpers ----
-
 using Tag = PackTag;
-
-// Raw little-endian stores into a pre-sized buffer (pack() resizes once to
-// the exact packed_size, then writes through a bare pointer — no per-byte
-// capacity checks).
-
-std::byte* store_u32(std::byte* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-  }
-  return p + 4;
-}
-
-std::byte* store_u64(std::byte* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-  }
-  return p + 8;
-}
-
-std::byte* store_f64(std::byte* p, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return store_u64(p, bits);
-}
-
-std::byte* store_string(std::byte* p, const std::string& s) {
-  p = store_u32(p, static_cast<std::uint32_t>(s.size()));
-  std::memcpy(p, s.data(), s.size());
-  return p + s.size();
-}
-
-// Little-endian loads; a byte swap only on a big-endian host.
-std::uint32_t from_little_endian(std::uint32_t v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    return __builtin_bswap32(v);
-  }
-  return v;
-}
-
-std::uint64_t from_little_endian(std::uint64_t v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    return __builtin_bswap64(v);
-  }
-  return v;
-}
-
-class Reader {
- public:
-  Reader(std::span<const std::byte> buffer, std::size_t& offset)
-      : buffer_(buffer), offset_(offset) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(buffer_[offset_++]);
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    copy_out(&v, sizeof(v));
-    return from_little_endian(v);
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    copy_out(&v, sizeof(v));
-    return from_little_endian(v);
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  /// A u32 element count, rejected if `min_bytes` per element cannot fit in
-  /// the bytes left (so a reserve sized from it is bounded by the buffer).
-  std::uint32_t count(std::size_t min_bytes) {
-    const std::uint32_t n = u32();
-    if (n > (buffer_.size() - offset_) / min_bytes) {
-      throw soma::LookupError("Node::unpack: count exceeds buffer");
-    }
-    return n;
-  }
-  /// A length-prefixed string, viewed in the buffer.
-  std::string_view text() {
-    const std::uint32_t n = u32();
-    need(n);
-    const std::string_view s(
-        reinterpret_cast<const char*>(buffer_.data() + offset_), n);
-    offset_ += n;
-    return s;
-  }
-  /// A counted array of 8-byte little-endian words (int64 or float64), read
-  /// in one copy.
-  template <typename T>
-  std::vector<T> words() {
-    static_assert(sizeof(T) == sizeof(std::uint64_t));
-    std::vector<T> values(count(sizeof(T)));
-    copy_out(values.data(), values.size() * sizeof(T));
-    if constexpr (std::endian::native == std::endian::big) {
-      for (T& v : values) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        bits = from_little_endian(bits);
-        std::memcpy(&v, &bits, sizeof(bits));
-      }
-    }
-    return values;
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (offset_ + n > buffer_.size()) {
-      throw soma::LookupError("Node::unpack: truncated buffer");
-    }
-  }
-  void copy_out(void* out, std::size_t n) {
-    need(n);
-    if (n > 0) std::memcpy(out, buffer_.data() + offset_, n);
-    offset_ += n;
-  }
-  std::span<const std::byte> buffer_;
-  std::size_t& offset_;
-};
 
 }  // namespace
 
@@ -421,40 +299,32 @@ std::byte* Node::pack_into(std::byte* p) const {
       break;
     case Type::kObject:
       *p++ = static_cast<std::byte>(Tag::kObject);
-      p = store_u32(p, static_cast<std::uint32_t>(number_of_children()));
+      p = bytes::store_u32(p, static_cast<std::uint32_t>(number_of_children()));
       for (const Child& c : children()) {
-        p = store_string(p, c.name);
+        p = bytes::store_text(p, c.name);
         p = c.node.pack_into(p);
       }
       break;
     case Type::kInt64:
       *p++ = static_cast<std::byte>(Tag::kInt64);
-      p = store_u64(p, static_cast<std::uint64_t>(as_int64()));
+      p = bytes::store_u64(p, static_cast<std::uint64_t>(as_int64()));
       break;
     case Type::kFloat64:
       *p++ = static_cast<std::byte>(Tag::kFloat64);
-      p = store_f64(p, as_float64());
+      p = bytes::store_u64(p, std::bit_cast<std::uint64_t>(as_float64()));
       break;
     case Type::kString:
       *p++ = static_cast<std::byte>(Tag::kString);
-      p = store_string(p, as_string());
+      p = bytes::store_text(p, as_string());
       break;
-    case Type::kInt64Array: {
+    case Type::kInt64Array:
       *p++ = static_cast<std::byte>(Tag::kInt64Array);
-      const auto& values = as_int64_array();
-      p = store_u32(p, static_cast<std::uint32_t>(values.size()));
-      for (std::int64_t v : values) {
-        p = store_u64(p, static_cast<std::uint64_t>(v));
-      }
+      p = bytes::store_words(p, std::span(as_int64_array()));
       break;
-    }
-    case Type::kFloat64Array: {
+    case Type::kFloat64Array:
       *p++ = static_cast<std::byte>(Tag::kFloat64Array);
-      const auto& values = as_float64_array();
-      p = store_u32(p, static_cast<std::uint32_t>(values.size()));
-      for (double v : values) p = store_f64(p, v);
+      p = bytes::store_words(p, std::span(as_float64_array()));
       break;
-    }
   }
   return p;
 }
@@ -480,7 +350,7 @@ std::vector<std::byte> Node::pack() const {
 void Node::unpack_into(Node& node, std::span<const std::byte> buffer,
                        std::size_t& offset, std::size_t depth) {
   if (depth > kMaxDepth) throw soma::LookupError("Node::unpack: too deep");
-  Reader reader(buffer, offset);
+  bytes::ByteReader reader(buffer, offset, "Node::unpack");
   switch (static_cast<Tag>(reader.u8())) {
     case Tag::kEmpty:
       break;

@@ -26,7 +26,9 @@
 // that are written and read without a tree: the single-record soma.publish
 // body (the exact Node::pack encoding of {ns, source, data[, t]}, encoded
 // field by field and read in place, decoding only the record) and the
-// soma.publish_batch body, which replication frames reuse.
+// soma.publish_batch body, which replication frames reuse. All of them store
+// and read their integers and strings through common/bytes.hpp, the byte
+// codec Node::pack uses too.
 #pragma once
 
 #include <cstddef>
@@ -43,37 +45,6 @@
 namespace soma::net::wire {
 
 enum class Kind : std::uint8_t { kRequest = 0, kResponse = 1 };
-
-// Little-endian fixed-width integers at a raw position: the one codec of
-// frame headers, batch bodies and the replication prefix. The caller owns
-// the bounds check.
-inline void put_u32(std::byte* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-  }
-}
-
-inline void put_u64(std::byte* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-  }
-}
-
-[[nodiscard]] inline std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] inline std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
 
 /// magic + kind + request id + rpc-name length.
 inline constexpr std::size_t kFixedHeaderBytes = 4 + 1 + 8 + 4;

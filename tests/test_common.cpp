@@ -5,11 +5,17 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -378,6 +384,119 @@ TEST(UniqueFunctionTest, AssignmentReplacesExistingTarget) {
   fn = [] { return 99; };  // must destroy the previous capture
   EXPECT_TRUE(weak.expired());
   EXPECT_EQ(fn(), 99);
+}
+
+// ---------- byte codec ----------
+
+std::vector<std::byte> byte_vector(std::initializer_list<unsigned> values) {
+  std::vector<std::byte> out;
+  for (const unsigned v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
+TEST(ByteCodecTest, StoreAndLoadRoundTrip) {
+  for (const std::uint32_t v : {std::uint32_t{0}, std::uint32_t{1},
+                                std::uint32_t{0x01020304},
+                                std::numeric_limits<std::uint32_t>::max()}) {
+    std::array<std::byte, 4> buffer{};
+    EXPECT_EQ(bytes::store_u32(buffer.data(), v), buffer.data() + 4);
+    EXPECT_EQ(bytes::load_u32(buffer.data()), v);
+  }
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{0x01020304},
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    std::array<std::byte, 8> buffer{};
+    EXPECT_EQ(bytes::store_u64(buffer.data(), v), buffer.data() + 8);
+    EXPECT_EQ(bytes::load_u64(buffer.data()), v);
+  }
+}
+
+TEST(ByteCodecTest, StoresAreLittleEndian) {
+  std::vector<std::byte> buffer(12);
+  bytes::store_u64(bytes::store_u32(buffer.data(), 0x01020304),
+                   0x0102030405060708);
+  EXPECT_EQ(buffer, byte_vector({0x04, 0x03, 0x02, 0x01, 0x08, 0x07, 0x06,
+                                 0x05, 0x04, 0x03, 0x02, 0x01}));
+}
+
+TEST(ByteCodecTest, TextAndWordsRoundTripThroughTheReader) {
+  const std::vector<std::int64_t> ints = {
+      std::numeric_limits<std::int64_t>::min(), -1, 0, 1};
+  const std::vector<double> floats = {-0.5, 1e300};
+  std::vector<std::byte> buffer(4 + 3 + 4 + 8 * ints.size() + 4 +
+                                8 * floats.size() + 4);
+  std::byte* p = bytes::store_text(buffer.data(), "abc");
+  p = bytes::store_words(p, std::span(ints));
+  p = bytes::store_words(p, std::span(floats));
+  p = bytes::store_text(p, "");
+  ASSERT_EQ(p, buffer.data() + buffer.size());
+
+  std::size_t offset = 0;
+  bytes::ByteReader reader(buffer, offset, "test");
+  EXPECT_EQ(reader.text(), "abc");
+  EXPECT_EQ(reader.words<std::int64_t>(), ints);
+  EXPECT_EQ(reader.words<double>(), floats);
+  EXPECT_EQ(reader.text(), "");
+  EXPECT_EQ(offset, buffer.size());
+}
+
+TEST(ByteReaderTest, ShortReadsThrowAndLeaveTheOffset) {
+  // From offset 1: a u32 length of 5, then five bytes of text.
+  const std::vector<std::byte> full = byte_vector(
+      {0xaa, 0x05, 0x00, 0x00, 0x00, 'a', 'b', 'c', 'd', 'e'});
+  struct Read {
+    const char* what;
+    std::size_t needs;
+    std::function<void(bytes::ByteReader&)> read;
+  };
+  const std::vector<Read> reads = {
+      {"u8", 1, [](bytes::ByteReader& r) { (void)r.u8(); }},
+      {"u32", 4, [](bytes::ByteReader& r) { (void)r.u32(); }},
+      {"u64", 8, [](bytes::ByteReader& r) { (void)r.u64(); }},
+      {"f64", 8, [](bytes::ByteReader& r) { (void)r.f64(); }},
+      {"text", 9, [](bytes::ByteReader& r) { (void)r.text(); }},
+      {"bytes(6)", 6, [](bytes::ByteReader& r) { (void)r.bytes(6); }},
+  };
+  for (const Read& read : reads) {
+    for (std::size_t size = 1; size <= read.needs; ++size) {
+      std::size_t offset = 1;
+      bytes::ByteReader reader({full.data(), size}, offset, "ctx");
+      try {
+        read.read(reader);
+        ADD_FAILURE() << read.what << " read past " << size << " bytes";
+      } catch (const LookupError& e) {
+        EXPECT_STREQ(e.what(), "ctx: truncated");
+      }
+      EXPECT_EQ(offset, 1u) << read.what << " over " << size << " bytes";
+    }
+    std::size_t offset = 1;
+    bytes::ByteReader reader({full.data(), 1 + read.needs}, offset,
+                             "ctx");
+    read.read(reader);
+    EXPECT_EQ(offset, 1 + read.needs) << read.what;
+  }
+}
+
+TEST(ByteReaderTest, CountRejectsWhatTheBufferCannotHold) {
+  // ~2^31 elements claimed in a 4-byte buffer: rejected before any
+  // allocation, so words() throws LookupError, not bad_alloc.
+  const std::vector<std::byte> huge = byte_vector({0xff, 0xff, 0xff, 0x7f});
+  std::size_t offset = 0;
+  bytes::ByteReader reader(huge, offset, "ctx");
+  EXPECT_THROW((void)reader.count(1), LookupError);
+  EXPECT_THROW((void)reader.words<std::int64_t>(), LookupError);
+  EXPECT_THROW((void)reader.words<double>(), LookupError);
+  EXPECT_EQ(offset, 0u);
+
+  // Two 8-byte words need 16 bytes behind the count; 15 are there.
+  std::vector<std::byte> short_words = byte_vector({0x02, 0x00, 0x00, 0x00});
+  short_words.resize(4 + 15);
+  bytes::ByteReader words_reader(short_words, offset, "ctx");
+  EXPECT_THROW((void)words_reader.count(8), LookupError);
+  EXPECT_THROW((void)words_reader.words<std::int64_t>(), LookupError);
+  EXPECT_EQ(offset, 0u);
+  EXPECT_EQ(words_reader.count(7), 2u);  // two 7-byte elements do fit
+  EXPECT_EQ(offset, 4u);
 }
 
 }  // namespace

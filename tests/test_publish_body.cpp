@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -307,11 +308,11 @@ std::vector<std::byte> object_body(
         fields) {
   std::vector<std::byte> out(5);
   out[0] = static_cast<std::byte>(datamodel::PackTag::kObject);
-  wire::put_u32(out.data() + 1, static_cast<std::uint32_t>(fields.size()));
+  bytes::store_u32(out.data() + 1, static_cast<std::uint32_t>(fields.size()));
   for (const auto& [name, value] : fields) {
     const std::size_t at = out.size();
     out.resize(at + 4);
-    wire::put_u32(out.data() + at, static_cast<std::uint32_t>(name.size()));
+    bytes::store_u32(out.data() + at, static_cast<std::uint32_t>(name.size()));
     for (const char c : name) out.push_back(static_cast<std::byte>(c));
     out.insert(out.end(), value.begin(), value.end());
   }

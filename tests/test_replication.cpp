@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/types.hpp"
 #include "net/fault.hpp"
 #include "net/network.hpp"
@@ -800,11 +801,11 @@ class ReplicationLogBytesTest : public ReplicationPipelineTest {
     head["source"].set(source);
     std::vector<std::byte> body = head.pack();
     if (!data) return body;
-    net::wire::put_u32(body.data() + 1, 3);  // the envelope's child count
+    bytes::store_u32(body.data() + 1, 3);  // the envelope's child count
     const std::string name = "data";
     const std::size_t at = body.size();
     body.resize(at + 4);
-    net::wire::put_u32(body.data() + at, 4);
+    bytes::store_u32(body.data() + at, 4);
     for (const char c : name) body.push_back(static_cast<std::byte>(c));
     body.insert(body.end(), data->begin(), data->end());
     return body;

@@ -27,23 +27,27 @@
 
 namespace soma::bench {
 
-/// `text` as a non-negative decimal integer; anything else is a usage error.
-inline std::uint64_t parse_count(const std::string& what, const char* text) {
+/// `text` as a non-negative decimal integer; anything else is a usage error
+/// that lists `flags`.
+inline std::uint64_t parse_count(const std::string& what, const char* text,
+                                 const char* flags = kStackFlags) {
   char* end = nullptr;
   errno = 0;
   const std::uint64_t value = std::strtoull(text, &end, 10);
   if (*text < '0' || *text > '9' || *end != '\0' || errno != 0) {
-    usage_error(what + " needs a non-negative integer, got '" + text + "'");
+    usage_error(what + " needs a non-negative integer, got '" + text + "'",
+                flags);
   }
   return value;
 }
 
 /// `text` as a decimal integer in [0, INT_MAX]; anything else, a larger
 /// value included, is a usage error rather than a silently narrowed int.
-inline int parse_int(const std::string& what, const char* text) {
-  const std::uint64_t value = parse_count(what, text);
+inline int parse_int(const std::string& what, const char* text,
+                     const char* flags = kStackFlags) {
+  const std::uint64_t value = parse_count(what, text, flags);
   if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    usage_error(what + " is out of range, got '" + text + "'");
+    usage_error(what + " is out of range, got '" + text + "'", flags);
   }
   return static_cast<int>(value);
 }

@@ -29,12 +29,15 @@ inline void header(const char* artifact, const char* description) {
 
 inline void section(const char* title) { std::printf("\n-- %s --\n", title); }
 
-/// Print `message` and the flags the bench takes (by default the stack flags
-/// of bench_stack.hpp) to stderr, then exit with status 2.
-[[noreturn]] inline void usage_error(
-    const std::string& message,
-    const char* flags = "--store-backend map|log, --publish-batch N "
-                        "[--batch-delay MS], --replication F, --fault-seed N") {
+/// The stack flags of bench_stack.hpp, as a usage line.
+inline constexpr const char* kStackFlags =
+    "--store-backend map|log, --publish-batch N [--batch-delay MS], "
+    "--replication F, --fault-seed N";
+
+/// Print `message` and the flags the program takes (by default the stack
+/// flags) to stderr, then exit with status 2.
+[[noreturn]] inline void usage_error(const std::string& message,
+                                     const char* flags = kStackFlags) {
   std::fprintf(stderr, "error: %s\nflags: %s\n", message.c_str(), flags);
   std::exit(2);
 }

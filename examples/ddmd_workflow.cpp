@@ -8,8 +8,9 @@
 // Run:  ./build/examples/ddmd_workflow [pipelines] [phases]
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "bench_stack.hpp"
 #include "common/table.hpp"
 #include "entk/entk.hpp"
 #include "experiments/deployment.hpp"
@@ -18,8 +19,17 @@
 using namespace soma;
 
 int main(int argc, char** argv) {
-  const int pipelines = argc > 1 ? std::atoi(argv[1]) : 2;
-  const int phases = argc > 2 ? std::atoi(argv[2]) : 2;
+  constexpr const char* kUsage = "[pipelines >= 1] [phases >= 1]";
+  if (argc > 3) {
+    bench::usage_error(std::string("unexpected argument '") + argv[3] + "'",
+                       kUsage);
+  }
+  const int pipelines =
+      argc > 1 ? bench::parse_int("pipelines", argv[1], kUsage) : 2;
+  const int phases = argc > 2 ? bench::parse_int("phases", argv[2], kUsage) : 2;
+  if (pipelines < 1 || phases < 1) {
+    bench::usage_error("pipelines and phases must be at least 1", kUsage);
+  }
 
   // Platform: 1 agent node + enough app nodes for the pipelines + 1 SOMA
   // node.

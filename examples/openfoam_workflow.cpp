@@ -8,8 +8,9 @@
 // Run:  ./build/examples/openfoam_workflow [tuning|overload]
 
 #include <cstdio>
-#include <cstring>
+#include <string>
 
+#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "analysis/anomaly.hpp"
 #include "experiments/openfoam_experiment.hpp"
@@ -18,7 +19,16 @@ using namespace soma;
 using namespace soma::experiments;
 
 int main(int argc, char** argv) {
-  const bool overload = argc > 1 && std::strcmp(argv[1], "overload") == 0;
+  constexpr const char* kUsage = "[tuning|overload]";
+  if (argc > 2) {
+    bench::usage_error(std::string("unexpected argument '") + argv[2] + "'",
+                       kUsage);
+  }
+  const std::string mode = argc > 1 ? argv[1] : "tuning";
+  if (mode != "tuning" && mode != "overload") {
+    bench::usage_error("unknown mode '" + mode + "'", kUsage);
+  }
+  const bool overload = mode == "overload";
   const OpenFoamExperimentConfig config =
       overload ? OpenFoamExperimentConfig::overloaded()
                : OpenFoamExperimentConfig::tuning();

@@ -12,7 +12,8 @@
 //   * leaf nodes of type int64 / float64 / string / int64[] / float64[],
 //   * path access ("RP/task.000000/1698435412.606"),
 //   * deep merge (`update`), equality, JSON rendering, and a compact binary
-//     wire format used by the RPC transport.
+//     wire format used by the RPC transport, written and read through the
+//     byte codec of common/bytes.hpp that every binary format shares.
 #pragma once
 
 #include <cstddef>

@@ -566,6 +566,35 @@ TEST(PublishBodyRoutingTest, MisroutedRecordsSurfaceFromRun) {
   }
 }
 
+// A body that names no namespace the service knows is malformed input, so
+// it is a LookupError like any other decode failure, not a ConfigError.
+TEST(PublishBodyRoutingTest, UnknownNamespaceSurfacesAsLookupError) {
+  wire::BatchBodyWriter batch("bogus");
+  batch.add("cn0001", 1, sample_record());
+  std::vector<std::byte> batch_body;
+  batch.encode(batch_body);
+  const std::pair<const char*, std::vector<std::byte>> cases[] = {
+      {"soma.publish", envelope("bogus", "cn0001", sample_record()).pack()},
+      {"soma.publish_batch", batch_body}};
+
+  for (const auto& [rpc, body] : cases) {
+    sim::Simulation simulation;
+    net::Network network{simulation, net::NetworkConfig{}};
+    core::ServiceConfig config;
+    config.namespaces = {Namespace::kHardware};
+    core::SomaService service(network, {0}, config);
+    net::Engine sender(network, net::make_address(1, 6000));
+    const net::Address& rank = service.instance(Namespace::kHardware).ranks[0];
+    sender.call_raw(network.resolve(rank), rpc, body.size(),
+                    [&body = body](std::vector<std::byte>& frame) {
+                      frame.insert(frame.end(), body.begin(), body.end());
+                    });
+    EXPECT_THROW(simulation.run(), LookupError) << rpc;
+    EXPECT_EQ(service.publishes_received(), 0u) << rpc;
+    EXPECT_EQ(service.store_view().total_records(), 0u) << rpc;
+  }
+}
+
 TEST_F(PublishBodyIngestTest, NonIntTimeSurfacesFromRun) {
   core::ServiceConfig config;
   config.namespaces = {Namespace::kHardware};

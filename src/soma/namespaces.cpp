@@ -24,10 +24,15 @@ std::string_view namespace_tag(Namespace ns) {
   return "?";
 }
 
-Namespace parse_namespace(std::string_view text) {
+std::optional<Namespace> find_namespace(std::string_view text) {
   for (Namespace ns : kAllNamespaces) {
     if (text == to_string(ns) || text == namespace_tag(ns)) return ns;
   }
+  return std::nullopt;
+}
+
+Namespace parse_namespace(std::string_view text) {
+  if (const auto ns = find_namespace(text)) return *ns;
   throw ConfigError("unknown SOMA namespace: " + std::string(text));
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string_view>
 
 namespace soma::core {
@@ -29,7 +30,11 @@ inline constexpr std::array<Namespace, 4> kAllNamespaces = {
 /// Top-level Conduit tag: "RP", "PROC", "TAU", "APP".
 [[nodiscard]] std::string_view namespace_tag(Namespace ns);
 
-/// Parse a namespace from either form. Throws ConfigError on junk.
+/// The namespace named by either form, or nullopt.
+[[nodiscard]] std::optional<Namespace> find_namespace(std::string_view text);
+
+/// Parse a namespace of configuration input from either form. Throws
+/// ConfigError on junk.
 [[nodiscard]] Namespace parse_namespace(std::string_view text);
 
 }  // namespace soma::core

@@ -24,6 +24,15 @@ void check_home_shard(const DataStore& store, std::string_view source,
   throw LookupError(message);
 }
 
+/// The namespace a publish or batch body names. An unknown one is malformed
+/// wire input, so it throws LookupError like every other decode failure.
+Namespace body_namespace(std::string_view text) {
+  if (const auto ns = find_namespace(text)) return *ns;
+  std::string message = "unknown SOMA namespace in body: ";
+  message += text;
+  throw LookupError(message);
+}
+
 }  // namespace
 
 SomaService::SomaService(net::Network& network, std::vector<NodeId> nodes,
@@ -82,7 +91,7 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
                           std::span<const std::byte> body) {
         net::wire::PublishBodyView publish =
             net::wire::decode_publish_body(body);
-        const Namespace ns = parse_namespace(publish.ns);
+        const Namespace ns = body_namespace(publish.ns);
         check_home_shard(store_, publish.source, shard_index);
         ++publishes_received_;
         // Replayed publishes (buffered by a client while this rank was
@@ -119,7 +128,7 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
       [this, shard_index](const net::Address& /*caller*/,
                           std::span<const std::byte> body) {
         const net::wire::BatchView batch = net::wire::decode_batch_body(body);
-        const Namespace ns = parse_namespace(batch.ns);
+        const Namespace ns = body_namespace(batch.ns);
         for (const net::wire::BatchRecordView& record : batch.records) {
           check_home_shard(store_, record.source, shard_index);
         }
@@ -157,11 +166,11 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
                                      const datamodel::Node& args) {
     datamodel::Node reply;
     const StoreView view = store_.view();
-    const std::string& kind = args.fetch_existing("kind").as_string();
+    const std::string_view kind = args.fetch_existing("kind").as_string();
     if (kind == "latest") {
       const Namespace ns =
           parse_namespace(args.fetch_existing("ns").as_string());
-      const std::string& source = args.fetch_existing("source").as_string();
+      const std::string source(args.fetch_existing("source").as_string());
       if (const TimedRecord* record = view.latest(ns, source)) {
         reply["time"].set(record->time.nanos());
         reply["data"] = record->data;
@@ -189,7 +198,7 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
     } else if (kind == "analyze") {
       // In-situ analysis: run a registered analyzer against the store and
       // return the result — the data never leaves the service.
-      const std::string& name = args.fetch_existing("analyzer").as_string();
+      const std::string name(args.fetch_existing("analyzer").as_string());
       const auto it = analyzers_.find(name);
       if (it == analyzers_.end()) {
         reply["error"].set("unknown analyzer: " + name);
@@ -197,7 +206,9 @@ void SomaService::define_rpcs(net::Engine& engine, int shard_index) {
         reply["result"] = it->second(view);
       }
     } else {
-      reply["error"].set("unknown query kind: " + kind);
+      std::string error = "unknown query kind: ";
+      error += kind;
+      reply["error"].set(error);
     }
     return reply;
   });

@@ -92,12 +92,12 @@ std::vector<std::pair<SimTime, std::string>> observed_task_starts(
     const auto* events = record->data.find_child("events");
     if (events == nullptr) continue;
     for (std::size_t u = 0; u < events->number_of_children(); ++u) {
-      const std::string& uid = events->child_names()[u];
+      const std::string_view uid = events->child_names()[u];
       const auto& per_task = events->child_at(u);
       for (std::size_t e = 0; e < per_task.number_of_children(); ++e) {
         if (per_task.child_at(e).as_string() == rp::events::kRankStart) {
-          const SimTime at{std::stoll(per_task.child_names()[e])};
-          out.emplace_back(at, uid);
+          const SimTime at{std::stoll(std::string(per_task.child_names()[e]))};
+          out.emplace_back(at, std::string(uid));
         }
       }
     }

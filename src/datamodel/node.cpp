@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -28,7 +31,7 @@ std::pair<std::string_view, std::string_view> split_first(
   return {path.substr(0, pos), path.substr(pos + 1)};
 }
 
-void json_escape(const std::string& in, std::ostringstream& out) {
+void json_escape(std::string_view in, std::ostringstream& out) {
   out << '"';
   for (char c : in) {
     switch (c) {
@@ -57,6 +60,22 @@ using Tag = PackTag;
 
 }  // namespace
 
+// A node moves without throwing, so a growing Children vector moves its
+// elements instead of copying them.
+static_assert(std::is_nothrow_move_constructible_v<Node>);
+
+void Node::Text::store_on_heap(std::string_view text) {
+  if (text.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Node text longer than the wire format's u32");
+  }
+  char* data = new char[text.size()];
+  std::memcpy(data, text.data(), text.size());
+  const auto size = static_cast<std::uint32_t>(text.size());
+  std::memcpy(bytes_, &data, sizeof(data));
+  std::memcpy(bytes_ + 8, &size, sizeof(size));
+  bytes_[kInline] = static_cast<char>(kHeap);
+}
+
 std::string_view type_name(Node::Type type) {
   switch (type) {
     case Node::Type::kEmpty: return "empty";
@@ -81,7 +100,8 @@ void Node::reset() { value_ = std::monostate{}; }
 
 void Node::set(std::int64_t value) { value_ = value; }
 void Node::set(double value) { value_ = value; }
-void Node::set(std::string value) { value_ = std::move(value); }
+// The text is copied before the old value goes: `value` may view it.
+void Node::set(std::string_view value) { value_ = Text(value); }
 void Node::set(std::vector<std::int64_t> values) { value_ = std::move(values); }
 void Node::set(std::vector<double> values) { value_ = std::move(values); }
 
@@ -93,8 +113,8 @@ double Node::as_float64() const {
   if (const auto* v = std::get_if<double>(&value_)) return *v;
   type_error("float64", type());
 }
-const std::string& Node::as_string() const {
-  if (const auto* v = std::get_if<std::string>(&value_)) return *v;
+std::string_view Node::as_string() const {
+  if (const auto* v = std::get_if<Text>(&value_)) return v->view();
   type_error("string", type());
 }
 const std::vector<std::int64_t>& Node::as_int64_array() const {
@@ -117,25 +137,35 @@ double Node::to_float64() const {
 }
 
 Node::Children& Node::make_object() {
+  // The layout every stored record pays for: a Text and a Node per child
+  // (the Node is the variant's 24 B vector alternatives plus its index).
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+  static_assert(sizeof(Text) == 16);
+  static_assert(sizeof(Node) == 32);
+  static_assert(sizeof(Child) == 48);
+#endif
   if (auto* c = std::get_if<Children>(&value_)) return *c;
   return value_.emplace<Children>();
 }
 
+// Both copy the name before make_object() drops a leaf `name` may view.
 Node& Node::child(std::string_view name) {
   if (Node* existing = find_child(name)) return *existing;
-  return make_object().emplace_back(std::string(name)).node;
+  Text text(name);
+  return make_object().emplace_back(std::move(text)).node;
 }
 
-Node& Node::append_child(std::string name) {
+Node& Node::append_child(std::string_view name) {
   assert(find_child(name) == nullptr);
-  return make_object().emplace_back(std::move(name)).node;
+  Text text(name);
+  return make_object().emplace_back(std::move(text)).node;
 }
 
 void Node::reserve_children(std::size_t n) { make_object().reserve(n); }
 
 const Node* Node::find_child(std::string_view name) const {
   for (const Child& c : children()) {
-    if (c.name == name) return &c.node;
+    if (c.name.view() == name) return &c.node;
   }
   return nullptr;
 }
@@ -185,7 +215,9 @@ Node& Node::child_at(std::size_t index) {
 
 void Node::update(const Node& other) {
   if (other.is_object()) {
-    for (const Child& c : other.children()) child(c.name).update(c.node);
+    for (const Child& c : other.children()) {
+      child(c.name.view()).update(c.node);
+    }
   } else if (!other.is_empty()) {
     value_ = other.value_;
   }
@@ -205,7 +237,7 @@ std::size_t Node::packed_size() const {
     case Type::kObject:
       total += 4;
       for (const Child& c : children()) {
-        total += 4 + c.name.size() + c.node.packed_size();
+        total += 4 + c.name.view().size() + c.node.packed_size();
       }
       break;
     case Type::kInt64:
@@ -301,7 +333,7 @@ std::byte* Node::pack_into(std::byte* p) const {
       *p++ = static_cast<std::byte>(Tag::kObject);
       p = bytes::store_u32(p, static_cast<std::uint32_t>(number_of_children()));
       for (const Child& c : children()) {
-        p = bytes::store_text(p, c.name);
+        p = bytes::store_text(p, c.name.view());
         p = c.node.pack_into(p);
       }
       break;
@@ -361,7 +393,7 @@ void Node::unpack_into(Node& node, std::span<const std::byte> buffer,
       Children& children = node.value_.emplace<Children>();
       children.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
-        Child& c = children.emplace_back(std::string(reader.text()));
+        Child& c = children.emplace_back(Text(reader.text()));
         unpack_into(c.node, buffer, offset, depth + 1);
       }
       node.merge_repeated_children();
@@ -374,7 +406,7 @@ void Node::unpack_into(Node& node, std::span<const std::byte> buffer,
       node.value_ = reader.f64();
       break;
     case Tag::kString:
-      node.value_.emplace<std::string>(reader.text());
+      node.value_.emplace<Text>(reader.text());
       break;
     case Tag::kInt64Array:
       node.value_ = reader.words<std::int64_t>();
@@ -395,7 +427,7 @@ void Node::merge_repeated_children() {
   // O(n log n) and needs no index kept on the node.
   std::vector<std::size_t> hashes(n);
   for (std::size_t i = 0; i < n; ++i) {
-    hashes[i] = std::hash<std::string_view>{}(children[i].name);
+    hashes[i] = std::hash<std::string_view>{}(children[i].name.view());
   }
   std::ranges::sort(hashes);
   if (std::ranges::adjacent_find(hashes) == hashes.end()) return;
@@ -406,8 +438,8 @@ void Node::merge_repeated_children() {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::ranges::stable_sort(order, std::less<>{},
-                           [&children](std::size_t i) -> const std::string& {
-                             return children[i].name;
+                           [&children](std::size_t i) {
+                             return children[i].name.view();
                            });
   std::vector<char> drop(n, 0);
   for (std::size_t run = 0; run < n;) {

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <ranges>
 #include <span>
 #include <string>
@@ -68,17 +69,18 @@ class Node {
   // ---- leaf value setters (clear any children) ----
   void set(std::int64_t value);
   void set(double value);
-  void set(std::string value);
+  void set(std::string_view value);
   void set(std::vector<std::int64_t> values);
   void set(std::vector<double> values);
-  void set(const char* value) { set(std::string{value}); }
+  void set(const char* value) { set(std::string_view{value}); }
   // Guard against the int64 overload being picked for bool by accident.
   void set(bool) = delete;
 
   // ---- leaf value getters (throw LookupError on type mismatch) ----
   [[nodiscard]] std::int64_t as_int64() const;
   [[nodiscard]] double as_float64() const;
-  [[nodiscard]] const std::string& as_string() const;
+  /// The string leaf's bytes, valid until the node is changed or destroyed.
+  [[nodiscard]] std::string_view as_string() const;
   [[nodiscard]] const std::vector<std::int64_t>& as_int64_array() const;
   [[nodiscard]] const std::vector<double>& as_float64_array() const;
 
@@ -98,7 +100,7 @@ class Node {
   /// the name is new. Precondition: no child is called `name` (a repeat
   /// would leave two; child() would then find only the first). Converts
   /// this node to an object, discarding any leaf value.
-  Node& append_child(std::string name);
+  Node& append_child(std::string_view name);
   /// Make room for `n` children, so appending them moves no sibling.
   /// Discards any leaf value; the node stays empty until a child is added.
   void reserve_children(std::size_t n);
@@ -116,7 +118,9 @@ class Node {
 
   [[nodiscard]] std::size_t number_of_children() const;
   /// Random-access view of the child names in insertion order;
-  /// `child_names()[i]` is a `const std::string&`.
+  /// `child_names()[i]` is a `std::string_view`, valid until the child is
+  /// renamed, moved or destroyed (so, like a child reference, until a sibling
+  /// is inserted or removed).
   [[nodiscard]] auto child_names() const;
   /// Child access by insertion index (with bounds check).
   [[nodiscard]] const Node& child_at(std::size_t index) const;
@@ -170,12 +174,75 @@ class Node {
                         std::size_t depth);
 
  private:
+  /// Owning text of 16 bytes, for child names and string leaves. Byte 15
+  /// is the tag: the length of text held inline in bytes 0-14 (so at most
+  /// kInline = 15), or kHeap for longer text, whose heap block's pointer is
+  /// in bytes 0-7 and its u32 length (the wire format's limit) in 8-11.
+  /// Fields are read and written with memcpy; any byte, NUL too, is text.
+  class Text {
+   public:
+    Text() = default;
+    explicit Text(std::string_view text) {
+      if (text.size() > kInline) {
+        store_on_heap(text);
+        return;
+      }
+      if (!text.empty()) std::memcpy(bytes_, text.data(), text.size());
+      bytes_[kInline] = static_cast<char>(text.size());
+    }
+    Text(const Text& other) {
+      if (other.on_heap()) {
+        store_on_heap(other.view());
+      } else {
+        std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+      }
+    }
+    Text(Text&& other) noexcept : Text() { swap(other); }
+    Text& operator=(Text other) noexcept {
+      swap(other);
+      return *this;
+    }
+    ~Text() {
+      if (on_heap()) delete[] heap_data();
+    }
+
+    [[nodiscard]] std::string_view view() const {
+      if (!on_heap()) return {bytes_, static_cast<std::size_t>(tag())};
+      std::uint32_t size = 0;
+      std::memcpy(&size, bytes_ + 8, sizeof(size));
+      return {heap_data(), size};
+    }
+    friend bool operator==(const Text& a, const Text& b) {
+      return a.view() == b.view();
+    }
+
+   private:
+    static constexpr std::size_t kInline = 15;
+    static constexpr unsigned char kHeap = 0xff;
+
+    void swap(Text& other) noexcept { std::swap(bytes_, other.bytes_); }
+
+    [[nodiscard]] unsigned char tag() const {
+      return static_cast<unsigned char>(bytes_[kInline]);
+    }
+    [[nodiscard]] bool on_heap() const { return tag() == kHeap; }
+    /// Copy `text` (longer than kInline) into a new heap block.
+    void store_on_heap(std::string_view text);
+    [[nodiscard]] char* heap_data() const {
+      char* data = nullptr;
+      std::memcpy(&data, bytes_, sizeof(data));
+      return data;
+    }
+
+    alignas(8) char bytes_[16] = {};
+  };
+
   struct Child;
   using Children = std::vector<Child>;  // insertion order; names are unique
   // The node's one member. The alternatives are in Type order, so type() is
   // the index, except that an empty Children reads as kEmpty.
   using Value = std::variant<std::monostate, Children, std::int64_t, double,
-                             std::string, std::vector<std::int64_t>,
+                             Text, std::vector<std::int64_t>,
                              std::vector<double>>;
 
   /// The children; none for a leaf or an empty node.
@@ -197,7 +264,7 @@ class Node {
 };
 
 struct Node::Child {
-  std::string name;
+  Text name;
   Node node;
   bool operator==(const Child&) const = default;
 };
@@ -212,7 +279,8 @@ inline std::size_t Node::number_of_children() const {
 }
 
 inline auto Node::child_names() const {
-  return std::views::transform(children(), &Child::name);
+  return std::views::transform(
+      children(), [](const Child& c) { return c.name.view(); });
 }
 
 /// Human-readable name of a node type ("int64", "object", ...).

@@ -45,18 +45,19 @@ TauProfile TauProfile::from_node(const std::string& task_uid,
   profile.task_uid = task_uid;
   const datamodel::Node& task = node.fetch_existing(task_uid);
   for (std::size_t h = 0; h < task.number_of_children(); ++h) {
-    const std::string& hostname = task.child_names()[h];
+    const std::string_view hostname = task.child_names()[h];
     const datamodel::Node& host = task.child_at(h);
     for (std::size_t r = 0; r < host.number_of_children(); ++r) {
-      const std::string& rank_key = host.child_names()[r];
+      const std::string_view rank_key = host.child_names()[r];
       check(rank_key.rfind("rank_", 0) == 0,
             "TauProfile::from_node: malformed rank key");
       RankProfile rank;
-      rank.rank = static_cast<RankId>(std::stoi(rank_key.substr(5)));
+      rank.rank =
+          static_cast<RankId>(std::stoi(std::string(rank_key.substr(5))));
       rank.hostname = hostname;
       const datamodel::Node& fns = host.child_at(r);
       for (std::size_t f = 0; f < fns.number_of_children(); ++f) {
-        rank.inclusive_seconds[fns.child_names()[f]] =
+        rank.inclusive_seconds[std::string(fns.child_names()[f])] =
             fns.child_at(f).to_float64();
       }
       profile.ranks.push_back(std::move(rank));

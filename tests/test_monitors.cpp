@@ -186,7 +186,8 @@ TEST_F(RpMonitorTest, EventsSharingANanosecondKeepTheLastOne) {
     for (std::size_t i = 0; i < events.number_of_children(); ++i) {
       const auto& task_events = events.child_at(i);
       for (std::size_t j = 0; j < task_events.number_of_children(); ++j) {
-        published[events.child_names()[i]][task_events.child_names()[j]] =
+        published[std::string(events.child_names()[i])]
+                 [std::string(task_events.child_names()[j])] =
             task_events.child_at(j).as_string();
       }
     }

@@ -1,8 +1,14 @@
 // Unit tests for the SOMA core: namespaces, data store, service, client.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <optional>
+#include <sstream>
+#include <string>
+
 #include "common/error.hpp"
 #include "soma/client.hpp"
+#include "soma/export.hpp"
 #include "soma/namespaces.hpp"
 #include "soma/service.hpp"
 #include "soma/store.hpp"
@@ -25,6 +31,8 @@ TEST(NamespacesTest, ParseBothForms) {
   EXPECT_EQ(parse_namespace("PROC"), Namespace::kHardware);
   EXPECT_EQ(parse_namespace("performance"), Namespace::kPerformance);
   EXPECT_THROW(parse_namespace("bogus"), ConfigError);
+  EXPECT_EQ(find_namespace("TAU"), Namespace::kPerformance);
+  EXPECT_EQ(find_namespace("bogus"), std::nullopt);
 }
 
 // ---------- DataStore ----------
@@ -173,6 +181,46 @@ TEST_F(ServiceTest, PublishStoresRecord) {
       service.store_view().latest(Namespace::kHardware, "cn0001");
   ASSERT_NE(record, nullptr);
   EXPECT_DOUBLE_EQ(record->data.fetch_existing("v").as_float64(), 0.42);
+}
+
+// Child names and string leaves at the edges of the data model's 15-byte
+// inline text, a long one and one with a NUL inside come back unchanged
+// from the client's encoding, the service's decode, the store and a JSON
+// export of it.
+TEST_F(ServiceTest, TextEdgeCasesSurviveEveryLayer) {
+  const std::string cases[] = {"",
+                               std::string(15, 'f'),
+                               std::string(16, 's'),
+                               std::string(300, 'l'),
+                               std::string("nul\0inline", 10),
+                               std::string("nul\0held on the heap", 21)};
+  datamodel::Node record;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    record[cases[i]].set(cases[std::size(cases) - 1 - i]);
+  }
+  record["tree"][cases[3]][cases[2]][cases[4]].set(cases[5]);
+
+  SomaService service(network, {0});
+  SomaClient client(network, 1, 5000, Namespace::kHardware,
+                    service.instance(Namespace::kHardware).ranks);
+  client.publish("cn0001", record);
+  simulation.run();
+
+  const TimedRecord* stored =
+      service.store_view().latest(Namespace::kHardware, "cn0001");
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->data, record);
+  EXPECT_EQ(stored->data.pack(), record.pack());
+
+  std::ostringstream out;
+  ASSERT_EQ(export_store(service.store_view(), out), 1u);
+  std::string line = out.str();
+  ASSERT_FALSE(line.empty());
+  line.pop_back();  // the newline
+  ExportedRecord exported;
+  ASSERT_TRUE(parse_export_line(line, exported));
+  EXPECT_EQ(exported.source, "cn0001");
+  EXPECT_EQ(exported.data, record);
 }
 
 TEST_F(ServiceTest, PublishGoesToDeclaredNamespaceOnly) {

@@ -10,7 +10,9 @@ event-slot cancel/rearm path) plus all four cells of the BM_Publish matrix
 (batching off or 16 by replication factor 1 or 2, at 2 ranks) — a
 regression there means the ingest, batching or replication pipeline got
 slower, not just the host noisier; in micro_datamodel, packing and
-unpacking the 42-core /proc snapshot, the codec's hot path. Remaining
+unpacking the 42-core /proc snapshot, the codec's hot path, plus deep-copying
+a tree and unpacking the 6685-child `events` node with string leaves, which
+walk every child name and string leaf the Node layout holds. Remaining
 entries are recorded for trend-watching but too machine-sensitive to gate
 on.
 
@@ -38,6 +40,8 @@ DEFAULT_GUARDS = {
     "micro_datamodel": [
         "BM_Pack/42",
         "BM_Unpack/42",
+        "BM_DeepCopy",
+        "BM_UnpackEvents/6685",
     ],
 }
 

@@ -595,6 +595,26 @@ TEST(PublishBodyRoutingTest, UnknownNamespaceSurfacesAsLookupError) {
   }
 }
 
+// A query naming an unknown namespace is malformed input too: the latest
+// and sources queries surface it as a LookupError, as publish bodies do.
+TEST(PublishBodyRoutingTest, QueryOfUnknownNamespaceSurfacesAsLookupError) {
+  for (const char* kind : {"latest", "sources"}) {
+    sim::Simulation simulation;
+    net::Network network{simulation, net::NetworkConfig{}};
+    core::ServiceConfig config;
+    config.namespaces = {Namespace::kHardware};
+    core::SomaService service(network, {0}, config);
+    net::Engine sender(network, net::make_address(1, 6000));
+    Node query;
+    query["kind"].set(kind);
+    query["ns"].set("bogus");
+    query["source"].set("cn0001");
+    sender.call(service.instance(Namespace::kHardware).ranks[0], "soma.query",
+                query);
+    EXPECT_THROW(simulation.run(), LookupError) << kind;
+  }
+}
+
 TEST_F(PublishBodyIngestTest, NonIntTimeSurfacesFromRun) {
   core::ServiceConfig config;
   config.namespaces = {Namespace::kHardware};

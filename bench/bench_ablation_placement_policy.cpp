@@ -44,9 +44,9 @@ Outcome run(rp::PlacementPolicy policy, bool soma_fed) {
   int outstanding = 0;
 
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<rp::Task>& task) {
-        if (task->description().label != "openfoam-probe") return;
-        exec_times.push_back(task->rank_duration()->to_seconds());
+      [&](const rp::Task& task) {
+        if (task.description().label != "openfoam-probe") return;
+        exec_times.push_back(task.rank_duration()->to_seconds());
         last_done = session.simulation().now();
         if (--outstanding == 0) {
           if (deployment) deployment->shutdown();

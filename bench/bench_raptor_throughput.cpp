@@ -49,7 +49,7 @@ double run_tasks(int units, Duration unit) {
   std::optional<SimTime> begin;
   SimTime end;
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<rp::Task>&) {
+      [&](const rp::Task&) {
         if (++done == units) {
           end = session.simulation().now();
           session.finalize();

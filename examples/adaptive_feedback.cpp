@@ -45,7 +45,7 @@ class AdaptiveWorkflow {
         phases_(phases),
         adaptive_(adaptive) {
     session_.add_task_completion_listener(
-        [this](const std::shared_ptr<rp::Task>& task) {
+        [this](const rp::Task& task) {
           on_complete(task);
         });
   }
@@ -78,8 +78,8 @@ class AdaptiveWorkflow {
     for (const auto& description : tasks) session_.submit(description);
   }
 
-  void on_complete(const std::shared_ptr<rp::Task>& task) {
-    if (task->description().kind != rp::TaskKind::kApplication) return;
+  void on_complete(const rp::Task& task) {
+    if (task.description().kind != rp::TaskKind::kApplication) return;
     if (outstanding_ == 0 || --outstanding_ > 0) return;
 
     if (++current_stage_ < stage_specs_.size()) {

@@ -74,8 +74,8 @@ int main() {
       md_step->start(Duration::minutes(1.0));
 
       session.add_task_completion_listener(
-          [&](const std::shared_ptr<rp::Task>& task) {
-            if (task->uid() != "md.run42") return;
+          [&](const rp::Task& task) {
+            if (task.uid() != "md.run42") return;
             md_step->stop();
             deployment->shutdown();
             session.finalize();

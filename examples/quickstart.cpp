@@ -44,13 +44,13 @@ int main(int /*argc*/, char** argv) {
   int outstanding = 0;
 
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<rp::Task>& task) {
-        if (task->description().kind != rp::TaskKind::kApplication) return;
+      [&](const rp::Task& task) {
+        if (task.description().kind != rp::TaskKind::kApplication) return;
         std::printf("[%8.2fs] %s done (ran %.2fs on %d node(s))\n",
                     session.simulation().now().to_seconds(),
-                    task->uid().c_str(),
-                    task->rank_duration()->to_seconds(),
-                    task->placement()->nodes_spanned());
+                    task.uid().c_str(),
+                    task.rank_duration()->to_seconds(),
+                    task.placement()->nodes_spanned());
         if (--outstanding == 0) {
           deployment->shutdown();
           session.finalize();

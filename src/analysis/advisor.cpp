@@ -95,7 +95,8 @@ std::vector<std::pair<SimTime, std::string>> observed_task_starts(
       const std::string_view uid = events->child_names()[u];
       const auto& per_task = events->child_at(u);
       for (std::size_t e = 0; e < per_task.number_of_children(); ++e) {
-        if (per_task.child_at(e).as_string() == rp::events::kRankStart) {
+        if (per_task.child_at(e).as_string() ==
+            rp::to_string(rp::Event::kRankStart)) {
           const SimTime at{std::stoll(std::string(per_task.child_names()[e]))};
           out.emplace_back(at, std::string(uid));
         }

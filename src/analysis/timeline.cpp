@@ -42,14 +42,14 @@ UtilizationTimeline UtilizationTimeline::build(
   }
 
   SimTime last_event = ready;
-  for (const auto& task : session.tasks()) {
-    if (!task->placement()) continue;
-    const auto claimed = task->event_time(rp::events::kSlotsClaimed);
-    const auto rank_start = task->event_time(rp::events::kRankStart);
-    auto rank_stop = task->event_time(rp::events::kRankStop);
+  for (const rp::Task& task : session.tasks()) {
+    if (!task.placement()) continue;
+    const auto claimed = task.event_time(rp::Event::kSlotsClaimed);
+    const auto rank_start = task.event_time(rp::Event::kRankStart);
+    auto rank_stop = task.event_time(rp::Event::kRankStop);
     if (!claimed) continue;
 
-    for (const auto& rank : task->placement()->ranks) {
+    for (const auto& rank : task.placement()->ranks) {
       for (CoreId core : rank.cores) {
         const auto it = index.find({rank.node, core});
         if (it == index.end()) continue;  // core outside requested nodes
@@ -66,7 +66,7 @@ UtilizationTimeline UtilizationTimeline::build(
       }
     }
     if (rank_stop) last_event = std::max(last_event, *rank_stop);
-    const auto launch_stop = task->event_time(rp::events::kLaunchStop);
+    const auto launch_stop = task.event_time(rp::Event::kLaunchStop);
     if (launch_stop) last_event = std::max(last_event, *launch_stop);
   }
   timeline.end_ = last_event;

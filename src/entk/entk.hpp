@@ -10,7 +10,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rp/session.hpp"
@@ -77,12 +76,14 @@ class AppManager {
   };
 
   void submit_stage(std::size_t pipeline_index);
-  void on_task_complete(const std::shared_ptr<rp::Task>& task);
+  void on_task_complete(const rp::Task& task);
 
   rp::Session& session_;
   std::vector<PipelineState> pipelines_;
-  // task uid -> pipeline index, for completion routing
-  std::unordered_map<std::string, std::size_t> task_to_pipeline_;
+  /// Indexed by TaskId: the pipeline of an outstanding EnTK task, for
+  /// completion routing; kNoPipeline for every other task.
+  static constexpr std::size_t kNoPipeline = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> task_to_pipeline_;
   StageCallback stage_callback_;
   std::function<void()> on_all_done_;
   std::size_t pipelines_finished_ = 0;

@@ -56,19 +56,17 @@ void SomaDeployment::deploy(std::function<void()> on_ready) {
   service_desc.cpu_activity = 0.4;
   service_desc.mem_per_rank_mib = 256.0;
 
-  session_.add_task_start_listener(
-      [this](const std::shared_ptr<rp::Task>& task) {
-        if (service_task_ && task == service_task_ && service_ == nullptr) {
-          // Endpoints come alive exactly where the scheduler placed the
-          // service ranks.
-          service_ = std::make_unique<core::SomaService>(
-              session_.network(), task->placement()->nodes(),
-              config_.service);
-          register_standard_analyzers();
-          start_monitors();
-        }
-      });
-  service_task_ = session_.submit(service_desc);
+  session_.add_task_start_listener([this](const rp::Task& task) {
+    if (task.id() == service_task_ && service_ == nullptr) {
+      // Endpoints come alive exactly where the scheduler placed the
+      // service ranks.
+      service_ = std::make_unique<core::SomaService>(
+          session_.network(), task.placement()->nodes(), config_.service);
+      register_standard_analyzers();
+      start_monitors();
+    }
+  });
+  service_task_ = session_.submit(service_desc).id();
 }
 
 void SomaDeployment::register_standard_analyzers() {
@@ -116,8 +114,8 @@ void SomaDeployment::start_monitors() {
   // monitor in monitor_starts_ (filled as the tasks are submitted below)
   // instead of each monitor comparing uids on every task start.
   session_.add_task_start_listener(
-      [this, outstanding](const std::shared_ptr<rp::Task>& task) {
-        const auto it = monitor_starts_.find(task.get());
+      [this, outstanding](const rp::Task& task) {
+        const auto it = monitor_starts_.find(task.id());
         if (it == monitor_starts_.end()) return;
         const MonitorStart start = it->second;
         if (start.hw_monitor != nullptr) {
@@ -154,8 +152,8 @@ void SomaDeployment::start_monitors() {
     desc.cpu_activity = 0.1;
     desc.mem_per_rank_mib = 128.0;
     ++*outstanding;
-    rp_monitor_task_ = session_.submit(desc);
-    monitor_starts_.emplace(rp_monitor_task_.get(), MonitorStart{});
+    rp_monitor_task_ = session_.submit(desc).id();
+    monitor_starts_.emplace(*rp_monitor_task_, MonitorStart{});
   }
 
   // (Fig. 2, step 5) one hardware monitoring task per pilot node, each on
@@ -190,8 +188,8 @@ void SomaDeployment::start_monitors() {
       const Duration stagger =
           config_.hw_monitor.period * (static_cast<double>(i % 97) / 97.0);
       ++*outstanding;
-      hw_monitor_tasks_.push_back(session_.submit(desc));
-      monitor_starts_.emplace(hw_monitor_tasks_.back().get(),
+      hw_monitor_tasks_.push_back(session_.submit(desc).id());
+      monitor_starts_.emplace(hw_monitor_tasks_.back(),
                               MonitorStart{monitor_ptr, stagger});
       hw_clients_.push_back(std::move(client));
       hw_monitors_.push_back(std::move(monitor));
@@ -211,16 +209,16 @@ void SomaDeployment::enable_openfoam_tau(
   check(config_.mode != SomaMode::kNone, "TAU requires a deployed service");
   tau_model_ = std::move(model);
   session_.add_task_completion_listener(
-      [this](const std::shared_ptr<rp::Task>& task) {
+      [this](const rp::Task& task) {
         // Keep publishing through shutdown: the last task's completion
         // races the shutdown listener, and its profile must not be lost.
         if (service_ == nullptr) return;
-        if (task->description().kind != rp::TaskKind::kApplication) return;
-        if (task->description().label.rfind("openfoam", 0) != 0) return;
+        if (task.description().kind != rp::TaskKind::kApplication) return;
+        if (task.description().label.rfind("openfoam", 0) != 0) return;
 
         // The plugin runs in the task's address space: its client lives on
         // the task's first node (one shared publisher engine per node).
-        const NodeId node = task->placement()->ranks.front().node;
+        const NodeId node = task.placement()->ranks.front().node;
         while (tau_plugins_.size() <=
                static_cast<std::size_t>(node)) {
           tau_plugins_.push_back(nullptr);
@@ -238,7 +236,7 @@ void SomaDeployment::enable_openfoam_tau(
                   *tau_clients_[static_cast<std::size_t>(node)]);
         }
         const profiler::TauProfile profile = profiler::profile_openfoam_task(
-            *task, *tau_model_, session_.platform());
+            task, *tau_model_, session_.platform());
         tau_plugins_[static_cast<std::size_t>(node)]->publish(profile);
       });
 }
@@ -338,11 +336,9 @@ void SomaDeployment::shutdown() {
   for (auto& client : tau_clients_) {
     if (client) client->flush_batches();
   }
-  for (const auto& task : hw_monitor_tasks_) {
-    session_.stop_task(task->uid());
-  }
-  if (rp_monitor_task_) session_.stop_task(rp_monitor_task_->uid());
-  if (service_task_) session_.stop_task(service_task_->uid());
+  for (const rp::TaskId task : hw_monitor_tasks_) session_.stop_task(task);
+  if (rp_monitor_task_) session_.stop_task(*rp_monitor_task_);
+  if (service_task_) session_.stop_task(*service_task_);
   // Heartbeats would otherwise keep the simulation from draining to
   // quiescence; in-flight replication frames still complete.
   if (service_ && service_->replication() != nullptr) {

@@ -173,23 +173,23 @@ class SomaDeployment {
   DeploymentConfig config_;
   std::function<void()> on_ready_;
 
-  std::shared_ptr<rp::Task> service_task_;
+  std::optional<rp::TaskId> service_task_;
   std::unique_ptr<core::SomaService> service_;
 
   std::unique_ptr<core::SomaClient> rp_monitor_client_;
   std::unique_ptr<monitors::RpMonitor> rp_monitor_;
-  std::shared_ptr<rp::Task> rp_monitor_task_;
+  std::optional<rp::TaskId> rp_monitor_task_;
 
   std::vector<std::unique_ptr<core::SomaClient>> hw_clients_;
   std::vector<std::unique_ptr<monitors::HwMonitor>> hw_monitors_;
-  std::vector<std::shared_ptr<rp::Task>> hw_monitor_tasks_;
+  std::vector<rp::TaskId> hw_monitor_tasks_;
 
   /// What to start when a monitor task reaches rank_start.
   struct MonitorStart {
     monitors::HwMonitor* hw_monitor = nullptr;  ///< null: the RP monitor
     Duration stagger;
   };
-  std::unordered_map<const rp::Task*, MonitorStart> monitor_starts_;
+  std::unordered_map<rp::TaskId, MonitorStart> monitor_starts_;
 
   std::vector<std::unique_ptr<core::SomaClient>> tau_clients_;
   std::vector<std::unique_ptr<profiler::TauSomaPlugin>> tau_plugins_;

@@ -75,8 +75,8 @@ OpenFoamResult run_openfoam_experiment(
   std::optional<SimTime> last_complete;
 
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<rp::Task>& task) {
-        if (task->description().kind != rp::TaskKind::kApplication) return;
+      [&](const rp::Task& task) {
+        if (task.description().kind != rp::TaskKind::kApplication) return;
         last_complete = session.simulation().now();
         if (--*app_outstanding == 0) {
           if (deployment) deployment->shutdown();
@@ -129,15 +129,15 @@ OpenFoamResult run_openfoam_experiment(
   check(*app_outstanding == 0, "openfoam experiment: tasks did not finish");
 
   // ---- extract results ----
-  for (const auto& task : session.tasks()) {
-    if (task->description().kind != rp::TaskKind::kApplication) continue;
+  for (const rp::Task& task : session.tasks()) {
+    if (task.description().kind != rp::TaskKind::kApplication) continue;
     OpenFoamTaskRecord record;
-    record.uid = task->uid();
-    record.ranks = task->description().ranks;
-    record.exec_seconds = task->rank_duration().value().to_seconds();
-    record.nodes_spanned = task->placement()->nodes_spanned();
+    record.uid = task.uid();
+    record.ranks = task.description().ranks;
+    record.exec_seconds = task.rank_duration().value().to_seconds();
+    record.nodes_spanned = task.placement()->nodes_spanned();
     record.started_at =
-        task->event_time(rp::events::kRankStart).value().to_seconds();
+        task.event_time(rp::Event::kRankStart).value().to_seconds();
     result.tasks.push_back(std::move(record));
   }
 

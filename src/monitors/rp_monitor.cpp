@@ -1,8 +1,8 @@
 #include "monitors/rp_monitor.hpp"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -44,8 +44,7 @@ double RpMonitor::DwellSum::mean_seconds() const {
 }
 
 void RpMonitor::fold_task(TaskFold& fold, const rp::Task& task) const {
-  fold.states_seen = task.state_history().size();
-  fold.events_seen = task.event_log().size();
+  fold.records_seen = task.records();
   // State dwell times for every task that progressed past the state.
   if (!fold.tmgr || !fold.agent) {
     const auto tmgr = task.state_entered(rp::TaskState::kTmgrScheduling);
@@ -63,8 +62,8 @@ void RpMonitor::fold_task(TaskFold& fold, const rp::Task& task) const {
     }
   }
   if (!fold.launch) {
-    const auto launch_start = task.event_time(rp::events::kLaunchStart);
-    const auto rank_start = task.event_time(rp::events::kRankStart);
+    const auto launch_start = task.event_time(rp::Event::kLaunchStart);
+    const auto rank_start = task.event_time(rp::Event::kRankStart);
     if (launch_start && rank_start) {
       launch_overhead_.add(*rank_start - *launch_start);
       fold.launch = true;
@@ -81,19 +80,16 @@ void RpMonitor::fold_task(TaskFold& fold, const rp::Task& task) const {
 WorkflowSummary RpMonitor::compute_summary() const {
   const auto& tasks = session_.tasks();
   for (; tasks_seen_ < tasks.size(); ++tasks_seen_) {
-    in_flight_.push_back(TaskFold{.index = tasks_seen_});
+    in_flight_.push_back(TaskFold{.id = static_cast<rp::TaskId>(tasks_seen_)});
   }
 
   WorkflowSummary summary;
   summary.tasks_total = static_cast<std::int64_t>(tasks.size());
   // A final task leaves the list once nothing it could still record would
-  // add a dwell; one canceled before it ran stays, at two size reads a tick.
+  // add a dwell; one canceled before it ran stays, at one count read a tick.
   std::erase_if(in_flight_, [&](TaskFold& fold) {
-    const rp::Task& task = *tasks[fold.index];
-    if (task.state_history().size() != fold.states_seen ||
-        task.event_log().size() != fold.events_seen) {
-      fold_task(fold, task);
-    }
+    const rp::Task& task = tasks[fold.id];
+    if (task.records() != fold.records_seen) fold_task(fold, task);
     const rp::TaskState state = task.state();
     const bool settled =
         rp::is_final(state) && fold.tmgr && fold.agent && fold.launch &&
@@ -152,19 +148,27 @@ void RpMonitor::tick() {
   s["mean_launch_overhead_seconds"].set(
       summary.mean_launch_overhead_seconds);
 
-  // Each uid's child is found through a tick-local index rather than a
-  // scan of `events`, which holds thousands of uids at Fig. 11 scale.
-  // Timestamps still go through child(), so an event recorded in the same
-  // nanosecond as an earlier one of its task overwrites it in place.
+  // Each subject's child is found through a tick-local table indexed by
+  // TaskId (the pilot takes the last slot) rather than a scan of `events`,
+  // which holds thousands of uids at Fig. 11 scale. Timestamps still go
+  // through child(), so an event recorded in the same nanosecond as an
+  // earlier one of its task overwrites it in place.
   datamodel::Node& events = data["events"];
-  const auto records = session_.profiles().read_since(profile_cursor_);
-  std::unordered_map<std::string_view, std::size_t> uid_index;
-  for (const auto& record : records) {
-    const auto [it, added] =
-        uid_index.try_emplace(record.uid, events.number_of_children());
-    datamodel::Node& task_events = added ? events.append_child(record.uid)
-                                         : events.child_at(it->second);
-    task_events.child(std::to_string(record.time.nanos())).set(record.event);
+  const rp::TaskTable& tasks = session_.tasks();
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> child_of(tasks.size() + 1, kAbsent);
+  for (const rp::ProfileRecord& record :
+       session_.profiles().read_since(profile_cursor_)) {
+    const bool pilot = record.subject == rp::kPilotSubject;
+    std::size_t& child = child_of[pilot ? tasks.size() : record.subject];
+    if (child == kAbsent) {
+      child = events.number_of_children();
+      events.append_child(pilot ? session_.config().pilot.uid
+                                : tasks[record.subject].uid());
+    }
+    events.child_at(child)
+        .child(std::to_string(record.time.nanos()))
+        .set(rp::to_string(record.event));
   }
 
   client_.publish("rp_monitor", std::move(data));

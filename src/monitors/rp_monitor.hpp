@@ -89,9 +89,8 @@ class RpMonitor {
   /// into the totals once, when the later of its two timestamps exists;
   /// from then on the task's logs can only grow, so it cannot change.
   struct TaskFold {
-    std::size_t index;            ///< into session_.tasks()
-    std::size_t states_seen = 0;  ///< state_history().size() at last look
-    std::size_t events_seen = 0;  ///< event_log().size() at last look
+    rp::TaskId id;
+    std::uint32_t records_seen = 0;  ///< the task's records() at last look
     bool tmgr = false;
     bool agent = false;
     bool launch = false;

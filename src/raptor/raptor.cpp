@@ -14,7 +14,7 @@ RaptorMaster::RaptorMaster(rp::Session& session, RaptorConfig config)
 
 void RaptorMaster::start(std::function<void()> on_ready) {
   check(session_.agent_ready(), "raptor: agent not ready");
-  check(master_task_ == nullptr, "raptor: already started");
+  check(!master_task_, "raptor: already started");
   on_ready_ = std::move(on_ready);
 
   // The master is a small long-running task (1 core).
@@ -25,17 +25,16 @@ void RaptorMaster::start(std::function<void()> on_ready) {
   master_desc.cores_per_rank = 1;
   master_desc.cpu_activity = 0.5;
 
-  session_.add_task_start_listener(
-      [this](const std::shared_ptr<rp::Task>& task) {
-        if (task->description().label == "raptor-worker") {
-          if (++workers_ready_ == config_.workers) {
-            if (on_ready_) on_ready_();
-            dispatch_pending();
-          }
-        }
-      });
+  session_.add_task_start_listener([this](const rp::Task& task) {
+    if (task.description().label == "raptor-worker") {
+      if (++workers_ready_ == config_.workers) {
+        if (on_ready_) on_ready_();
+        dispatch_pending();
+      }
+    }
+  });
 
-  master_task_ = session_.submit(master_desc);
+  master_task_ = session_.submit(master_desc).id();
 
   for (int w = 0; w < config_.workers; ++w) {
     auto worker = std::make_unique<Worker>();
@@ -50,7 +49,7 @@ void RaptorMaster::start(std::function<void()> on_ready) {
     desc.label = "raptor-worker";
     desc.cores_per_rank = config_.cores_per_worker;
     desc.cpu_activity = config_.worker_cpu_activity;
-    worker->task = session_.submit(desc);
+    worker->task = session_.submit(desc).id();
 
     Worker* worker_ptr = worker.get();
     worker->inbox->set_consumer([this, worker_ptr](FunctionCall call) {
@@ -139,9 +138,9 @@ void RaptorMaster::shutdown() {
   if (shutdown_) return;
   shutdown_ = true;
   for (const auto& worker : workers_) {
-    session_.stop_task(worker->task->uid());
+    session_.stop_task(worker->task);
   }
-  if (master_task_) session_.stop_task(master_task_->uid());
+  if (master_task_) session_.stop_task(*master_task_);
 }
 
 }  // namespace soma::raptor

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,7 @@ class RaptorMaster {
  private:
   struct Worker {
     int index = -1;
-    std::shared_ptr<rp::Task> task;
+    rp::TaskId task = 0;
     int busy_slots = 0;
     std::unique_ptr<comm::Channel<FunctionCall>> inbox;
   };
@@ -91,7 +92,7 @@ class RaptorMaster {
   rp::Session& session_;
   RaptorConfig config_;
   std::function<void()> on_ready_;
-  std::shared_ptr<rp::Task> master_task_;
+  std::optional<rp::TaskId> master_task_;
   std::vector<std::unique_ptr<Worker>> workers_;
   int workers_ready_ = 0;
   bool shutdown_ = false;

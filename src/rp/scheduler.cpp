@@ -9,10 +9,11 @@ namespace soma::rp {
 
 AgentScheduler::AgentScheduler(sim::Simulation& simulation,
                                cluster::Platform& platform,
-                               std::vector<NodeId> nodes, Rng rng,
-                               SchedulerConfig config)
+                               TaskTable& tasks, std::vector<NodeId> nodes,
+                               Rng rng, SchedulerConfig config)
     : simulation_(simulation),
       platform_(platform),
+      tasks_(tasks),
       nodes_(std::move(nodes)),
       rng_(rng),
       config_(config) {
@@ -165,16 +166,17 @@ std::optional<Placement> AgentScheduler::try_place(const Task& task) {
   return placement;
 }
 
-void AgentScheduler::submit(std::shared_ptr<Task> task) {
-  check(task != nullptr, "scheduler: null task");
-  check(task->state() == TaskState::kAgentScheduling,
+void AgentScheduler::submit(TaskId id) {
+  Task& task = tasks_.at(id);
+  check(task.state() == TaskState::kAgentScheduling,
         "scheduler: task must be in AGENT_SCHEDULING");
-  task->record_event(events::kScheduleStart, simulation_.now());
-  waitlist_.push_back(std::move(task));
+  task.record_event(Event::kScheduleStart, simulation_.now());
+  waitlist_.push_back(id);
   schedule_pass();
 }
 
-void AgentScheduler::task_completed(Task& task) {
+void AgentScheduler::task_completed(TaskId id) {
+  const Task& task = tasks_.at(id);
   const auto& placement = task.placement();
   check(placement.has_value(), "task_completed: task has no placement");
   const TaskDescription& d = task.description();
@@ -197,8 +199,8 @@ void AgentScheduler::schedule_pass() {
   int failed_cores = std::numeric_limits<int>::max();
   int failed_gpus = std::numeric_limits<int>::max();
   for (auto it = waitlist_.begin(); it != waitlist_.end();) {
-    std::shared_ptr<Task>& task = *it;
-    const TaskDescription& d = (*it)->description();
+    Task& task = tasks_[*it];
+    const TaskDescription& d = task.description();
     const int need_cores = d.ranks * std::max(1, d.cores_per_rank);
     const int need_gpus = d.ranks * d.gpus_per_rank;
     const bool skippable = !d.pinned_node && d.kind == TaskKind::kApplication;
@@ -207,7 +209,7 @@ void AgentScheduler::schedule_pass() {
       ++it;
       continue;
     }
-    auto placement = try_place(*task);
+    auto placement = try_place(task);
     if (!placement) {
       if (skippable) {
         failed_cores = std::min(failed_cores, need_cores);
@@ -216,8 +218,8 @@ void AgentScheduler::schedule_pass() {
       ++it;
       continue;
     }
-    task->set_placement(std::move(*placement));
-    task->record_event(events::kSlotsClaimed, simulation_.now());
+    task.set_placement(std::move(*placement));
+    task.record_event(Event::kSlotsClaimed, simulation_.now());
 
     // Serial decision process: the placement becomes effective after the
     // decision cost, queued behind earlier decisions.
@@ -229,10 +231,10 @@ void AgentScheduler::schedule_pass() {
     const SimTime start = std::max(simulation_.now(), decision_busy_until_);
     decision_busy_until_ = start + cost;
 
-    std::shared_ptr<Task> placed = std::move(task);
+    const TaskId placed = *it;
     it = waitlist_.erase(it);
     simulation_.schedule_at(decision_busy_until_, [this, placed] {
-      placed->record_event(events::kScheduleOk, simulation_.now());
+      tasks_[placed].record_event(Event::kScheduleOk, simulation_.now());
       if (on_placed_) on_placed_(placed);
     });
   }

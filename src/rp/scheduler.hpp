@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -45,12 +44,12 @@ struct SchedulerConfig {
 
 class AgentScheduler {
  public:
-  using PlacedCallback =
-      std::function<void(const std::shared_ptr<Task>&)>;
+  using PlacedCallback = std::function<void(TaskId)>;
   using SlowdownFn = std::function<double()>;
 
+  /// Places tasks of `tasks`, which must outlive the scheduler.
   AgentScheduler(sim::Simulation& simulation, cluster::Platform& platform,
-                 std::vector<NodeId> nodes, Rng rng,
+                 TaskTable& tasks, std::vector<NodeId> nodes, Rng rng,
                  SchedulerConfig config = {});
 
   /// Nodes reserved for services (the SOMA nodes). In exclusive mode
@@ -83,16 +82,13 @@ class AgentScheduler {
     utilization_ = std::move(fn);
   }
 
-  [[nodiscard]] PlacementPolicy policy() const { return config_.policy; }
-
   /// Enqueue a task for placement. The task must be in AGENT_SCHEDULING.
-  void submit(std::shared_ptr<Task> task);
+  void submit(TaskId id);
 
   /// Release a completed/stopped task's resources and re-run placement.
-  void task_completed(Task& task);
+  void task_completed(TaskId id);
 
   [[nodiscard]] std::size_t waitlist_size() const { return waitlist_.size(); }
-  [[nodiscard]] const std::vector<NodeId>& nodes() const { return nodes_; }
 
   /// Cores/GPUs currently free on nodes eligible for application tasks.
   [[nodiscard]] int free_app_cores() const;
@@ -123,6 +119,7 @@ class AgentScheduler {
 
   sim::Simulation& simulation_;
   cluster::Platform& platform_;
+  TaskTable& tasks_;
   std::vector<NodeId> nodes_;
   std::vector<std::uint8_t> roles_;  // Role bits; empty until a set_*_nodes
   bool any_service_nodes_ = false;
@@ -132,7 +129,7 @@ class AgentScheduler {
   PlacedCallback on_placed_;
   SlowdownFn slowdown_;
   UtilizationFn utilization_;
-  std::deque<std::shared_ptr<Task>> waitlist_;
+  std::deque<TaskId> waitlist_;
   SimTime decision_busy_until_{};
 };
 

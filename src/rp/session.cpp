@@ -27,8 +27,8 @@ void Session::start(std::function<void()> on_ready) {
   check(!pilot_job_.has_value(), "session already started");
   on_ready_ = std::move(on_ready);
 
-  profiles_.record(simulation_.now(), config_.pilot.uid,
-                   to_string(PilotState::kPmgrLaunching));
+  profiles_.record(simulation_.now(), kPilotSubject,
+                   Event::kPilotPmgrLaunching);
   batch::JobRequest request;
   request.nodes = config_.pilot.nodes;
   request.walltime = config_.pilot.runtime;
@@ -61,28 +61,25 @@ void Session::bootstrap_agent(const batch::Allocation& allocation) {
   }
 
   scheduler_ = std::make_unique<AgentScheduler>(
-      simulation_, platform_, pilot_nodes_, rng_.split("scheduler"),
+      simulation_, platform_, tasks_, pilot_nodes_, rng_.split("scheduler"),
       config_.scheduler);
   scheduler_->set_agent_nodes(agent_node_ids());
-  executor_ = std::make_unique<Executor>(simulation_, rng_.split("executor"),
-                                         config_.executor);
+  executor_ = std::make_unique<Executor>(
+      simulation_, tasks_, rng_.split("executor"), config_.executor);
 
-  scheduler_->set_on_placed([this](const std::shared_ptr<Task>& task) {
-    executor_->launch(task);
-  });
-  executor_->set_on_start([this](const std::shared_ptr<Task>& task) {
-    dispatch(start_listeners_, task);
-  });
-  executor_->set_on_complete([this](const std::shared_ptr<Task>& task) {
-    scheduler_->task_completed(*task);
-    dispatch(completion_listeners_, task);
+  scheduler_->set_on_placed([this](TaskId id) { executor_->launch(id); });
+  executor_->set_on_start(
+      [this](TaskId id) { dispatch(start_listeners_, tasks_[id]); });
+  executor_->set_on_complete([this](TaskId id) {
+    scheduler_->task_completed(id);
+    dispatch(completion_listeners_, tasks_[id]);
   });
 
-  tmgr_to_agent_ = std::make_unique<comm::Channel<std::shared_ptr<Task>>>(
+  tmgr_to_agent_ = std::make_unique<comm::Channel<TaskId>>(
       simulation_, "tmgr->agent", Duration::milliseconds(2));
-  tmgr_to_agent_->set_consumer([this](std::shared_ptr<Task> task) {
-    task->advance(TaskState::kAgentScheduling, simulation_.now());
-    scheduler_->submit(std::move(task));
+  tmgr_to_agent_->set_consumer([this](TaskId id) {
+    tasks_[id].advance(TaskState::kAgentScheduling, simulation_.now());
+    scheduler_->submit(id);
   });
 
   // Bootstrap delay: the light-blue band of Fig. 8.
@@ -90,8 +87,7 @@ void Session::bootstrap_agent(const batch::Allocation& allocation) {
       config_.bootstrap_median.to_seconds(), config_.bootstrap_sigma));
   simulation_.schedule(bootstrap, [this] {
     agent_ready_ = simulation_.now();
-    profiles_.record(simulation_.now(), config_.pilot.uid,
-                     to_string(PilotState::kActive));
+    profiles_.record(simulation_.now(), kPilotSubject, Event::kPilotActive);
     if (on_ready_) on_ready_();
   });
 }
@@ -121,48 +117,42 @@ void Session::set_service_nodes(std::vector<NodeId> nodes, bool shared) {
   scheduler().set_service_nodes(std::move(nodes), shared);
 }
 
-std::shared_ptr<Task> Session::submit(TaskDescription description) {
+Task& Session::submit(TaskDescription description) {
   check(agent_ready(), "submit before the agent is ready");
+  const auto id = static_cast<TaskId>(tasks_.size());
   if (description.uid.empty()) {
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "task.%06zu", tasks_.size());
     description.uid = buffer;
   }
-  if (!task_index_.try_emplace(description.uid, tasks_.size()).second) {
+  if (!task_index_.try_emplace(description.uid, id).second) {
     throw ConfigError("duplicate task uid: " + description.uid);
   }
 
-  auto task = std::make_shared<Task>(std::move(description));
-  task->attach_profile(&profiles_);
-  tasks_.push_back(task);
-
-  task->advance(TaskState::kTmgrScheduling, simulation_.now());
+  Task& task = tasks_.emplace_back(std::move(description), id, &profiles_);
+  task.advance(TaskState::kTmgrScheduling, simulation_.now());
   simulation_.schedule(config_.tmgr_cost,
-                       [this, task] { tmgr_to_agent_->put(task); });
+                       [this, id] { tmgr_to_agent_->put(id); });
   return task;
 }
 
-void Session::stop_task(const std::string& uid) {
-  executor().stop(uid);
-}
+void Session::stop_task(TaskId id) { executor().stop(id); }
 
-void Session::add_task_completion_listener(
-    std::function<void(const std::shared_ptr<Task>&)> callback) {
+void Session::add_task_completion_listener(Listener callback) {
   completion_listeners_.push_back(std::move(callback));
 }
 
-void Session::add_task_start_listener(
-    std::function<void(const std::shared_ptr<Task>&)> callback) {
+void Session::add_task_start_listener(Listener callback) {
   start_listeners_.push_back(std::move(callback));
 }
 
-std::shared_ptr<Task> Session::find_task(const std::string& uid) const {
+const Task* Session::find_task(const std::string& uid) const {
   const auto it = task_index_.find(uid);
-  return it == task_index_.end() ? nullptr : tasks_[it->second];
+  return it == task_index_.end() ? nullptr : &tasks_[it->second];
 }
 
 void Session::dispatch(const std::deque<Listener>& listeners,
-                       const std::shared_ptr<Task>& task) {
+                       const Task& task) {
   const std::size_t count = listeners.size();
   for (std::size_t i = 0; i < count; ++i) listeners[i](task);
 }
@@ -179,12 +169,15 @@ Executor& Session::executor() {
 
 void Session::abort_running_tasks() {
   if (!executor_) return;
-  for (const auto& task : tasks_) {
-    if (!executor_->is_running(task->uid())) continue;
-    if (task->description().kind == TaskKind::kApplication) {
-      executor_->cancel(task->uid());
+  // By id, up to the tasks submitted so far: a canceled task's completion
+  // listeners may submit more (an EnTK stage barrier), and those never ran.
+  const auto count = static_cast<TaskId>(tasks_.size());
+  for (TaskId id = 0; id < count; ++id) {
+    if (!executor_->is_running(id)) continue;
+    if (tasks_[id].description().kind == TaskKind::kApplication) {
+      executor_->cancel(id);
     } else {
-      executor_->stop(task->uid());
+      executor_->stop(id);
     }
   }
 }
@@ -195,18 +188,17 @@ void Session::finalize() {
   // Stop long-running service/monitor tasks (paper §2.3.1: control command
   // from RP at workflow completion).
   if (executor_) {
-    for (const auto& task : tasks_) {
-      if (task->description().kind != TaskKind::kApplication &&
-          executor_->is_running(task->uid())) {
-        executor_->stop(task->uid());
+    for (const Task& task : tasks_) {
+      if (task.description().kind != TaskKind::kApplication &&
+          executor_->is_running(task.id())) {
+        executor_->stop(task.id());
       }
     }
   }
   if (pilot_job_) {
     // Release the allocation once teardown events have drained.
     simulation_.schedule(Duration::seconds(1.0), [this] {
-      profiles_.record(simulation_.now(), config_.pilot.uid,
-                       to_string(PilotState::kDone));
+      profiles_.record(simulation_.now(), kPilotSubject, Event::kPilotDone);
       batch_.release(*pilot_job_);
     });
   }

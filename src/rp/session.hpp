@@ -99,24 +99,26 @@ class Session {
 
   // ---- tasks ----
   /// Submit a task description (Fig. 1 steps 3-6). Requires agent_ready().
-  std::shared_ptr<Task> submit(TaskDescription description);
+  /// The session owns the task; its id is its index in tasks().
+  Task& submit(TaskDescription description);
   /// Stop a long-running service/monitor task.
-  void stop_task(const std::string& uid);
+  void stop_task(TaskId id);
+
+  /// A completion or start listener sees the task that completed or started.
+  using Listener = std::function<void(const Task&)>;
 
   /// Register a completion listener (several subsystems listen: EnTK stage
   /// barriers, the TAU plugin, experiment bookkeeping).
-  void add_task_completion_listener(
-      std::function<void(const std::shared_ptr<Task>&)> callback);
+  void add_task_completion_listener(Listener callback);
 
   /// Register a start (rank_start) listener — used to detect when a service
   /// task's endpoints come alive.
-  void add_task_start_listener(
-      std::function<void(const std::shared_ptr<Task>&)> callback);
+  void add_task_start_listener(Listener callback);
 
-  [[nodiscard]] const std::vector<std::shared_ptr<Task>>& tasks() const {
-    return tasks_;
-  }
-  [[nodiscard]] std::shared_ptr<Task> find_task(const std::string& uid) const;
+  /// Every submitted task, indexed by TaskId.
+  [[nodiscard]] const TaskTable& tasks() const { return tasks_; }
+  /// The task named `uid`, or null.
+  [[nodiscard]] const Task* find_task(const std::string& uid) const;
 
   [[nodiscard]] AgentScheduler& scheduler();
   [[nodiscard]] Executor& executor();
@@ -151,18 +153,17 @@ class Session {
   // Created once the pilot is granted.
   std::unique_ptr<AgentScheduler> scheduler_;
   std::unique_ptr<Executor> executor_;
-  std::unique_ptr<comm::Channel<std::shared_ptr<Task>>> tmgr_to_agent_;
+  std::unique_ptr<comm::Channel<TaskId>> tmgr_to_agent_;
 
-  using Listener = std::function<void(const std::shared_ptr<Task>&)>;
   /// Call the listeners registered before this event, by index: a deque
   /// keeps them in place while one registers another, and the new one
   /// fires from the next event on.
   static void dispatch(const std::deque<Listener>& listeners,
-                       const std::shared_ptr<Task>& task);
+                       const Task& task);
 
-  std::vector<std::shared_ptr<Task>> tasks_;
-  /// uid -> index into tasks_.
-  std::unordered_map<std::string, std::size_t> task_index_;
+  TaskTable tasks_;
+  /// uid -> TaskId.
+  std::unordered_map<std::string, TaskId> task_index_;
   std::deque<Listener> completion_listeners_;
   std::deque<Listener> start_listeners_;
   std::vector<std::vector<CoreId>> agent_core_claims_;

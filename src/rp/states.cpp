@@ -1,29 +1,22 @@
 #include "rp/states.hpp"
 
+#include <iterator>
+
 namespace soma::rp {
 
-std::string_view to_string(TaskState state) {
-  switch (state) {
-    case TaskState::kNew: return "NEW";
-    case TaskState::kTmgrScheduling: return "TMGR_SCHEDULING";
-    case TaskState::kAgentScheduling: return "AGENT_SCHEDULING";
-    case TaskState::kExecuting: return "EXECUTING";
-    case TaskState::kDone: return "DONE";
-    case TaskState::kFailed: return "FAILED";
-    case TaskState::kCanceled: return "CANCELED";
-  }
-  return "?";
-}
-
-std::string_view to_string(PilotState state) {
-  switch (state) {
-    case PilotState::kNew: return "NEW";
-    case PilotState::kPmgrLaunching: return "PMGR_LAUNCHING";
-    case PilotState::kActive: return "ACTIVE";
-    case PilotState::kDone: return "DONE";
-    case PilotState::kFailed: return "FAILED";
-  }
-  return "?";
+std::string_view to_string(Event event) {
+  static constexpr std::string_view kNames[] = {
+      "NEW", "TMGR_SCHEDULING", "AGENT_SCHEDULING", "EXECUTING", "DONE",
+      "FAILED", "CANCELED",
+      "schedule_start", "slots_claimed", "schedule_ok",
+      "stage_in_start", "stage_in_stop", "stage_out_start", "stage_out_stop",
+      "launch_start", "exec_start", "rank_start", "rank_stop", "exec_stop",
+      "launch_stop",
+      "NEW", "PMGR_LAUNCHING", "ACTIVE", "DONE", "FAILED"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(Event::kPilotFailed) + 1);
+  const auto index = static_cast<std::size_t>(event);
+  return index < std::size(kNames) ? kNames[index] : "?";
 }
 
 bool is_valid_transition(TaskState from, TaskState to) {

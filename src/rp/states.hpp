@@ -6,11 +6,13 @@
 // launch_start, exec_start, rank_start, rank_stop, exec_stop, launch_stop.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace soma::rp {
 
-enum class TaskState {
+enum class TaskState : std::uint8_t {
   kNew,
   kTmgrScheduling,   ///< queued at the client TaskManager/Scheduler
   kAgentScheduling,  ///< waiting for / receiving an agent placement
@@ -20,16 +22,35 @@ enum class TaskState {
   kCanceled,
 };
 
-enum class PilotState {
-  kNew,
-  kPmgrLaunching,  ///< queued at the platform batch system
-  kActive,         ///< agent bootstrapped, executing tasks
-  kDone,
-  kFailed,
+/// Everything the profile log records: a task's state entries (in TaskState
+/// order, so a state converts by value), the events its components record,
+/// and the pilot's states. Task codes come first: they index a task's
+/// first-entry table.
+enum class Event : std::uint8_t {
+  kNew, kTmgrScheduling, kAgentScheduling, kExecuting, kDone, kFailed,
+  kCanceled,
+  kScheduleStart, kSlotsClaimed, kScheduleOk,
+  // Data staging (Fig. 1: "after staging files when required").
+  kStageInStart, kStageInStop, kStageOutStart, kStageOutStop,
+  // Listing 1, in order.
+  kLaunchStart, kExecStart, kRankStart, kRankStop, kExecStop, kLaunchStop,
+  // The pilot: queued at the batch system, agent bootstrapped, released.
+  kPilotNew, kPilotPmgrLaunching, kPilotActive, kPilotDone, kPilotFailed,
 };
 
-[[nodiscard]] std::string_view to_string(TaskState state);
-[[nodiscard]] std::string_view to_string(PilotState state);
+/// Number of codes a task records (everything before the pilot's).
+inline constexpr std::size_t kTaskEvents =
+    static_cast<std::size_t>(Event::kPilotNew);
+
+[[nodiscard]] constexpr Event event_of(TaskState state) {
+  return static_cast<Event>(state);
+}
+
+/// RP's profile names: "AGENT_SCHEDULING", "rank_start", "PMGR_LAUNCHING".
+[[nodiscard]] std::string_view to_string(Event event);
+[[nodiscard]] inline std::string_view to_string(TaskState state) {
+  return to_string(event_of(state));
+}
 
 /// True for states a task can never leave.
 [[nodiscard]] constexpr bool is_final(TaskState state) {
@@ -39,24 +60,5 @@ enum class PilotState {
 
 /// Legal forward transitions (used to assert state-machine integrity).
 [[nodiscard]] bool is_valid_transition(TaskState from, TaskState to);
-
-/// Event names recorded within the EXECUTING state, in order (Listing 1).
-namespace events {
-inline constexpr std::string_view kLaunchStart = "launch_start";
-inline constexpr std::string_view kExecStart = "exec_start";
-inline constexpr std::string_view kRankStart = "rank_start";
-inline constexpr std::string_view kRankStop = "rank_stop";
-inline constexpr std::string_view kExecStop = "exec_stop";
-inline constexpr std::string_view kLaunchStop = "launch_stop";
-// State-entry events recorded by the components.
-inline constexpr std::string_view kScheduleStart = "schedule_start";
-inline constexpr std::string_view kSlotsClaimed = "slots_claimed";
-inline constexpr std::string_view kScheduleOk = "schedule_ok";
-// Data-staging events (Fig. 1: "after staging files when required").
-inline constexpr std::string_view kStageInStart = "stage_in_start";
-inline constexpr std::string_view kStageInStop = "stage_in_stop";
-inline constexpr std::string_view kStageOutStart = "stage_out_start";
-inline constexpr std::string_view kStageOutStop = "stage_out_stop";
-}  // namespace events
 
 }  // namespace soma::rp

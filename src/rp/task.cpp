@@ -20,6 +20,12 @@ std::vector<NodeId> Placement::nodes() const {
   return ids;
 }
 
+Task::Task(TaskDescription description, TaskId id, ProfileStore* log)
+    : description_(std::move(description)), log_(log), id_(id) {
+  // Every task is NEW from time zero; the log does not record that entry.
+  first_[static_cast<std::size_t>(Event::kNew)] = SimTime::zero();
+}
+
 void Task::advance(TaskState to, SimTime at) {
   if (!is_valid_transition(state_, to)) {
     throw InternalError("illegal task state transition: " +
@@ -27,32 +33,31 @@ void Task::advance(TaskState to, SimTime at) {
                         std::string(to_string(to)) + " (task " + uid() + ")");
   }
   state_ = to;
-  state_history_.emplace_back(at, to);
-  if (profile_ != nullptr) profile_->record(at, uid(), to_string(to));
+  record(event_of(to), at);
 }
 
-void Task::record_event(std::string_view event, SimTime at) {
-  events_.emplace_back(at, std::string(event));
-  if (profile_ != nullptr) profile_->record(at, uid(), event);
+void Task::record_event(Event event, SimTime at) {
+  check(event >= Event::kScheduleStart &&
+            static_cast<std::size_t>(event) < kTaskEvents,
+        "record_event takes a task event, not a state");
+  record(event, at);
 }
 
-std::optional<SimTime> Task::event_time(std::string_view event) const {
-  for (const auto& [time, name] : events_) {
-    if (name == event) return time;
-  }
-  return std::nullopt;
+void Task::record(Event event, SimTime at) {
+  std::optional<SimTime>& first = first_[static_cast<std::size_t>(event)];
+  if (!first) first = at;
+  ++records_;
+  if (log_ != nullptr) log_->record(at, id_, event);
 }
 
-std::optional<SimTime> Task::state_entered(TaskState state) const {
-  for (const auto& [time, s] : state_history_) {
-    if (s == state) return time;
-  }
-  return std::nullopt;
+std::optional<SimTime> Task::event_time(Event event) const {
+  const auto index = static_cast<std::size_t>(event);
+  return index < kTaskEvents ? first_[index] : std::nullopt;
 }
 
 std::optional<Duration> Task::rank_duration() const {
-  const auto start = event_time(events::kRankStart);
-  const auto stop = event_time(events::kRankStop);
+  const auto start = event_time(Event::kRankStart);
+  const auto stop = event_time(Event::kRankStop);
   if (!start || !stop) return std::nullopt;
   return *stop - *start;
 }

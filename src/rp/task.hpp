@@ -2,10 +2,13 @@
 //
 // RP implements two abstractions: Pilot (a placeholder for resources) and
 // Task (a unit of work plus its resource requirements). TaskDescription is
-// what the user supplies; Task is the runtime record that accumulates state
-// transitions, timestamped events, and the placement it received.
+// what the user supplies; Task is the runtime record of its state, the
+// placement it received and when it first reached each state and event.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "rp/profile.hpp"
 #include "rp/states.hpp"
 
 namespace soma::rp {
@@ -82,18 +86,19 @@ struct TaskDescription {
   std::string label;
 };
 
-/// Runtime record of a task.
-class ProfileStore;
-
+/// Runtime record of a task: its state, placement and the first time it
+/// entered each state or recorded each event. Every transition and event is
+/// also appended to the session's profile log, which alone keeps them all.
 class Task {
  public:
-  explicit Task(TaskDescription description)
-      : description_(std::move(description)) {}
+  /// `log` receives this task's records under `id`; a standalone task may
+  /// have none.
+  explicit Task(TaskDescription description, TaskId id = 0,
+                ProfileStore* log = nullptr);
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
 
-  /// Mirror every transition/event into `store` (RP writes .prof files as it
-  /// goes; the SOMA RP monitor tails them). Pass nullptr to detach.
-  void attach_profile(ProfileStore* store) { profile_ = store; }
-
+  [[nodiscard]] TaskId id() const { return id_; }
   [[nodiscard]] const TaskDescription& description() const {
     return description_;
   }
@@ -104,22 +109,18 @@ class Task {
   /// InternalError on an illegal transition.
   void advance(TaskState to, SimTime at);
 
-  /// Timestamped fine-grained events (Listing 1).
-  void record_event(std::string_view event, SimTime at);
-  [[nodiscard]] const std::vector<std::pair<SimTime, std::string>>& event_log()
-      const {
-    return events_;
-  }
+  /// Record a timestamped event (Listing 1 and the component events; a
+  /// state is entered through advance()).
+  void record_event(Event event, SimTime at);
   /// Time of the first occurrence of `event`, if recorded.
-  [[nodiscard]] std::optional<SimTime> event_time(
-      std::string_view event) const;
-
-  /// State-entry timestamps, in transition order.
-  [[nodiscard]] const std::vector<std::pair<SimTime, TaskState>>&
-  state_history() const {
-    return state_history_;
+  [[nodiscard]] std::optional<SimTime> event_time(Event event) const;
+  /// Time the task first entered `state`, if it did.
+  [[nodiscard]] std::optional<SimTime> state_entered(TaskState state) const {
+    return event_time(event_of(state));
   }
-  [[nodiscard]] std::optional<SimTime> state_entered(TaskState state) const;
+  /// Records this task has written to the log: grows with every transition
+  /// and event, so a reader can tell that something changed.
+  [[nodiscard]] std::uint32_t records() const { return records_; }
 
   [[nodiscard]] const std::optional<Placement>& placement() const {
     return placement_;
@@ -132,14 +133,21 @@ class Task {
   [[nodiscard]] std::optional<Duration> rank_duration() const;
 
  private:
+  void record(Event event, SimTime at);
+
   TaskDescription description_;
-  TaskState state_ = TaskState::kNew;
-  std::vector<std::pair<SimTime, TaskState>> state_history_{
-      {SimTime::zero(), TaskState::kNew}};
-  std::vector<std::pair<SimTime, std::string>> events_;
   std::optional<Placement> placement_;
-  ProfileStore* profile_ = nullptr;
+  ProfileStore* log_;
+  TaskId id_;
+  TaskState state_ = TaskState::kNew;
+  std::uint32_t records_ = 0;
+  /// The first time of each task code, indexed by Event.
+  std::array<std::optional<SimTime>, kTaskEvents> first_{};
 };
+
+/// Every task of a session, indexed by TaskId. A deque: a task never moves
+/// once added, and none is ever erased.
+using TaskTable = std::deque<Task>;
 
 struct PilotDescription {
   std::string uid = "pilot.0000";

@@ -54,9 +54,9 @@ TEST(TimelineTest, FullyPackedRunHasLittleIdle) {
 
 TEST(TimelineTest, StateAtSamplesCorrectBands) {
   rp::Session session(session_config());
-  std::shared_ptr<rp::Task> task;
+  const rp::Task* task = nullptr;
   session.start([&] {
-    task = session.submit(rp::TaskDescription{
+    task = &session.submit(rp::TaskDescription{
         .uid = "t", .ranks = 84, .fixed_duration = Duration::seconds(100.0)});
   });
   session.run();
@@ -69,14 +69,14 @@ TEST(TimelineTest, StateAtSamplesCorrectBands) {
       (session.agent_ready_at() - session.pilot_granted_at()) / 2.0;
   EXPECT_EQ(timeline.state_at(0, mid_bootstrap), CoreState::kBootstrap);
   // Mid-execution.
-  const SimTime mid_run = *task->event_time(rp::events::kRankStart) +
+  const SimTime mid_run = *task->event_time(rp::Event::kRankStart) +
                           Duration::seconds(50.0);
   EXPECT_EQ(timeline.state_at(0, mid_run), CoreState::kRunning);
   // Between slots_claimed and rank_start: scheduling (purple).
   const SimTime mid_sched =
-      *task->event_time(rp::events::kSlotsClaimed) +
-      (*task->event_time(rp::events::kRankStart) -
-       *task->event_time(rp::events::kSlotsClaimed)) /
+      *task->event_time(rp::Event::kSlotsClaimed) +
+      (*task->event_time(rp::Event::kRankStart) -
+       *task->event_time(rp::Event::kSlotsClaimed)) /
           2.0;
   EXPECT_EQ(timeline.state_at(0, mid_sched), CoreState::kScheduling);
 }

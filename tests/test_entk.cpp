@@ -51,8 +51,8 @@ TEST(EnTkTest, StagesRunInOrder) {
   const auto a = session.find_task("a");
   const auto b = session.find_task("b");
   // Stage barrier: b's launch only after a fully completed.
-  EXPECT_GT(*b->event_time(rp::events::kLaunchStart),
-            *a->event_time(rp::events::kLaunchStop));
+  EXPECT_GT(*b->event_time(rp::Event::kLaunchStart),
+            *a->event_time(rp::Event::kLaunchStop));
 }
 
 TEST(EnTkTest, StageBarrierWaitsForAllTasks) {
@@ -70,8 +70,8 @@ TEST(EnTkTest, StageBarrierWaitsForAllTasks) {
   session.start([&] { manager.run([&] { session.finalize(); }); });
   session.run();
 
-  EXPECT_GT(*session.find_task("next")->event_time(rp::events::kLaunchStart),
-            *session.find_task("slow")->event_time(rp::events::kRankStop));
+  EXPECT_GT(*session.find_task("next")->event_time(rp::Event::kLaunchStart),
+            *session.find_task("slow")->event_time(rp::Event::kRankStop));
 }
 
 TEST(EnTkTest, PipelinesRunConcurrently) {
@@ -90,8 +90,8 @@ TEST(EnTkTest, PipelinesRunConcurrently) {
   const auto t0 = session.find_task("t0");
   const auto t1 = session.find_task("t1");
   // Both executing at the same time (overlap).
-  EXPECT_LT(*t1->event_time(rp::events::kRankStart),
-            *t0->event_time(rp::events::kRankStop));
+  EXPECT_LT(*t1->event_time(rp::Event::kRankStart),
+            *t0->event_time(rp::Event::kRankStop));
 }
 
 TEST(EnTkTest, ResultsRecordStageSpans) {

@@ -47,13 +47,13 @@ TEST(DeploymentTest, BootstrapOrderMatchesFig2) {
   const auto rp_monitor = session.find_task("monitor.rp");
   ASSERT_NE(service, nullptr);
   ASSERT_NE(rp_monitor, nullptr);
-  EXPECT_LE(*service->event_time(rp::events::kRankStart),
-            *rp_monitor->event_time(rp::events::kRankStart));
+  EXPECT_LE(*service->event_time(rp::Event::kRankStart),
+            *rp_monitor->event_time(rp::Event::kRankStart));
   for (NodeId node : session.pilot_nodes()) {
     const auto hw = session.find_task("monitor.hw." + std::to_string(node));
     ASSERT_NE(hw, nullptr) << "missing hw monitor on node " << node;
-    EXPECT_LE(*service->event_time(rp::events::kRankStart),
-              *hw->event_time(rp::events::kRankStart));
+    EXPECT_LE(*service->event_time(rp::Event::kRankStart),
+              *hw->event_time(rp::Event::kRankStart));
   }
 }
 
@@ -88,8 +88,8 @@ TEST(DeploymentTest, MonitorsPublishDuringWorkflow) {
 
   int outstanding = 0;
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<rp::Task>& task) {
-        if (task->description().kind != rp::TaskKind::kApplication) return;
+      [&](const rp::Task& task) {
+        if (task.description().kind != rp::TaskKind::kApplication) return;
         if (--outstanding == 0) {
           deployment->shutdown();
           session.finalize();
@@ -132,7 +132,7 @@ TEST(DeploymentTest, SharedModeAllowsAppTasksOnServiceNodes) {
   session_config.pilot.nodes = 3;
   rp::Session session(session_config);
   std::unique_ptr<SomaDeployment> deployment;
-  std::shared_ptr<rp::Task> big;
+  const rp::Task* big = nullptr;
   session.start([&] {
     DeploymentConfig config;
     config.mode = SomaMode::kShared;
@@ -141,12 +141,12 @@ TEST(DeploymentTest, SharedModeAllowsAppTasksOnServiceNodes) {
     deployment->deploy([&] {
       // 80 ranks: needs both the worker node (41 free) and spare capacity
       // on the shared service node.
-      big = session.submit(rp::TaskDescription{
+      big = &session.submit(rp::TaskDescription{
           .uid = "big", .ranks = 80,
           .fixed_duration = Duration::seconds(30.0)});
       session.add_task_completion_listener(
-          [&](const std::shared_ptr<rp::Task>& task) {
-            if (task == big) {
+          [&](const rp::Task& task) {
+            if (&task == big) {
               deployment->shutdown();
               session.finalize();
             }
@@ -173,8 +173,8 @@ TEST(DeploymentTest, StandardAnalyzersAnswerRemoteQueries) {
 
   int outstanding = 0;
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<rp::Task>& task) {
-        if (task->description().kind != rp::TaskKind::kApplication) return;
+      [&](const rp::Task& task) {
+        if (task.description().kind != rp::TaskKind::kApplication) return;
         if (--outstanding > 0) return;
         // The workflow just finished: query the in-situ analyzers remotely.
         consumer = deployment->make_client(core::Namespace::kWorkflow,

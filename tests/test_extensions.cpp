@@ -340,21 +340,21 @@ TEST(PlacementPolicyTest, LeastUtilizedPrefersIdleNodes) {
   cluster::Platform platform(simulation, cluster::summit(3));
   rp::SchedulerConfig config;
   config.policy = rp::PlacementPolicy::kLeastUtilized;
-  rp::AgentScheduler scheduler(simulation, platform, {0, 1, 2}, Rng{5},
+  rp::TaskTable tasks;
+  rp::AgentScheduler scheduler(simulation, platform, tasks, {0, 1, 2}, Rng{5},
                                config);
-  std::vector<std::shared_ptr<rp::Task>> placed;
-  scheduler.set_on_placed(
-      [&](const std::shared_ptr<rp::Task>& t) { placed.push_back(t); });
+  std::vector<rp::TaskId> placed;
+  scheduler.set_on_placed([&](rp::TaskId id) { placed.push_back(id); });
 
   // Node 0 is the busiest; node 2 idle.
   platform.node(0).allocate_cores(30, "other", 1.0);
   platform.node(1).allocate_cores(10, "other", 1.0);
 
-  auto task = std::make_shared<rp::Task>(
-      rp::TaskDescription{.uid = "t", .ranks = 8});
+  auto task =
+      &tasks.emplace_back(rp::TaskDescription{.uid = "t", .ranks = 8});
   task->advance(rp::TaskState::kTmgrScheduling, simulation.now());
   task->advance(rp::TaskState::kAgentScheduling, simulation.now());
-  scheduler.submit(task);
+  scheduler.submit(task->id());
   simulation.run();
 
   ASSERT_TRUE(task->placement().has_value());
@@ -366,19 +366,20 @@ TEST(PlacementPolicyTest, ExternalUtilizationSourceWins) {
   cluster::Platform platform(simulation, cluster::summit(3));
   rp::SchedulerConfig config;
   config.policy = rp::PlacementPolicy::kLeastUtilized;
-  rp::AgentScheduler scheduler(simulation, platform, {0, 1, 2}, Rng{5},
+  rp::TaskTable tasks;
+  rp::AgentScheduler scheduler(simulation, platform, tasks, {0, 1, 2}, Rng{5},
                                config);
-  scheduler.set_on_placed([](const std::shared_ptr<rp::Task>&) {});
+  scheduler.set_on_placed([](rp::TaskId) {});
   // SOMA "observes" node 1 as the least utilized, whatever the platform
   // says right now.
   scheduler.set_utilization_source(
       [](NodeId node) { return node == 1 ? 0.0 : 0.9; });
 
-  auto task = std::make_shared<rp::Task>(
-      rp::TaskDescription{.uid = "t", .ranks = 4});
+  auto task =
+      &tasks.emplace_back(rp::TaskDescription{.uid = "t", .ranks = 4});
   task->advance(rp::TaskState::kTmgrScheduling, simulation.now());
   task->advance(rp::TaskState::kAgentScheduling, simulation.now());
-  scheduler.submit(task);
+  scheduler.submit(task->id());
   simulation.run();
   ASSERT_TRUE(task->placement().has_value());
   EXPECT_EQ(task->placement()->ranks[0].node, 1);
@@ -387,15 +388,16 @@ TEST(PlacementPolicyTest, ExternalUtilizationSourceWins) {
 TEST(PlacementPolicyTest, ContinuousKeepsIndexOrder) {
   sim::Simulation simulation;
   cluster::Platform platform(simulation, cluster::summit(3));
-  rp::AgentScheduler scheduler(simulation, platform, {0, 1, 2}, Rng{5});
-  scheduler.set_on_placed([](const std::shared_ptr<rp::Task>&) {});
+  rp::TaskTable tasks;
+  rp::AgentScheduler scheduler(simulation, platform, tasks, {0, 1, 2}, Rng{5});
+  scheduler.set_on_placed([](rp::TaskId) {});
   platform.node(0).allocate_cores(30, "other", 1.0);  // busy but has room
 
-  auto task = std::make_shared<rp::Task>(
-      rp::TaskDescription{.uid = "t", .ranks = 4});
+  auto task =
+      &tasks.emplace_back(rp::TaskDescription{.uid = "t", .ranks = 4});
   task->advance(rp::TaskState::kTmgrScheduling, simulation.now());
   task->advance(rp::TaskState::kAgentScheduling, simulation.now());
-  scheduler.submit(task);
+  scheduler.submit(task->id());
   simulation.run();
   ASSERT_TRUE(task->placement().has_value());
   EXPECT_EQ(task->placement()->ranks[0].node, 0);  // index order, not idlest

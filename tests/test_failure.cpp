@@ -19,14 +19,14 @@ SessionConfig session_config(std::uint64_t seed = 77) {
 
 TEST(FailureTest, CrashingTaskEndsFailed) {
   Session session(session_config());
-  std::shared_ptr<Task> task;
+  Task* task = nullptr;
   session.start([&] {
     TaskDescription d;
     d.uid = "doomed";
     d.ranks = 4;
     d.fixed_duration = Duration::seconds(100.0);
     d.failure_probability = 1.0;
-    task = session.submit(d);
+    task = &session.submit(d);
   });
   session.run();
 
@@ -36,8 +36,8 @@ TEST(FailureTest, CrashingTaskEndsFailed) {
   EXPECT_GT(ran, Duration::zero());
   EXPECT_LT(ran, Duration::seconds(100.0));
   // The event sequence still closes out (launcher teardown observed).
-  EXPECT_TRUE(task->event_time(events::kExecStop).has_value());
-  EXPECT_TRUE(task->event_time(events::kLaunchStop).has_value());
+  EXPECT_TRUE(task->event_time(Event::kExecStop).has_value());
+  EXPECT_TRUE(task->event_time(Event::kLaunchStop).has_value());
 }
 
 TEST(FailureTest, FailedTaskReleasesResources) {
@@ -62,7 +62,7 @@ TEST(FailureTest, FailedTaskReleasesResources) {
 
 TEST(FailureTest, FailureUnblocksWaitlistedTasks) {
   Session session(session_config());
-  std::shared_ptr<Task> blocked;
+  Task* blocked = nullptr;
   session.start([&] {
     TaskDescription hog;
     hog.uid = "hog";
@@ -75,7 +75,7 @@ TEST(FailureTest, FailureUnblocksWaitlistedTasks) {
     next.uid = "next";
     next.ranks = 84;
     next.fixed_duration = Duration::seconds(10.0);
-    blocked = session.submit(next);
+    blocked = &session.submit(next);
   });
   session.run();
   // The crash freed the machine; the waitlisted task ran to completion.
@@ -86,9 +86,9 @@ TEST(FailureTest, CompletionListenerSeesFailures) {
   Session session(session_config());
   int done = 0, failed = 0;
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<Task>& task) {
-        if (task->state() == TaskState::kFailed) ++failed;
-        if (task->state() == TaskState::kDone) ++done;
+      [&](const Task& task) {
+        if (task.state() == TaskState::kFailed) ++failed;
+        if (task.state() == TaskState::kDone) ++done;
       });
   session.start([&] {
     for (int i = 0; i < 4; ++i) {
@@ -109,8 +109,8 @@ TEST(FailureTest, FailureRateIsStatistical) {
   int failed = 0;
   const int total = 200;
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<Task>& task) {
-        if (task->state() == TaskState::kFailed) ++failed;
+      [&](const Task& task) {
+        if (task.state() == TaskState::kFailed) ++failed;
       });
   session.start([&] {
     for (int i = 0; i < total; ++i) {
@@ -164,8 +164,8 @@ TEST(FailureTest, ExperimentSurvivesFailures) {
   std::unique_ptr<experiments::SomaDeployment> deployment;
   int outstanding = 0;
   session.add_task_completion_listener(
-      [&](const std::shared_ptr<Task>& task) {
-        if (task->description().kind != TaskKind::kApplication) return;
+      [&](const Task& task) {
+        if (task.description().kind != TaskKind::kApplication) return;
         if (--outstanding == 0) {
           deployment->shutdown();
           session.finalize();
@@ -198,13 +198,13 @@ TEST(FailureTest, WalltimeKillFinalizesSession) {
   SessionConfig config = session_config();
   config.pilot.runtime = Duration::seconds(120.0);  // very short walltime
   Session session(config);
-  std::shared_ptr<Task> task;
+  Task* task = nullptr;
   session.start([&] {
     TaskDescription d;
     d.uid = "long";
     d.ranks = 1;
     d.fixed_duration = Duration::seconds(10000.0);
-    task = session.submit(d);
+    task = &session.submit(d);
   });
   testing::internal::CaptureStderr();
   session.run();

@@ -102,7 +102,8 @@ TEST_F(RpMonitorTest, EventsPublishedIncrementally) {
     const auto* task_events = events->find_child("t");
     if (task_events == nullptr) continue;
     for (std::size_t i = 0; i < task_events->number_of_children(); ++i) {
-      if (task_events->child_at(i).as_string() == rp::events::kRankStart) {
+      if (task_events->child_at(i).as_string() ==
+          rp::to_string(rp::Event::kRankStart)) {
         ++ticks_with_rank_start;
       }
     }
@@ -151,21 +152,23 @@ TEST_F(RpMonitorTest, EventsSharingANanosecondKeepTheLastOne) {
   RpMonitorConfig config;
   config.period = Duration::seconds(10.0);
   std::unique_ptr<RpMonitor> monitor;
-  std::shared_ptr<rp::Task> done, canceled, waits;
+  rp::Task* done = nullptr;
+  rp::Task* canceled = nullptr;
+  rp::Task* waits = nullptr;
   session.start([&] {
     start_with_service();
     monitor = std::make_unique<RpMonitor>(session, *client, config);
     monitor->start();
-    done = session.submit(rp::TaskDescription{
+    done = &session.submit(rp::TaskDescription{
         .uid = "done", .ranks = 2, .fixed_duration = Duration::seconds(5.0)});
-    canceled = session.submit(rp::TaskDescription{
+    canceled = &session.submit(rp::TaskDescription{
         .uid = "canceled", .ranks = 2,
         .fixed_duration = Duration::seconds(100.0)});
     // Needs the cores "done" holds, so it is placed only once that ends.
-    waits = session.submit(rp::TaskDescription{
+    waits = &session.submit(rp::TaskDescription{
         .uid = "waits", .ranks = 82, .fixed_duration = Duration::seconds(5.0)});
     session.simulation().schedule(Duration::seconds(20.0), [&] {
-      session.executor().cancel("canceled");
+      session.executor().cancel(canceled->id());
     });
     session.simulation().schedule(Duration::seconds(40.0), [&] {
       monitor->stop();
@@ -192,38 +195,36 @@ TEST_F(RpMonitorTest, EventsSharingANanosecondKeepTheLastOne) {
       }
     }
   }
-  const auto at = [](const std::shared_ptr<rp::Task>& task,
-                     std::string_view event) {
+  const auto at = [](const rp::Task* task, rp::Event event) {
     return std::to_string(task->event_time(event)->nanos());
   };
-  const auto entered = [](const std::shared_ptr<rp::Task>& task,
-                          rp::TaskState state) {
+  const auto entered = [](const rp::Task* task, rp::TaskState state) {
     return std::to_string(task->state_entered(state)->nanos());
   };
 
   // launch_stop and DONE share a nanosecond: DONE is published.
-  EXPECT_EQ(at(done, rp::events::kLaunchStop),
+  EXPECT_EQ(at(done, rp::Event::kLaunchStop),
             entered(done, rp::TaskState::kDone));
-  EXPECT_EQ(published["done"][at(done, rp::events::kLaunchStop)], "DONE");
+  EXPECT_EQ(published["done"][at(done, rp::Event::kLaunchStop)], "DONE");
   // AGENT_SCHEDULING and schedule_start share one: schedule_start wins,
   // or slots_claimed when the task is placed at once.
   for (const auto& task : {done, canceled, waits}) {
     const std::string agent = entered(task, rp::TaskState::kAgentScheduling);
-    EXPECT_EQ(at(task, rp::events::kScheduleStart), agent);
+    EXPECT_EQ(at(task, rp::Event::kScheduleStart), agent);
   }
-  EXPECT_EQ(at(done, rp::events::kSlotsClaimed),
+  EXPECT_EQ(at(done, rp::Event::kSlotsClaimed),
             entered(done, rp::TaskState::kAgentScheduling));
-  EXPECT_EQ(published["done"][at(done, rp::events::kScheduleStart)],
+  EXPECT_EQ(published["done"][at(done, rp::Event::kScheduleStart)],
             "slots_claimed");
-  EXPECT_NE(at(waits, rp::events::kSlotsClaimed),
+  EXPECT_NE(at(waits, rp::Event::kSlotsClaimed),
             entered(waits, rp::TaskState::kAgentScheduling));
-  EXPECT_EQ(published["waits"][at(waits, rp::events::kScheduleStart)],
+  EXPECT_EQ(published["waits"][at(waits, rp::Event::kScheduleStart)],
             "schedule_start");
   // A cancel records rank_stop, exec_stop, launch_stop and CANCELED in one
   // nanosecond: only CANCELED is published.
   const std::string cancel_at = entered(canceled, rp::TaskState::kCanceled);
-  for (const auto event : {rp::events::kRankStop, rp::events::kExecStop,
-                           rp::events::kLaunchStop}) {
+  for (const auto event : {rp::Event::kRankStop, rp::Event::kExecStop,
+                           rp::Event::kLaunchStop}) {
     EXPECT_EQ(at(canceled, event), cancel_at);
   }
   EXPECT_EQ(published["canceled"][cancel_at], "CANCELED");
@@ -270,17 +271,17 @@ struct FullScan {
 
 FullScan full_scan(const rp::Session& session) {
   FullScan scan;
-  for (const auto& task : session.tasks()) {
-    const auto tmgr = task->state_entered(rp::TaskState::kTmgrScheduling);
-    const auto agent = task->state_entered(rp::TaskState::kAgentScheduling);
-    const auto executing = task->state_entered(rp::TaskState::kExecuting);
+  for (const rp::Task& task : session.tasks()) {
+    const auto tmgr = task.state_entered(rp::TaskState::kTmgrScheduling);
+    const auto agent = task.state_entered(rp::TaskState::kAgentScheduling);
+    const auto executing = task.state_entered(rp::TaskState::kExecuting);
     if (tmgr && agent) scan.tmgr.add(*agent - *tmgr);
     if (agent && executing) scan.agent.add(*executing - *agent);
-    const auto launch_start = task->event_time(rp::events::kLaunchStart);
-    const auto rank_start = task->event_time(rp::events::kRankStart);
+    const auto launch_start = task.event_time(rp::Event::kLaunchStart);
+    const auto rank_start = task.event_time(rp::Event::kRankStart);
     if (launch_start && rank_start) scan.launch.add(*rank_start - *launch_start);
     ++scan.counts.tasks_total;
-    switch (task->state()) {
+    switch (task.state()) {
       case rp::TaskState::kNew:
       case rp::TaskState::kTmgrScheduling:
       case rp::TaskState::kAgentScheduling:
@@ -291,7 +292,7 @@ FullScan full_scan(const rp::Session& session) {
         break;
       case rp::TaskState::kDone:
         ++scan.counts.tasks_done;
-        if (const auto d = task->rank_duration()) scan.exec.add(*d);
+        if (const auto d = task.rank_duration()) scan.exec.add(*d);
         break;
       case rp::TaskState::kFailed:
       case rp::TaskState::kCanceled:
@@ -404,18 +405,18 @@ struct DdmdSession {
   // stop the second one the same way. A probe looks right away, before
   // rank_start lands.
   void end_one_in_launch() {
-    for (const auto& task : session.tasks()) {
-      if (task->state() != rp::TaskState::kExecuting ||
-          !task->event_time(rp::events::kLaunchStart) ||
-          task->event_time(rp::events::kRankStart)) {
+    for (const rp::Task& task : session.tasks()) {
+      if (task.state() != rp::TaskState::kExecuting ||
+          !task.event_time(rp::Event::kLaunchStart) ||
+          task.event_time(rp::Event::kRankStart)) {
         continue;
       }
       if (canceled.empty()) {
-        canceled = task->uid();
-        session.executor().cancel(canceled);
+        canceled = task.uid();
+        session.executor().cancel(task.id());
       } else {
-        stopped = task->uid();
-        session.stop_task(stopped);
+        stopped = task.uid();
+        session.stop_task(task.id());
         ender->stop();
       }
       if (probing) {
@@ -455,9 +456,9 @@ TEST(RpMonitorSummaryTest, FoldedSummaryMatchesFullScanAtEveryTick) {
   ASSERT_NE(stopped, nullptr);
   EXPECT_EQ(canceled->state(), rp::TaskState::kCanceled);
   EXPECT_EQ(stopped->state(), rp::TaskState::kDone);
-  ASSERT_TRUE(canceled->event_time(rp::events::kRankStart));
-  EXPECT_GT(*canceled->event_time(rp::events::kRankStart),
-            canceled->state_history().back().first);
+  ASSERT_TRUE(canceled->event_time(rp::Event::kRankStart));
+  EXPECT_GT(*canceled->event_time(rp::Event::kRankStart),
+            *canceled->state_entered(rp::TaskState::kCanceled));
   const FullScan end = full_scan(session);
   EXPECT_GT(end.counts.tasks_failed, 1);
   EXPECT_GT(end.counts.tasks_done, 1);

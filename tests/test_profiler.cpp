@@ -78,8 +78,8 @@ TEST_F(TauIntegrationTest, ProfileOpenFoamTaskFromPlacement) {
         .node = static_cast<NodeId>(r / 2), .cores = {static_cast<CoreId>(r)}});
   }
   task.set_placement(placement);
-  task.record_event(rp::events::kRankStart, SimTime::from_seconds(10.0));
-  task.record_event(rp::events::kRankStop, SimTime::from_seconds(110.0));
+  task.record_event(rp::Event::kRankStart, SimTime::from_seconds(10.0));
+  task.record_event(rp::Event::kRankStop, SimTime::from_seconds(110.0));
 
   const TauProfile profile = profile_openfoam_task(task, model, platform);
   ASSERT_EQ(profile.ranks.size(), 4u);

@@ -145,7 +145,7 @@ TEST(RaptorTest, ThroughputBeatsExecutableTaskPath) {
   int tasks_done = 0;
   SimTime tasks_begin, tasks_end;
   task_session.add_task_completion_listener(
-      [&](const std::shared_ptr<rp::Task>&) {
+      [&](const rp::Task&) {
         if (++tasks_done == units) task_session.finalize();
       });
   task_session.start([&] {

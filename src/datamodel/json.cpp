@@ -3,9 +3,10 @@
 // strings, homogeneous numeric arrays, objects). Used by the store
 // import/export path.
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <string>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "datamodel/node.hpp"
@@ -85,34 +86,33 @@ class JsonParser {
     return out;
   }
 
-  /// Parse a number; sets exactly one of the outputs.
+  /// Parse a number; sets exactly one of the outputs. The token is the run
+  /// of number characters; a fraction or exponent makes it a double. Either
+  /// way it must convert whole and in range.
   void parse_number(bool& is_integer, std::int64_t& as_int,
                     double& as_double) {
     skip_whitespace();
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    bool has_fraction = false;
+    is_integer = true;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        has_fraction = true;
-        ++pos_;
-      } else {
+      if (c == '.' || c == 'e' || c == 'E') {
+        is_integer = false;
+      } else if (c != '-' && c != '+' &&
+                 !std::isdigit(static_cast<unsigned char>(c))) {
         break;
       }
+      ++pos_;
     }
     if (pos_ == start) fail("expected a number");
-    const std::string token(text_.substr(start, pos_ - start));
-    if (!has_fraction) {
-      is_integer = true;
-      as_int = std::strtoll(token.c_str(), nullptr, 10);
-    } else {
-      is_integer = false;
-      as_double = std::strtod(token.c_str(), nullptr);
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const std::from_chars_result result =
+        is_integer ? std::from_chars(first, last, as_int)
+                   : std::from_chars(first, last, as_double);
+    if (result.ec != std::errc{} || result.ptr != last) {
+      pos_ = start;
+      fail("malformed number");
     }
   }
 

@@ -1,7 +1,9 @@
 #include "soma/export.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -71,7 +73,14 @@ datamodel::Node export_shard_report(const DataStore& store,
 bool parse_export_line(const std::string& line, ExportedRecord& record) {
   if (line.empty()) return false;
   const datamodel::Node parsed = datamodel::Node::parse_json(line);
-  record.ns = parse_namespace(parsed.fetch_existing("ns").as_string());
+  const std::string_view ns = parsed.fetch_existing("ns").as_string();
+  const std::optional<Namespace> known = find_namespace(ns);
+  if (!known) {
+    std::string message = "parse_export_line: unknown SOMA namespace: ";
+    message += ns;
+    throw LookupError(message);
+  }
+  record.ns = *known;
   record.source = parsed.fetch_existing("source").as_string();
   record.time = SimTime{parsed.fetch_existing("t").as_int64()};
   if (const auto* data = parsed.find_child("data")) {

@@ -1,10 +1,11 @@
-// Seeded mutation of every binary decoder: Node::unpack, the frame header
+// Seeded mutation of every decoder. Binary: Node::unpack, the frame header
 // (decode_header, set_request_attempt), the batch body, the soma.replicate
-// prefix and soma.query bodies sent to a live service. Each seed input is a
-// real encoding; every truncation of it and a fixed-seed run of random byte
-// overwrites must either decode or throw LookupError — never another
-// exception, a crash or an unbounded allocation. The CI fault-matrix leg
-// runs this suite under ASan/UBSan.
+// prefix and soma.query bodies sent to a live service. Text: Node::parse_json
+// and parse_export_line. Each seed input is a real encoding; every
+// truncation of it and a fixed-seed run of random byte overwrites must
+// either decode or throw LookupError — never another exception, a crash or
+// an unbounded allocation. The CI fault-matrix leg runs this suite under
+// ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,9 @@
 #include <initializer_list>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <typeinfo>
 #include <utility>
 #include <vector>
@@ -30,8 +33,10 @@
 #include "net/wire.hpp"
 #include "sim/simulation.hpp"
 #include "soma/client.hpp"
+#include "soma/export.hpp"
 #include "soma/namespaces.hpp"
 #include "soma/service.hpp"
+#include "soma/store.hpp"
 #include "test_names.hpp"
 
 namespace soma {
@@ -97,23 +102,63 @@ Node every_type_tree() {
   return root;
 }
 
-std::vector<std::byte> proc_snapshot_bytes() {
+/// A 42-core /proc snapshot, as the hardware monitor publishes it.
+Node proc_snapshot() {
   sim::Simulation simulation;
   cluster::Platform platform(simulation, cluster::summit(1));
   Rng rng(1);
   return cluster::make_proc_snapshot(platform.node(0),
-                                     SimTime::from_seconds(100), rng)
-      .pack();
+                                     SimTime::from_seconds(100), rng);
 }
 
 const auto unpack_node = [](Input input) { (void)Node::unpack(input); };
 
 TEST(DecoderMutationTest, NodeUnpackOfProcSnapshot) {
-  mutate(proc_snapshot_bytes(), 101, 4000, unpack_node);
+  mutate(proc_snapshot().pack(), 101, 4000, unpack_node);
 }
 
 TEST(DecoderMutationTest, NodeUnpackOfEveryTypeTree) {
   mutate(every_type_tree().pack(), 102, 10000, unpack_node);
+}
+
+std::vector<std::byte> text_bytes(std::string_view text) {
+  const auto* first = reinterpret_cast<const std::byte*>(text.data());
+  return {first, first + text.size()};
+}
+
+std::string_view as_text(Input input) {
+  return {reinterpret_cast<const char*>(input.data()), input.size()};
+}
+
+const auto parse_json = [](Input input) {
+  (void)Node::parse_json(as_text(input));
+};
+
+TEST(DecoderMutationTest, ParseJsonOfEveryTypeTree) {
+  mutate(text_bytes(every_type_tree().to_json()), 111, 10000, parse_json);
+}
+
+TEST(DecoderMutationTest, ParseJsonOfProcSnapshot) {
+  mutate(text_bytes(proc_snapshot().to_json()), 112, 4000, parse_json);
+}
+
+/// One record line of a store export, without its newline.
+std::string exported_line() {
+  core::DataStore store;
+  store.append(Namespace::kHardware, "cn0001", SimTime::from_seconds(30),
+               every_type_tree());
+  std::ostringstream out;
+  core::export_store(store.view(), out);
+  std::string line = out.str();
+  line.pop_back();
+  return line;
+}
+
+TEST(DecoderMutationTest, ParseExportLine) {
+  mutate(text_bytes(exported_line()), 113, 10000, [](Input input) {
+    core::ExportedRecord record;
+    (void)core::parse_export_line(std::string(as_text(input)), record);
+  });
 }
 
 /// A soma.publish request frame as a live client sends it, and the response

@@ -1,6 +1,7 @@
 #include "net/fault.hpp"
 
-#include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -29,32 +30,11 @@ void FaultInjector::crash_endpoint(const Address& address, SimTime from,
   crashes_[address].push_back(Outage{from, until});
 }
 
-void FaultInjector::partition(std::vector<NodeId> island, SimTime from,
-                              SimTime until) {
-  check(until > from, "partition window must end after it starts");
-  check(!island.empty(), "partition island must not be empty");
-  std::sort(island.begin(), island.end());
-  partitions_.push_back(PartitionWindow{std::move(island), from, until});
-}
-
 bool FaultInjector::endpoint_down(const Address& address, SimTime at) const {
   const auto it = crashes_.find(address);
   if (it == crashes_.end()) return false;
   for (const Outage& outage : it->second) {
     if (at >= outage.from && at < outage.until) return true;
-  }
-  return false;
-}
-
-bool FaultInjector::partitioned(NodeId a, NodeId b, SimTime at) const {
-  if (a == b) return false;
-  for (const PartitionWindow& window : partitions_) {
-    if (at < window.from || at >= window.until) continue;
-    const bool a_in = std::binary_search(window.island.begin(),
-                                         window.island.end(), a);
-    const bool b_in = std::binary_search(window.island.begin(),
-                                         window.island.end(), b);
-    if (a_in != b_in) return true;
   }
   return false;
 }
@@ -92,12 +72,7 @@ FaultInjector::Decision FaultInjector::decide(NodeId src, NodeId dst,
   }
   const SimTime effective_arrival = arrival + decision.extra_latency;
 
-  if (src != dst && partitioned(src, dst, send_time)) {
-    decision.drop = true;
-    decision.cause = Decision::Cause::kPartition;
-    ++stats_.partition_drops;
-  } else if (endpoint_down(from, send_time) ||
-             endpoint_down(to, effective_arrival)) {
+  if (endpoint_down(from, send_time) || endpoint_down(to, effective_arrival)) {
     decision.drop = true;
     decision.cause = Decision::Cause::kCrash;
     ++stats_.crash_drops;

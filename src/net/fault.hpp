@@ -3,7 +3,7 @@
 // The simulated fabric is perfect by default; production interconnects and
 // the services riding on them are not. A `FaultInjector` attached to a
 // `Network` (via `Network::install_faults`) perturbs message delivery with
-// four failure modes, all driven by seeded `common::rng` streams so that two
+// three failure modes, all driven by seeded `common::rng` streams so that two
 // runs at the same seed produce bit-identical traces:
 //
 //   * per-link random drops       — each (src, dst) node pair loses a message
@@ -12,16 +12,14 @@
 //                                   fixed penalty (congestion, retransmit);
 //   * endpoint crash/restart      — an address is unreachable during declared
 //                                   outage windows (messages arriving while it
-//                                   is down are lost, as are messages it sends);
-//   * partition windows           — a node island is cut from the rest of the
-//                                   fabric for a time window, both directions.
+//                                   is down are lost, as are messages it sends).
 //
 // Determinism contract: every (src, dst) link owns an independent rng stream
 // split from the base seed, and exactly two uniforms are drawn per cross-node
-// send on a stochastic link (spike first, then drop). Adding crash windows or
-// partitions never consumes randomness, so schedule changes do not perturb
-// the random drop pattern of unrelated links. Intra-node (loopback) messages
-// are exempt from link faults and partitions but not from endpoint crashes.
+// send on a stochastic link (spike first, then drop). Adding crash windows
+// never consumes randomness, so schedule changes do not perturb the random
+// drop pattern of unrelated links. Intra-node (loopback) messages are exempt
+// from link faults but not from endpoint crashes.
 //
 // With no injector installed — or an injector whose probabilities are all
 // zero and with no schedules — a run is byte-identical to the fault-free
@@ -74,18 +72,13 @@ class FaultInjector {
   /// the endpoint sends while down are dropped too. Windows may be stacked.
   void crash_endpoint(const Address& address, SimTime from, SimTime until);
 
-  /// Cut `island` off from every node outside it during [from, until);
-  /// messages crossing the cut in either direction are dropped.
-  void partition(std::vector<NodeId> island, SimTime from, SimTime until);
-
   [[nodiscard]] bool endpoint_down(const Address& address, SimTime at) const;
-  [[nodiscard]] bool partitioned(NodeId a, NodeId b, SimTime at) const;
 
   /// Verdict for one message. Consulted by Network::send after it computed
   /// the fault-free arrival time; `extra_latency` (spikes) applies only when
   /// the message is delivered.
   struct Decision {
-    enum class Cause : std::uint8_t { kNone, kRandom, kCrash, kPartition };
+    enum class Cause : std::uint8_t { kNone, kRandom, kCrash };
     bool drop = false;
     Cause cause = Cause::kNone;
     Duration extra_latency = Duration::zero();
@@ -96,22 +89,16 @@ class FaultInjector {
   struct Stats {
     std::uint64_t random_drops = 0;
     std::uint64_t crash_drops = 0;
-    std::uint64_t partition_drops = 0;
     std::uint64_t latency_spikes = 0;
 
     [[nodiscard]] std::uint64_t total_drops() const {
-      return random_drops + crash_drops + partition_drops;
+      return random_drops + crash_drops;
     }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   struct Outage {
-    SimTime from;
-    SimTime until;  // exclusive
-  };
-  struct PartitionWindow {
-    std::vector<NodeId> island;
     SimTime from;
     SimTime until;  // exclusive
   };
@@ -122,7 +109,6 @@ class FaultInjector {
   Rng base_rng_;
   std::map<std::pair<NodeId, NodeId>, Rng> streams_;
   std::map<Address, std::vector<Outage>> crashes_;
-  std::vector<PartitionWindow> partitions_;
   Stats stats_;
 };
 

@@ -92,8 +92,8 @@ TEST(FaultInjectorTest, DifferentSeedDifferentVerdicts) {
 }
 
 TEST(FaultInjectorTest, SchedulesConsumeNoRandomness) {
-  // Adding crash windows and partitions for endpoints/nodes a link never
-  // touches must not perturb that link's random drop pattern.
+  // Adding crash windows for endpoints a link never touches must not
+  // perturb that link's random drop pattern.
   net::FaultConfig config;
   config.seed = 7;
   config.default_link.drop_probability = 0.25;
@@ -101,7 +101,6 @@ TEST(FaultInjectorTest, SchedulesConsumeNoRandomness) {
   net::FaultInjector scheduled(config);
   scheduled.crash_endpoint(net::make_address(9, 1), SimTime::zero(),
                            SimTime::from_seconds(1e6));
-  scheduled.partition({7, 8}, SimTime::zero(), SimTime::from_seconds(1e6));
   EXPECT_EQ(drop_verdicts(plain, 300), drop_verdicts(scheduled, 300));
 }
 
@@ -132,25 +131,6 @@ TEST(FaultInjectorTest, CrashWindowDropsBothDirections) {
   EXPECT_TRUE(from_down.drop);
   EXPECT_EQ(injector.stats().crash_drops, 2u);
   EXPECT_EQ(injector.stats().random_drops, 0u);
-}
-
-TEST(FaultInjectorTest, PartitionCutsIslandBothWays) {
-  net::FaultInjector injector;
-  injector.partition({1}, SimTime::from_seconds(5.0),
-                     SimTime::from_seconds(10.0));
-  const net::Address n0 = net::make_address(0, 1);
-  const net::Address n1 = net::make_address(1, 1);
-  const net::Address n2 = net::make_address(2, 1);
-  const SimTime inside = SimTime::from_seconds(6.0);
-
-  EXPECT_TRUE(injector.decide(0, 1, n0, n1, inside, inside).drop);
-  EXPECT_TRUE(injector.decide(1, 0, n1, n0, inside, inside).drop);
-  // Links entirely outside the island are unaffected.
-  EXPECT_FALSE(injector.decide(0, 2, n0, n2, inside, inside).drop);
-  // The window end is exclusive (checked at send time).
-  const SimTime after = SimTime::from_seconds(10.0);
-  EXPECT_FALSE(injector.decide(0, 1, n0, n1, after, after).drop);
-  EXPECT_EQ(injector.stats().partition_drops, 2u);
 }
 
 TEST(FaultInjectorTest, LoopbackExemptFromLinkFaultsButNotCrashes) {
@@ -239,16 +219,14 @@ TEST_F(FaultNetworkTest, SpikeDelaysDelivery) {
   EXPECT_NEAR(arrival.to_seconds(), 1.002e-3, 1e-9);
 }
 
-TEST_F(FaultNetworkTest, LoopbackDeliveredThroughLinkFaultsAndPartitions) {
+TEST_F(FaultNetworkTest, LoopbackDeliveredThroughLinkFaults) {
   // End-to-end pin of the fault.hpp contract: "Intra-node (loopback)
-  // messages are exempt from link faults and partitions but not from
-  // endpoint crashes." A service co-located with its client must keep
-  // working through 100% cross-node loss AND a partition of its own node —
-  // until the peer process itself crashes.
+  // messages are exempt from link faults but not from endpoint crashes."
+  // A service co-located with its client must keep working through 100%
+  // cross-node loss — until the peer process itself crashes.
   net::FaultConfig config;
   config.default_link.drop_probability = 1.0;
   net::FaultInjector& injector = network.install_faults(config);
-  injector.partition({3}, SimTime::zero(), SimTime::from_seconds(1e6));
 
   const net::Address a = net::make_address(3, 1);
   const net::Address b = net::make_address(3, 2);

@@ -6,24 +6,15 @@
 
 namespace soma::cluster {
 
-PlatformConfig summit(int nodes) {
-  PlatformConfig config;
-  config.name = "summit";
-  config.nodes = nodes;
-  config.node = NodeConfig{};  // 44 cores (42 usable), 6 GPUs
-  return config;
-}
+PlatformConfig summit(int nodes) { return PlatformConfig{.nodes = nodes}; }
 
-ComputeNode::ComputeNode(sim::Simulation& simulation, NodeId id,
-                         NodeConfig config)
+ComputeNode::ComputeNode(sim::Simulation& simulation, NodeId id)
     : simulation_(simulation),
       id_(id),
-      config_(config),
-      core_owner_(static_cast<std::size_t>(config.usable_cores())),
-      core_activity_(static_cast<std::size_t>(config.usable_cores()), 0.0),
-      gpu_owner_(static_cast<std::size_t>(config.gpus)),
-      per_core_busy_seconds_(static_cast<std::size_t>(config.usable_cores()),
-                             0.0) {
+      core_owner_(kUsableCores),
+      core_activity_(kUsableCores, 0.0),
+      gpu_owner_(kNodeGpus),
+      per_core_busy_seconds_(kUsableCores, 0.0) {
   char buffer[16];
   std::snprintf(buffer, sizeof(buffer), "cn%04d", id);
   hostname_ = buffer;
@@ -146,8 +137,7 @@ double ComputeNode::core_busy_seconds(CoreId core) const {
 }
 
 double ComputeNode::gpu_utilization_now() const {
-  if (config_.gpus == 0) return 0.0;
-  return static_cast<double>(busy_gpus_) / static_cast<double>(config_.gpus);
+  return static_cast<double>(busy_gpus_) / kNodeGpus;
 }
 
 double ComputeNode::busy_gpu_seconds() const {
@@ -160,7 +150,7 @@ Platform::Platform(sim::Simulation& simulation, PlatformConfig config)
   check(config_.nodes > 0, "platform must have at least one node");
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));
   for (int i = 0; i < config_.nodes; ++i) {
-    nodes_.emplace_back(simulation_, static_cast<NodeId>(i), config_.node);
+    nodes_.emplace_back(simulation_, static_cast<NodeId>(i));
   }
 }
 

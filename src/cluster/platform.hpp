@@ -17,19 +17,15 @@
 
 namespace soma::cluster {
 
-struct NodeConfig {
-  int total_cores = 44;   ///< physical cores (Summit: 2 x 22 Power9)
-  int system_cores = 2;   ///< reserved for the OS (not user-allocatable)
-  int gpus = 6;           ///< Summit: 6 x V100
-  double ram_mib = 512.0 * 1024.0;
-
-  [[nodiscard]] int usable_cores() const { return total_cores - system_cores; }
-};
+// Every node has Summit's shape (paper §3.1).
+inline constexpr int kNodeCores = 44;    ///< physical cores (2 x 22 Power9)
+inline constexpr int kSystemCores = 2;   ///< reserved for the OS
+inline constexpr int kUsableCores = kNodeCores - kSystemCores;
+inline constexpr int kNodeGpus = 6;      ///< 6 x V100
+inline constexpr double kNodeRamMib = 512.0 * 1024.0;
 
 struct PlatformConfig {
-  std::string name = "summit";
   int nodes = 1;
-  NodeConfig node{};
 };
 
 /// Summit preset: 42 usable cores and 6 GPUs per node (paper §3.1).
@@ -40,14 +36,13 @@ PlatformConfig summit(int nodes);
 /// are caught immediately.
 class ComputeNode {
  public:
-  ComputeNode(sim::Simulation& simulation, NodeId id, NodeConfig config);
+  ComputeNode(sim::Simulation& simulation, NodeId id);
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const std::string& hostname() const { return hostname_; }
-  [[nodiscard]] const NodeConfig& config() const { return config_; }
 
   // ---- core allocation ----
-  [[nodiscard]] int usable_cores() const { return config_.usable_cores(); }
+  [[nodiscard]] int usable_cores() const { return kUsableCores; }
   [[nodiscard]] int busy_cores() const { return busy_cores_; }
   [[nodiscard]] int free_cores() const {
     return usable_cores() - busy_cores_;
@@ -70,14 +65,14 @@ class ComputeNode {
 
   // ---- GPU allocation ----
   [[nodiscard]] int busy_gpus() const { return busy_gpus_; }
-  [[nodiscard]] int free_gpus() const { return config_.gpus - busy_gpus_; }
+  [[nodiscard]] int free_gpus() const { return kNodeGpus - busy_gpus_; }
   std::optional<std::vector<GpuId>> allocate_gpus(int count,
                                                   const std::string& owner);
   void release_gpus(const std::vector<GpuId>& gpus, const std::string& owner);
 
   // ---- memory ----
   [[nodiscard]] double available_ram_mib() const {
-    return config_.ram_mib - used_ram_mib_;
+    return kNodeRamMib - used_ram_mib_;
   }
   void claim_ram(double mib) { used_ram_mib_ += mib; }
   void release_ram(double mib) { used_ram_mib_ -= mib; }
@@ -107,7 +102,6 @@ class ComputeNode {
   sim::Simulation& simulation_;
   NodeId id_;
   std::string hostname_;
-  NodeConfig config_;
   std::vector<std::string> core_owner_;  ///< empty string = free
   std::vector<double> core_activity_;    ///< busy fraction of each core
   std::vector<std::string> gpu_owner_;

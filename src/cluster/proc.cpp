@@ -12,8 +12,7 @@ namespace {
 constexpr std::size_t kStatFields = 6;
 
 std::vector<std::int64_t> make_stat(double busy_seconds, double total_seconds,
-                                    double background_seconds,
-                                    double jiffies_per_second, Rng& rng) {
+                                    double background_seconds, Rng& rng) {
   // Split busy time between user (dominant for HPC codes) and system, with
   // slight per-snapshot jitter so different cores don't look identical.
   const double user_fraction = 0.92 + 0.02 * rng.uniform();
@@ -26,7 +25,7 @@ std::vector<std::int64_t> make_stat(double busy_seconds, double total_seconds,
       std::max(0.0, total_seconds - busy_seconds - background_seconds);
 
   auto jiffies = [&](double seconds) {
-    return static_cast<std::int64_t>(seconds * jiffies_per_second);
+    return static_cast<std::int64_t>(seconds * kJiffiesPerSecond);
   };
   return {jiffies(user), jiffies(nice),   jiffies(system),
           jiffies(idle), jiffies(iowait), jiffies(irq)};
@@ -35,7 +34,7 @@ std::vector<std::int64_t> make_stat(double busy_seconds, double total_seconds,
 }  // namespace
 
 datamodel::Node make_proc_snapshot(const ComputeNode& node, SimTime now,
-                                   Rng& rng, const ProcConfig& config) {
+                                   Rng& rng) {
   // Every name below is new to its parent, so each level is appended
   // without a lookup.
   datamodel::Node snapshot;
@@ -45,27 +44,27 @@ datamodel::Node make_proc_snapshot(const ComputeNode& node, SimTime now,
   const double uptime = now.to_seconds();
   at.append_child("Uptime").set(static_cast<std::int64_t>(uptime));
   at.append_child("Num Processes")
-      .set(static_cast<std::int64_t>(config.baseline_processes +
+      .set(static_cast<std::int64_t>(kBaselineProcesses +
                                      node.num_processes()));
   at.append_child("Available RAM")
       .set(static_cast<std::int64_t>(node.available_ram_mib()));
 
   datamodel::Node& stat = at.append_child("stat");
-  const double background = uptime * config.background_activity;
+  const double background = uptime * kBackgroundActivity;
   stat.reserve_children(static_cast<std::size_t>(node.usable_cores()) + 1);
 
   // Aggregate row over all usable cores.
   stat.append_child("cpu").set(make_stat(node.busy_core_seconds(),
                                          uptime * node.usable_cores(),
                                          background * node.usable_cores(),
-                                         config.jiffies_per_second, rng));
+                                         rng));
   // Per-core rows.
   for (int c = 0; c < node.usable_cores(); ++c) {
     std::string name = "cpu";
     name += std::to_string(c);
     stat.append_child(std::move(name))
         .set(make_stat(node.core_busy_seconds(static_cast<CoreId>(c)), uptime,
-                       background, config.jiffies_per_second, rng));
+                       background, rng));
   }
   return snapshot;
 }

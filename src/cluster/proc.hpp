@@ -13,14 +13,12 @@
 
 namespace soma::cluster {
 
-struct ProcConfig {
-  /// Fraction of one core consumed by background OS daemons.
-  double background_activity = 0.01;
-  /// Jiffy frequency (Linux USER_HZ).
-  double jiffies_per_second = 100.0;
-  /// Baseline process count for an idle node.
-  int baseline_processes = 2;
-};
+/// Fraction of one core consumed by background OS daemons.
+inline constexpr double kBackgroundActivity = 0.01;
+/// Jiffy frequency (Linux USER_HZ).
+inline constexpr double kJiffiesPerSecond = 100.0;
+/// Baseline process count for an idle node.
+inline constexpr int kBaselineProcesses = 2;
 
 /// Build a /proc-style snapshot for `node` at the current simulated time:
 ///
@@ -36,7 +34,7 @@ struct ProcConfig {
 /// Counters are cumulative, as in the real /proc/stat; the monitor diffs
 /// consecutive snapshots to obtain utilization.
 datamodel::Node make_proc_snapshot(const ComputeNode& node, SimTime now,
-                                   Rng& rng, const ProcConfig& config = {});
+                                   Rng& rng);
 
 /// Utilization in [0,1] from two cumulative `stat/cpu` jiffy arrays
 /// (busy-delta over total-delta). Returns 0 when no time elapsed.

@@ -6,6 +6,14 @@
 #include "common/error.hpp"
 
 namespace soma::experiments {
+namespace {
+
+/// Scale factor from the RP monitor's agent-node CPU share to scheduler
+/// decision slowdown. The agent's scheduler and the monitor compete for the
+/// same few cores, so contention is super-proportional.
+constexpr double kAgentContentionCoeff = 4.0;
+
+}  // namespace
 
 std::string_view to_string(SomaMode mode) {
   switch (mode) {
@@ -141,7 +149,7 @@ void SomaDeployment::start_monitors() {
     // The monitor competes with the agent scheduler for the agent node's
     // cores: decision cost inflates with the monitor's CPU share.
     session_.scheduler().set_decision_slowdown([this] {
-      return 1.0 + config_.agent_contention_coeff * rp_monitor_->cpu_share();
+      return 1.0 + kAgentContentionCoeff * rp_monitor_->cpu_share();
     });
 
     rp::TaskDescription desc;

@@ -107,11 +107,6 @@ struct DeploymentConfig {
   /// One hardware monitor per pilot node.
   bool enable_hw_monitors = true;
 
-  /// Scale factor from the RP monitor's agent-node CPU share to scheduler
-  /// decision slowdown. The agent's scheduler and the monitor compete for
-  /// the same few cores, so contention is super-proportional.
-  double agent_contention_coeff = 4.0;
-
   /// First port for client-stub engines (service uses service.base_port).
   int base_client_port = 20000;
 

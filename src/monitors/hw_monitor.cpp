@@ -2,9 +2,20 @@
 
 #include <algorithm>
 
+#include "cluster/proc.hpp"
 #include "common/error.hpp"
 
 namespace soma::monitors {
+namespace {
+
+/// Cost of one /proc scrape + Node build + publish on the host (reads ~44
+/// per-cpu stat rows, meminfo, the process table).
+constexpr Duration kScrapeCost = Duration::milliseconds(100);
+/// Fraction of scrape work that perturbs co-located application ranks
+/// (cache pollution, interrupts); the rest stays on the reserved core.
+constexpr double kInterferenceFraction = 0.50;
+
+}  // namespace
 
 HwMonitor::HwMonitor(sim::Simulation& simulation, cluster::ComputeNode& node,
                      core::SomaClient& client, Rng rng, HwMonitorConfig config)
@@ -31,7 +42,7 @@ void HwMonitor::stop() {
 }
 
 double HwMonitor::noise_fraction() const {
-  return config_.interference_fraction * config_.scrape_cost.to_seconds() /
+  return kInterferenceFraction * kScrapeCost.to_seconds() /
          config_.period.to_seconds();
 }
 
@@ -39,7 +50,7 @@ void HwMonitor::tick() {
   ++ticks_;
   const SimTime now = simulation_.now();
   datamodel::Node snapshot =
-      cluster::make_proc_snapshot(node_, now, rng_, config_.proc);
+      cluster::make_proc_snapshot(node_, now, rng_);
 
   // Online utilization: diff this tick's cumulative jiffies against the
   // previous tick's (the first tick diffs against boot, i.e. t=0).
@@ -62,9 +73,9 @@ void HwMonitor::tick() {
   const double gpu_busy = node_.busy_gpu_seconds();
   const double window = (now - last_tick_).to_seconds();
   double gpu_utilization = 0.0;
-  if (window > 0.0 && node_.config().gpus > 0) {
+  if (window > 0.0) {
     gpu_utilization = std::clamp((gpu_busy - last_gpu_busy_seconds_) /
-                                     (window * node_.config().gpus),
+                                     (window * cluster::kNodeGpus),
                                  0.0, 1.0);
   }
   last_gpu_busy_seconds_ = gpu_busy;

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cluster/platform.hpp"
-#include "cluster/proc.hpp"
+#include "common/rng.hpp"
 #include "sim/simulation.hpp"
 #include "soma/client.hpp"
 
@@ -24,13 +24,6 @@ namespace soma::monitors {
 
 struct HwMonitorConfig {
   Duration period = Duration::seconds(60.0);
-  /// Cost of one /proc scrape + Node build + publish on the host (reads
-  /// ~44 per-cpu stat rows, meminfo, the process table).
-  Duration scrape_cost = Duration::milliseconds(100);
-  /// Fraction of scrape work that perturbs co-located application ranks
-  /// (cache pollution, interrupts); the rest stays on the reserved core.
-  double interference_fraction = 0.50;
-  cluster::ProcConfig proc{};
 };
 
 class HwMonitor {
@@ -42,7 +35,8 @@ class HwMonitor {
   void stop();
 
   /// Multiplicative slowdown this monitor imposes on application ranks
-  /// sharing its node: interference_fraction * scrape_cost / period.
+  /// sharing its node: the interfering share of one scrape's cost, per
+  /// period.
   [[nodiscard]] double noise_fraction() const;
 
   /// The locally computed utilization series (time, utilization in [0,1]) —

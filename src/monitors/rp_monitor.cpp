@@ -7,6 +7,14 @@
 #include "common/error.hpp"
 
 namespace soma::monitors {
+namespace {
+
+/// Fixed cost per tick (read profiles, build the Node).
+constexpr Duration kSummarizeBaseCost = Duration::milliseconds(20);
+/// Additional cost per tracked task per tick.
+constexpr Duration kSummarizePerTaskCost = Duration::milliseconds(2);
+
+}  // namespace
 
 RpMonitor::RpMonitor(rp::Session& session, core::SomaClient& client,
                      RpMonitorConfig config)
@@ -33,9 +41,9 @@ void RpMonitor::stop() {
 double RpMonitor::cpu_share() const {
   const double tracked = static_cast<double>(session_.tasks().size());
   const double cost_seconds =
-      config_.summarize_base_cost.to_seconds() +
-      config_.summarize_per_task_cost.to_seconds() * tracked;
-  return std::min(config_.cpu_share_cap,
+      kSummarizeBaseCost.to_seconds() +
+      kSummarizePerTaskCost.to_seconds() * tracked;
+  return std::min(kCpuShareCap,
                   cost_seconds / config_.period.to_seconds());
 }
 
@@ -163,8 +171,9 @@ void RpMonitor::tick() {
     std::size_t& child = child_of[pilot ? tasks.size() : record.subject];
     if (child == kAbsent) {
       child = events.number_of_children();
-      events.append_child(pilot ? session_.config().pilot.uid
-                                : tasks[record.subject].uid());
+      const std::string_view uid =
+          pilot ? rp::kPilotUid : std::string_view(tasks[record.subject].uid());
+      events.append_child(uid);
     }
     events.child_at(child)
         .child(std::to_string(record.time.nanos()))

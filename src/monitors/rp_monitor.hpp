@@ -24,14 +24,11 @@ namespace soma::monitors {
 
 struct RpMonitorConfig {
   Duration period = Duration::seconds(60.0);
-  /// Fixed cost per tick (read profiles, build the Node).
-  Duration summarize_base_cost = Duration::milliseconds(20);
-  /// Additional cost per tracked task per tick.
-  Duration summarize_per_task_cost = Duration::milliseconds(2);
-  /// The monitor is a single-threaded daemon: its CPU share saturates well
-  /// below one core once ticks start overrunning the period.
-  double cpu_share_cap = 0.30;
 };
+
+/// The monitor is a single-threaded daemon: its CPU share saturates well
+/// below one core once ticks start overrunning the period.
+inline constexpr double kCpuShareCap = 0.30;
 
 /// Snapshot of workflow state the monitor publishes each tick.
 struct WorkflowSummary {

@@ -48,29 +48,28 @@
 
 namespace soma::net {
 
+// Payloads of `kBulkThreshold` bytes or more follow Mercury's bulk (RDMA)
+// path: the receiver only registers the region and the NIC moves the bytes,
+// so the per-KiB CPU charge drops to `kBulkPerKib` after a fixed
+// registration cost. This mirrors how Mochi services absorb large TAU
+// profiles without stalling their progress loop.
+inline constexpr std::size_t kBulkThreshold = 64 * 1024;
+inline constexpr Duration kBulkRegistration = Duration::microseconds(40);
+inline constexpr Duration kBulkPerKib = Duration::nanoseconds(250);
+
 /// Cost of ingesting one request at a server engine.
-///
-/// Payloads above `bulk_threshold` follow Mercury's bulk (RDMA) path: the
-/// receiver only registers the region and the NIC moves the bytes, so the
-/// per-KiB CPU charge drops to `bulk_per_kib` after a fixed registration
-/// cost. This mirrors how Mochi services absorb large TAU profiles without
-/// stalling their progress loop.
 struct ServiceCost {
   Duration base = Duration::microseconds(25);
   Duration per_kib = Duration::microseconds(3);
 
-  std::size_t bulk_threshold = 64 * 1024;
-  Duration bulk_registration = Duration::microseconds(40);
-  Duration bulk_per_kib = Duration::nanoseconds(250);
-
-  [[nodiscard]] bool is_bulk(std::size_t payload_bytes) const {
-    return payload_bytes >= bulk_threshold;
+  [[nodiscard]] static bool is_bulk(std::size_t payload_bytes) {
+    return payload_bytes >= kBulkThreshold;
   }
 
   [[nodiscard]] Duration cost_for(std::size_t payload_bytes) const {
     const double kib = static_cast<double>(payload_bytes) / 1024.0;
     if (is_bulk(payload_bytes)) {
-      return base + bulk_registration + bulk_per_kib * kib;
+      return base + kBulkRegistration + kBulkPerKib * kib;
     }
     return base + per_kib * kib;
   }

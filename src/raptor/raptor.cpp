@@ -5,6 +5,15 @@
 #include "common/error.hpp"
 
 namespace soma::raptor {
+namespace {
+
+constexpr double kWorkerCpuActivity = 0.9;
+/// Master-side cost to route one call (serialize + pick worker).
+constexpr Duration kDispatchOverhead = Duration::microseconds(200);
+/// Channel latency master <-> worker.
+constexpr Duration kChannelLatency = Duration::microseconds(100);
+
+}  // namespace
 
 RaptorMaster::RaptorMaster(rp::Session& session, RaptorConfig config)
     : session_(session), config_(config) {
@@ -41,14 +50,14 @@ void RaptorMaster::start(std::function<void()> on_ready) {
     worker->index = w;
     worker->inbox = std::make_unique<comm::Channel<FunctionCall>>(
         session_.simulation(), "raptor.worker." + std::to_string(w),
-        config_.channel_latency);
+        kChannelLatency);
 
     rp::TaskDescription desc;
     desc.uid = "raptor.worker." + std::to_string(w);
     desc.kind = rp::TaskKind::kWorker;
     desc.label = "raptor-worker";
     desc.cores_per_rank = config_.cores_per_worker;
-    desc.cpu_activity = config_.worker_cpu_activity;
+    desc.cpu_activity = kWorkerCpuActivity;
     worker->task = session_.submit(desc).id();
 
     Worker* worker_ptr = worker.get();
@@ -64,7 +73,7 @@ void RaptorMaster::start(std::function<void()> on_ready) {
             result.started = result.finished - call.duration;
             result.worker = worker_ptr->index;
             session_.simulation().schedule(
-                config_.channel_latency, [this, worker_ptr, result] {
+                kChannelLatency, [this, worker_ptr, result] {
                   on_worker_done(worker_ptr->index, result);
                 });
           });
@@ -110,7 +119,7 @@ void RaptorMaster::dispatch_pending() {
     // The master serializes dispatches (one routing decision at a time).
     const SimTime now = session_.simulation().now();
     master_busy_until_ =
-        std::max(now, master_busy_until_) + config_.dispatch_overhead;
+        std::max(now, master_busy_until_) + kDispatchOverhead;
     Worker* target = best;
     FunctionCall routed = std::move(call);
     session_.simulation().schedule_at(

@@ -46,11 +46,6 @@ struct FunctionResult {
 struct RaptorConfig {
   int workers = 2;
   int cores_per_worker = 8;       ///< concurrent functions per worker
-  double worker_cpu_activity = 0.9;
-  /// Master-side cost to route one call (serialize + pick worker).
-  Duration dispatch_overhead = Duration::microseconds(200);
-  /// Channel latency master <-> worker.
-  Duration channel_latency = Duration::microseconds(100);
 };
 
 class RaptorMaster {

@@ -6,10 +6,28 @@
 #include "rp/execution_model.hpp"
 
 namespace soma::rp {
+namespace {
 
-Executor::Executor(sim::Simulation& simulation, TaskTable& tasks, Rng rng,
-                   ExecutorConfig config)
-    : simulation_(simulation), tasks_(tasks), rng_(rng), config_(config) {}
+/// launch_start -> exec_start: jsrun/launcher spawn cost (Listing 1 shows
+/// ~0.36 s on Summit).
+constexpr Duration kLaunchCostMedian = Duration::milliseconds(360);
+constexpr double kLaunchCostSigma = 0.25;
+/// exec_start -> rank_start: runtime init inside the task (~7 ms).
+constexpr Duration kExecPrologue = Duration::milliseconds(7);
+/// rank_stop -> exec_stop (~8 ms).
+constexpr Duration kExecEpilogue = Duration::milliseconds(8);
+/// exec_stop -> launch_stop: launcher teardown (~73 ms).
+constexpr Duration kLaunchTeardown = Duration::milliseconds(73);
+
+/// Parallel-filesystem bandwidth seen by one task's staging (GPFS-class).
+constexpr double kStagingBandwidthMibPerS = 500.0;
+/// Fixed metadata cost per staging phase.
+constexpr Duration kStagingLatency = Duration::milliseconds(50);
+
+}  // namespace
+
+Executor::Executor(sim::Simulation& simulation, TaskTable& tasks, Rng rng)
+    : simulation_(simulation), tasks_(tasks), rng_(rng) {}
 
 void Executor::set_node_noise(NodeId node, double fraction) {
   check(fraction >= 0.0, "node noise must be non-negative");
@@ -31,8 +49,7 @@ double Executor::max_noise(const Placement& placement) const {
 
 Duration Executor::staging_time(double mib) const {
   if (mib <= 0.0) return Duration::zero();
-  return config_.staging_latency +
-         Duration::seconds(mib / config_.staging_bandwidth_mib_per_s);
+  return kStagingLatency + Duration::seconds(mib / kStagingBandwidthMibPerS);
 }
 
 void Executor::launch(TaskId id) {
@@ -62,11 +79,11 @@ void Executor::begin_launch(TaskId id) {
 
   Rng task_rng = rng_.split(task.description().uid);
   const Duration launch = Duration::seconds(task_rng.lognormal(
-      config_.launch_cost_median.to_seconds(), config_.launch_cost_sigma));
+      kLaunchCostMedian.to_seconds(), kLaunchCostSigma));
 
   simulation_.schedule(launch, [this, id, task_rng]() mutable {
     tasks_[id].record_event(Event::kExecStart, simulation_.now());
-    simulation_.schedule(config_.exec_prologue, [this, id,
+    simulation_.schedule(kExecPrologue, [this, id,
                                                  task_rng]() mutable {
       Task& task = tasks_[id];
       task.record_event(Event::kRankStart, simulation_.now());
@@ -113,7 +130,7 @@ void Executor::fail(TaskId id, SimTime at) {
   Task& task = tasks_[id];
   task.record_event(Event::kRankStop, at);
   task.record_event(Event::kExecStop, at);
-  const SimTime launch_stop = at + config_.launch_teardown;
+  const SimTime launch_stop = at + kLaunchTeardown;
   simulation_.schedule_at(launch_stop, [this, id, launch_stop] {
     Task& task = tasks_[id];
     task.record_event(Event::kLaunchStop, launch_stop);
@@ -137,8 +154,8 @@ void Executor::finish(TaskId id, SimTime rank_stop_at) {
   if (!is_running(id)) return;  // stopped twice / already completed
 
   tasks_[id].record_event(Event::kRankStop, rank_stop_at);
-  const SimTime exec_stop = rank_stop_at + config_.exec_epilogue;
-  const SimTime launch_stop = exec_stop + config_.launch_teardown;
+  const SimTime exec_stop = rank_stop_at + kExecEpilogue;
+  const SimTime launch_stop = exec_stop + kLaunchTeardown;
 
   simulation_.schedule_at(exec_stop, [this, id, exec_stop] {
     tasks_[id].record_event(Event::kExecStop, exec_stop);

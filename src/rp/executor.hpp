@@ -19,31 +19,12 @@
 
 namespace soma::rp {
 
-struct ExecutorConfig {
-  /// launch_start -> exec_start: jsrun/launcher spawn cost (Listing 1 shows
-  /// ~0.36 s on Summit).
-  Duration launch_cost_median = Duration::milliseconds(360);
-  double launch_cost_sigma = 0.25;
-  /// exec_start -> rank_start: runtime init inside the task (~7 ms).
-  Duration exec_prologue = Duration::milliseconds(7);
-  /// rank_stop -> exec_stop (~8 ms).
-  Duration exec_epilogue = Duration::milliseconds(8);
-  /// exec_stop -> launch_stop: launcher teardown (~73 ms).
-  Duration launch_teardown = Duration::milliseconds(73);
-
-  /// Parallel-filesystem bandwidth seen by one task's staging (GPFS-class).
-  double staging_bandwidth_mib_per_s = 500.0;
-  /// Fixed metadata cost per staging phase.
-  Duration staging_latency = Duration::milliseconds(50);
-};
-
 class Executor {
  public:
   using Callback = std::function<void(TaskId)>;
 
   /// Runs tasks of `tasks`, which must outlive the executor.
-  Executor(sim::Simulation& simulation, TaskTable& tasks, Rng rng,
-           ExecutorConfig config = {});
+  Executor(sim::Simulation& simulation, TaskTable& tasks, Rng rng);
 
   /// Fired at launch_stop for application tasks (DONE or FAILED), and when
   /// a service / monitor task is stopped.
@@ -92,7 +73,6 @@ class Executor {
   sim::Simulation& simulation_;
   TaskTable& tasks_;
   Rng rng_;
-  ExecutorConfig config_;
   Callback on_complete_;
   Callback on_start_;
   std::unordered_map<NodeId, double> node_noise_;

@@ -6,6 +6,14 @@
 #include "common/error.hpp"
 
 namespace soma::rp {
+namespace {
+
+/// Median cost of one placement decision (state update, slot bookkeeping,
+/// launcher handshake).
+constexpr Duration kDecisionCostMedian = Duration::milliseconds(15);
+constexpr double kDecisionCostSigma = 0.25;
+
+}  // namespace
 
 AgentScheduler::AgentScheduler(sim::Simulation& simulation,
                                cluster::Platform& platform,
@@ -226,8 +234,7 @@ void AgentScheduler::schedule_pass() {
     const double slowdown = slowdown_ ? std::max(1.0, slowdown_()) : 1.0;
     const Duration cost =
         Duration::seconds(rng_.lognormal(
-            config_.decision_cost_median.to_seconds() * slowdown,
-            config_.decision_cost_sigma));
+            kDecisionCostMedian.to_seconds() * slowdown, kDecisionCostSigma));
     const SimTime start = std::max(simulation_.now(), decision_busy_until_);
     decision_busy_until_ = start + cost;
 

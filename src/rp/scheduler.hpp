@@ -35,10 +35,6 @@ enum class PlacementPolicy {
 };
 
 struct SchedulerConfig {
-  /// Median cost of one placement decision (state update, slot bookkeeping,
-  /// launcher handshake).
-  Duration decision_cost_median = Duration::milliseconds(15);
-  double decision_cost_sigma = 0.25;
   PlacementPolicy policy = PlacementPolicy::kContinuous;
 };
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -149,8 +150,10 @@ class Task {
 /// once added, and none is ever erased.
 using TaskTable = std::deque<Task>;
 
+/// The uid of a session's one pilot.
+inline constexpr std::string_view kPilotUid = "pilot.0000";
+
 struct PilotDescription {
-  std::string uid = "pilot.0000";
   int nodes = 1;
   Duration runtime = Duration::minutes(120);
 };

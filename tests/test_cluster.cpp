@@ -21,9 +21,10 @@ class ClusterTest : public ::testing::Test {
 TEST_F(ClusterTest, SummitPreset) {
   const PlatformConfig config = summit(10);
   EXPECT_EQ(config.nodes, 10);
-  EXPECT_EQ(config.node.total_cores, 44);
-  EXPECT_EQ(config.node.usable_cores(), 42);
-  EXPECT_EQ(config.node.gpus, 6);
+  EXPECT_EQ(kNodeCores, 44);
+  Platform platform(simulation, config);
+  EXPECT_EQ(platform.node(9).usable_cores(), 42);
+  EXPECT_EQ(platform.node(9).free_gpus(), 6);
 }
 
 TEST_F(ClusterTest, PlatformNodeAccess) {
@@ -192,11 +193,11 @@ TEST_F(ClusterTest, ProcJiffiesReflectOccupancy) {
 // The snapshot layout as built by name lookups, one child() per key: the
 // reference make_proc_snapshot's appends must pack identically to.
 datamodel::Node lookup_built_snapshot(const ComputeNode& node, SimTime now,
-                                      Rng& rng, const ProcConfig& config) {
+                                      Rng& rng) {
   auto stat_row = [&](double busy, double total, double background) {
     const double user = busy * (0.92 + 0.02 * rng.uniform());
     auto jiffies = [&](double seconds) {
-      return static_cast<std::int64_t>(seconds * config.jiffies_per_second);
+      return static_cast<std::int64_t>(seconds * kJiffiesPerSecond);
     };
     return std::vector<std::int64_t>{
         jiffies(user),
@@ -212,10 +213,10 @@ datamodel::Node lookup_built_snapshot(const ComputeNode& node, SimTime now,
   const double uptime = now.to_seconds();
   at["Uptime"].set(static_cast<std::int64_t>(uptime));
   at["Num Processes"].set(static_cast<std::int64_t>(
-      config.baseline_processes + node.num_processes()));
+      kBaselineProcesses + node.num_processes()));
   at["Available RAM"].set(static_cast<std::int64_t>(node.available_ram_mib()));
   datamodel::Node& stat = at["stat"];
-  const double background = uptime * config.background_activity;
+  const double background = uptime * kBackgroundActivity;
   stat["cpu"].set(stat_row(node.busy_core_seconds(),
                            uptime * node.usable_cores(),
                            background * node.usable_cores()));
@@ -239,12 +240,11 @@ TEST_F(ClusterTest, ProcSnapshotPacksLikeLookupBuiltOne) {
   simulation.schedule(Duration::seconds(37.5), [] {});
   simulation.run();
 
-  const ProcConfig config;
   for (const SimTime now : {SimTime::zero(), simulation.now()}) {
     Rng appended_rng(7);
     Rng looked_up_rng(7);
-    EXPECT_EQ(make_proc_snapshot(node, now, appended_rng, config).pack(),
-              lookup_built_snapshot(node, now, looked_up_rng, config).pack());
+    EXPECT_EQ(make_proc_snapshot(node, now, appended_rng).pack(),
+              lookup_built_snapshot(node, now, looked_up_rng).pack());
   }
 }
 

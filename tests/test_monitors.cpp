@@ -128,7 +128,7 @@ TEST_F(RpMonitorTest, CpuShareGrowsWithTasksAndSaturates) {
   });
   session.run();
   EXPECT_GT(monitor->cpu_share(), share_empty);
-  EXPECT_LE(monitor->cpu_share(), config.cpu_share_cap);
+  EXPECT_LE(monitor->cpu_share(), kCpuShareCap);
 }
 
 TEST_F(RpMonitorTest, RequiresWorkflowNamespaceClient) {
@@ -597,7 +597,7 @@ TEST_F(RpMonitorTest, DwellTimesReported) {
   session.run();
 
   const auto& summary = monitor->last_summary();
-  // TMGR dwell = tmgr_cost + channel latency (~7 ms).
+  // TMGR dwell = the 5 ms TaskManager cost + channel latency (~7 ms).
   EXPECT_GT(summary.mean_tmgr_wait_seconds, 0.0);
   EXPECT_LT(summary.mean_tmgr_wait_seconds, 0.1);
   // Agent dwell includes the scheduler decision (~15 ms median).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -156,6 +157,31 @@ TEST(ExportTest, RoundTrip) {
                 ->data.fetch_existing("summary/tasks_done")
                 .as_int64(),
             3);
+}
+
+TEST(ExportTest, WholeValuedDoublesStayDoubles) {
+  // 0.0, 1.0 and -0.0 print without a fraction under %.17g; the export
+  // must still read back as float64 leaves, not int64.
+  core::DataStore original;
+  datamodel::Node hw;
+  hw["cn0001"]["cpu_utilization"].set(1.0);
+  hw["cn0001"]["gpu_utilization"].set(0.0);
+  hw["cn0001"]["drift"].set(-0.0);
+  original.append(core::Namespace::kHardware, "cn0001",
+                  SimTime::from_seconds(30.0), hw);
+  std::stringstream stream;
+  ASSERT_EQ(core::export_store(original.view(), stream), 1u);
+
+  core::DataStore restored;
+  ASSERT_EQ(core::import_store(restored, stream), 1u);
+  const auto* record =
+      restored.view().latest(core::Namespace::kHardware, "cn0001");
+  ASSERT_NE(record, nullptr);
+  EXPECT_TRUE(record->data == hw) << record->data.to_json();
+  const auto& host = record->data.fetch_existing("cn0001");
+  EXPECT_EQ(host.fetch_existing("cpu_utilization").as_float64(), 1.0);
+  EXPECT_EQ(host.fetch_existing("gpu_utilization").as_float64(), 0.0);
+  EXPECT_TRUE(std::signbit(host.fetch_existing("drift").as_float64()));
 }
 
 TEST(ExportTest, TruncatedFinalLineTolerated) {

@@ -850,6 +850,26 @@ TEST(SessionTest, PilotGrantAndWalltimeArePinned) {
             pilot_event_time(finished, Event::kPilotDone));
 }
 
+TEST(SessionTest, FinalizeBeforeGrantCancelsTheGrant) {
+  // A session finalized while its pilot still waits in the queue ends at
+  // DONE: the pilot is never granted, never becomes ACTIVE and never hits
+  // its walltime.
+  rp::SessionConfig config = small_session_config();
+  config.pilot.runtime = Duration::seconds(100.0);
+  Session session(config);
+  bool ready = false;
+  session.start([&] { ready = true; });
+  session.finalize();
+  testing::internal::CaptureStderr();
+  const SimTime end = session.run();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_FALSE(ready);
+  EXPECT_EQ(pilot_event_time(session, Event::kPilotActive), std::nullopt);
+  EXPECT_EQ(end, SimTime::from_seconds(1.0));
+  EXPECT_EQ(std::optional<SimTime>(end),
+            pilot_event_time(session, Event::kPilotDone));
+}
+
 // ---------- the profile log, pinned ----------
 
 /// FNV-1a over the bytes fed to it.

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -49,8 +50,13 @@ void json_escape(std::string_view in, std::ostringstream& out) {
 void json_number(double v, std::ostringstream& out) {
   if (std::isfinite(v)) {
     char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+    const int n = std::snprintf(buffer, sizeof(buffer), "%.17g", v);
     out << buffer;
+    // A whole value prints as bare digits, which parse back as int64:
+    // append ".0" so the leaf keeps its type.
+    if (std::strspn(buffer, "-0123456789") == static_cast<std::size_t>(n)) {
+      out << ".0";
+    }
   } else {
     out << "null";
   }

@@ -48,7 +48,7 @@ void Session::start(std::function<void()> on_ready) {
                    Event::kPilotPmgrLaunching);
   const Duration queue_wait = Duration::seconds(rng_.split("batch").lognormal(
       kQueueWaitMedian.to_seconds(), kQueueWaitSigma));
-  simulation_.schedule(queue_wait, [this] { bootstrap_agent(); });
+  grant_ = simulation_.schedule(queue_wait, [this] { bootstrap_agent(); });
 }
 
 void Session::bootstrap_agent() {
@@ -209,6 +209,8 @@ void Session::finalize() {
     }
   }
   if (started_) {
+    // A pilot still in the queue is never granted.
+    grant_.cancel();
     // Release the pilot once teardown events have drained.
     simulation_.schedule(Duration::seconds(1.0), [this] {
       profiles_.record(simulation_.now(), kPilotSubject, Event::kPilotDone);

@@ -139,6 +139,8 @@ class Session {
   ProfileStore profiles_;
 
   bool started_ = false;
+  /// Pending while the pilot waits in the queue.
+  sim::EventHandle grant_;
   /// Pending until the pilot is released or its walltime fires.
   sim::EventHandle walltime_;
   std::vector<NodeId> pilot_nodes_;

@@ -39,7 +39,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/unique_function.hpp"
@@ -242,10 +241,9 @@ class Engine {
   ServiceCost cost_;
   std::unordered_map<std::string, RawHandler, RpcNameHash, std::equal_to<>>
       handlers_;
+  /// Every call from send until its reply or its exhaustion, fire-and-forget
+  /// calls included: a reply to an id not held here is a duplicate.
   std::unordered_map<std::uint64_t, PendingCall> pending_;
-  /// Ids of retried or exhausted calls, for duplicate-response suppression.
-  /// Plain single-shot ids never enter, so fire-and-forget acks stay cheap.
-  std::unordered_set<std::uint64_t> settled_retries_;
   std::uint64_t next_request_id_ = 1;
   SimTime busy_until_{};
   EngineStats stats_;

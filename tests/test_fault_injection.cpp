@@ -442,6 +442,27 @@ TEST_F(FaultRetryTest, DuplicateResponsesSuppressedAndCounted) {
   EXPECT_EQ(late.stats().duplicate_responses, 2u);
 }
 
+TEST_F(FaultRetryTest, FirstReplyToAnyCallIsNotADuplicate) {
+  // The acknowledgement of a fire-and-forget call and the reply to a plain
+  // call each settle their call; neither is a duplicate.
+  net::Engine server(network, net::make_address(0, 100));
+  server.define("echo", [](const net::Address&, const datamodel::Node& args) {
+    return args;
+  });
+  net::Engine client(network, net::make_address(1, 100));
+  int fired = 0;
+  client.call(server.address(), "echo", payload(1));
+  client.call(server.address(), "echo", payload(2),
+              [&fired](net::Engine::Result result) {
+                EXPECT_TRUE(result.ok);
+                ++fired;
+              });
+  simulation.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(client.stats().responses_received, 2u);
+  EXPECT_EQ(client.stats().duplicate_responses, 0u);
+}
+
 struct EchoRunOutcome {
   std::uint64_t events = 0;
   std::int64_t final_nanos = 0;

@@ -13,6 +13,7 @@
 
 #include <numeric>
 
+#include "analysis/advisor.hpp"
 #include "bench_util.hpp"
 #include "experiments/deployment.hpp"
 #include "workloads/openfoam.hpp"
@@ -34,9 +35,8 @@ Outcome run(rp::PlacementPolicy policy, bool soma_fed) {
   session_config.scheduler.policy = policy;
   rp::Session session(session_config);
 
-  workloads::OpenFoamParams params;
-  params.work_core_seconds = 600.0;  // small tasks
-  auto model = workloads::make_openfoam_model(&session.platform(), params);
+  // Small tasks: 600 core-seconds of parallel work.
+  auto model = workloads::make_openfoam_model(&session.platform(), 600.0);
 
   std::unique_ptr<experiments::SomaDeployment> deployment;
   std::vector<double> exec_times;
@@ -70,12 +70,7 @@ Outcome run(rp::PlacementPolicy policy, bool soma_fed) {
           const auto* record = deployment->service().store_view().latest(
               core::Namespace::kHardware, host);
           if (record == nullptr) return 0.0;
-          if (const auto* host_node = record->data.find_child(host)) {
-            if (const auto* util = host_node->find_child("cpu_utilization")) {
-              return util->to_float64();
-            }
-          }
-          return 0.0;
+          return analysis::read_host(*record, host).cpu.value_or(0.0);
         });
       }
 

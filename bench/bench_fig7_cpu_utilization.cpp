@@ -40,16 +40,17 @@ int main(int argc, char** argv) {
   // Align rows on the first host's sample times; the monitors tick with a
   // deterministic stagger, so match by nearest sample within half a period.
   const auto& reference = result.node_utilization.at(hosts.front());
-  for (const auto& [t, u0] : reference) {
+  for (const auto& sample : reference) {
+    const double t = sample.t;
     std::vector<std::string> row{bench::fmt(t, 0)};
     for (const auto& host : hosts) {
       const auto& series = result.node_utilization.at(host);
       double nearest = -1.0, best_dt = 16.0;
-      for (const auto& [st, su] : series) {
-        const double dt = std::abs(st - t);
+      for (const auto& other : series) {
+        const double dt = std::abs(other.t - t);
         if (dt < best_dt) {
           best_dt = dt;
-          nearest = su;
+          nearest = other.cpu;
         }
       }
       row.push_back(nearest < 0 ? "-" : bench::fmt_pct(nearest, 0));
@@ -63,29 +64,28 @@ int main(int argc, char** argv) {
     }
     row.push_back(marks);
     table.add_row(std::move(row));
-    (void)u0;
   }
   std::printf("%s", table.to_string().c_str());
 
   // Shape checks.
   double peak = 0.0;
   for (const auto& host : hosts) {
-    for (const auto& [t, u] : result.node_utilization.at(host)) {
-      peak = std::max(peak, u);
+    for (const auto& sample : result.node_utilization.at(host)) {
+      peak = std::max(peak, sample.cpu);
     }
   }
   // Imbalance in the latter half: spread of per-node mean utilization over
   // the second half of the run.
   double t_end = 0.0;
-  for (const auto& [t, u] : reference) t_end = std::max(t_end, t);
+  for (const auto& sample : reference) t_end = std::max(t_end, sample.t);
   std::vector<double> late_means;
   for (const auto& host : hosts) {
     if (host == hosts.front()) continue;  // skip agent/SOMA node
     double sum = 0.0;
     int count = 0;
-    for (const auto& [t, u] : result.node_utilization.at(host)) {
-      if (t > t_end / 2.0) {
-        sum += u;
+    for (const auto& sample : result.node_utilization.at(host)) {
+      if (sample.t > t_end / 2.0) {
+        sum += sample.cpu;
         ++count;
       }
     }

@@ -19,15 +19,20 @@ int main(int argc, char** argv) {
   auto overload = OpenFoamExperimentConfig::overloaded();
   overload.stack() = stack;
 
+  std::string rank_list;
+  for (int ranks : kOpenFoamRankConfigs) {
+    if (!rank_list.empty()) rank_list += ", ";
+    rank_list += std::to_string(ranks);
+  }
   TextTable table({"Experiment", "Tuning", "Overload"});
   table.add_row({"Number of Tasks",
                  std::to_string(tuning.instances_per_config *
-                                tuning.rank_configs.size()),
+                                kOpenFoamRankConfigs.size()),
                  std::to_string(overload.instances_per_config *
-                                overload.rank_configs.size())});
+                                kOpenFoamRankConfigs.size())});
   table.add_row({"Number of Nodes", std::to_string(tuning.worker_nodes),
                  std::to_string(overload.worker_nodes)});
-  table.add_row({"Number of MPI Ranks", "20, 41, 82, 164", "20, 41, 82, 164"});
+  table.add_row({"Number of MPI Ranks", rank_list, rank_list});
   table.add_row({"Monitors", "proc, rp, tau", "proc, rp, tau"});
   table.add_row({"SOMA Ranks Per Namespace",
                  std::to_string(tuning.soma_ranks_per_namespace),

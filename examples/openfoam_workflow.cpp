@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   std::printf("running the %s OpenFOAM workflow (%d worker nodes, %zu tasks, "
               "monitors: proc, rp, tau)...\n",
               overload ? "overloaded" : "tuning", config.worker_nodes,
-              config.rank_configs.size() *
+              kOpenFoamRankConfigs.size() *
                   static_cast<std::size_t>(config.instances_per_config));
 
   const OpenFoamResult result = run_openfoam_experiment(config);
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   std::printf("\n[3] per-node CPU utilization (SOMA hardware namespace):\n");
   for (const auto& [host, series] : result.node_utilization) {
     double mean = 0.0;
-    for (const auto& [t, u] : series) mean += u;
+    for (const auto& sample : series) mean += sample.cpu;
     if (!series.empty()) mean /= static_cast<double>(series.size());
     std::printf("  %s: %zu samples, mean %.0f%%  %s\n", host.c_str(),
                 series.size(), mean * 100.0,

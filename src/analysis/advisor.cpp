@@ -22,39 +22,64 @@ double FreeResourceReport::mean_gpu_utilization() const {
   return total / static_cast<double>(nodes.size());
 }
 
+HostReading read_host(const core::TimedRecord& record,
+                      const std::string& host) {
+  HostReading reading;
+  const auto* host_node = record.data.find_child(host);
+  if (host_node == nullptr) return reading;
+  if (const auto* util = host_node->find_child("cpu_utilization")) {
+    reading.cpu = util->to_float64();
+  }
+  if (const auto* gpu = host_node->find_child("gpu_utilization")) {
+    reading.gpu = gpu->to_float64();
+  }
+  // Latest RAM figure from the newest timestamped snapshot block.
+  for (std::size_t i = 0; i < host_node->number_of_children(); ++i) {
+    const auto* ram = host_node->child_at(i).find_child("Available RAM");
+    if (ram != nullptr) reading.available_ram_mib = ram->as_int64();
+  }
+  return reading;
+}
+
+UtilizationSeries utilization_series(const core::StoreView& view) {
+  UtilizationSeries out;
+  for (const std::string& host : view.sources(core::Namespace::kHardware)) {
+    auto& series = out[host];
+    for (const auto* record : view.series(core::Namespace::kHardware, host)) {
+      const HostReading reading = read_host(*record, host);
+      if (reading.cpu) {
+        series.push_back({record->time.to_seconds(), *reading.cpu,
+                          reading.gpu.value_or(0.0)});
+      }
+    }
+  }
+  return out;
+}
+
 FreeResourceReport analyze_hardware(const core::StoreView& view) {
   FreeResourceReport report;
   for (const std::string& host :
        view.sources(core::Namespace::kHardware)) {
     FreeResourceReport::NodeReport node;
     node.hostname = host;
-    const auto series = view.series(core::Namespace::kHardware, host);
     double sum = 0.0;
     std::size_t count = 0;
     double gpu_sum = 0.0;
     std::size_t gpu_count = 0;
-    for (const auto* record : series) {
-      const auto* host_node = record->data.find_child(host);
-      if (host_node == nullptr) continue;
-      if (const auto* util = host_node->find_child("cpu_utilization")) {
-        const double u = util->to_float64();
-        sum += u;
+    for (const auto* record : view.series(core::Namespace::kHardware, host)) {
+      const HostReading reading = read_host(*record, host);
+      if (reading.cpu) {
+        sum += *reading.cpu;
         ++count;
-        node.last_utilization = u;
+        node.last_utilization = *reading.cpu;
       }
-      if (const auto* gpu = host_node->find_child("gpu_utilization")) {
-        const double u = gpu->to_float64();
-        gpu_sum += u;
+      if (reading.gpu) {
+        gpu_sum += *reading.gpu;
         ++gpu_count;
-        node.last_gpu_utilization = u;
+        node.last_gpu_utilization = *reading.gpu;
       }
-      // Latest RAM figure from the newest timestamped snapshot block.
-      for (std::size_t i = 0; i < host_node->number_of_children(); ++i) {
-        const auto& child = host_node->child_at(i);
-        if (const auto* ram = child.find_child("Available RAM")) {
-          node.available_ram_mib = ram->as_int64();
-        }
-      }
+      node.available_ram_mib =
+          reading.available_ram_mib.value_or(node.available_ram_mib);
     }
     if (count > 0) node.mean_utilization = sum / static_cast<double>(count);
     if (gpu_count > 0) {

@@ -9,12 +9,39 @@
 // demonstrated in examples/adaptive_feedback.cpp.
 #pragma once
 
+#include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "soma/store.hpp"
 
 namespace soma::analysis {
+
+/// One hardware record's leaves for one host, each empty when absent: the
+/// utilizations the hardware monitor attaches to every snapshot and the
+/// newest `Available RAM` among the record's snapshot blocks. `read_host` is
+/// the one reader of these leaf names.
+struct HostReading {
+  std::optional<double> cpu;
+  std::optional<double> gpu;
+  std::optional<std::int64_t> available_ram_mib;
+};
+HostReading read_host(const core::TimedRecord& record, const std::string& host);
+
+/// One point of a host's utilization series (gpu 0 when the record has none).
+struct UtilizationSample {
+  double t = 0.0;  ///< ingest time, seconds
+  double cpu = 0.0;
+  double gpu = 0.0;
+};
+using UtilizationSeries =
+    std::map<std::string, std::vector<UtilizationSample>>;
+
+/// Host -> utilization series of the hardware namespace, in ingest order,
+/// skipping records without a CPU utilization.
+UtilizationSeries utilization_series(const core::StoreView& view);
 
 /// Per-node free-resource estimate derived from the hardware namespace.
 struct FreeResourceReport {

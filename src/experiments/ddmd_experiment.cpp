@@ -122,7 +122,6 @@ DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config,
   check(config.mode != SomaMode::kNone || config.soma_nodes == 0,
         "mode none requires soma_nodes == 0");
   DdmdResult result;
-  result.config = config;
 
   const int total_nodes = 1 + config.app_nodes + config.soma_nodes;
   rp::SessionConfig session_config;
@@ -218,21 +217,7 @@ DdmdResult run_ddmd_experiment(const DdmdExperimentConfig& config,
   if (deployment->deployed()) {
     const core::StoreView store = deployment->service().store_view();
     if (inspect) inspect(store);
-    for (const std::string& host :
-         store.sources(core::Namespace::kHardware)) {
-      auto& series = result.node_utilization[host];
-      for (const auto* record :
-           store.series(core::Namespace::kHardware, host)) {
-        if (const auto* node = record->data.find_child(host)) {
-          const auto* util = node->find_child("cpu_utilization");
-          const auto* gpu = node->find_child("gpu_utilization");
-          if (util != nullptr) {
-            series.emplace_back(record->time.to_seconds(), util->to_float64(),
-                                gpu != nullptr ? gpu->to_float64() : 0.0);
-          }
-        }
-      }
-    }
+    result.node_utilization = analysis::utilization_series(store);
     // Fig. 9: mean utilization of the *application* nodes within each phase
     // of pipeline 0 (stage spans come in groups of four per phase).
     const auto& pipeline0 = app_manager->results().front();

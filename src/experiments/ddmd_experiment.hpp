@@ -11,12 +11,10 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <optional>
-#include <tuple>
 #include <string>
 #include <vector>
 
+#include "analysis/advisor.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "experiments/deployment.hpp"
@@ -66,8 +64,6 @@ struct DdmdExperimentConfig : StackConfig {
 };
 
 struct DdmdResult {
-  DdmdExperimentConfig config;
-
   /// One entry per pipeline: start -> finish (Figs. 10 and 11).
   std::vector<double> pipeline_seconds;
   Summary pipeline_summary;
@@ -83,10 +79,8 @@ struct DdmdResult {
   };
   std::vector<PhaseUtilization> phase_utilization;
 
-  /// Full per-host utilization series (plot backing data):
-  /// host -> [(t, cpu_util, gpu_util)].
-  std::map<std::string, std::vector<std::tuple<double, double, double>>>
-      node_utilization;
+  /// Full per-host utilization series (plot backing data).
+  analysis::UtilizationSeries node_utilization;
 
   /// Advice recorded between phases (Adaptive experiment).
   std::vector<std::string> adaptive_advice;

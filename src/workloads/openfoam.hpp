@@ -28,30 +28,16 @@
 
 namespace soma::workloads {
 
-struct OpenFoamParams {
-  double serial_seconds = 12.0;   ///< non-parallelizable fraction
-  double work_core_seconds = 7200.0;  ///< parallel work W
-  double log_coeff = 3.5;         ///< collective term (seconds * log2(r))
-  double linear_coeff = 0.45;     ///< halo/exchange term (seconds * r)
-
-  double self_contention = 0.50;  ///< slowdown per unit own-rank density
-  double other_contention = 0.18; ///< slowdown per unit other-task density
-  double cross_node_penalty = 0.008;  ///< per additional node spanned
-
-  double noise_sigma = 0.06;      ///< lognormal run-to-run variation
-
-  // Communication fractions (of total time) used for the TAU breakdown.
-  double recv_fraction = 0.32;
-  double waitall_fraction = 0.22;
-  double allreduce_fraction = 0.06;
-};
+/// Contention slowdown per additional node a placement spans.
+inline constexpr double kCrossNodePenalty = 0.008;
 
 class OpenFoamModel final : public rp::ExecutionModel {
  public:
   /// `platform` (optional) enables contention terms that read live node
   /// occupancy at rank_start; pass nullptr for a placement-only model.
+  /// `work_core_seconds` is the parallel work W.
   explicit OpenFoamModel(const cluster::Platform* platform,
-                         OpenFoamParams params = {});
+                         double work_core_seconds = 7200.0);
 
   [[nodiscard]] Duration sample_duration(const rp::TaskDescription& task,
                                          const rp::Placement& placement,
@@ -64,8 +50,6 @@ class OpenFoamModel final : public rp::ExecutionModel {
   /// Contention multiplier (>= 1) for a placement at this instant.
   [[nodiscard]] double contention_multiplier(
       const rp::Placement& placement) const;
-
-  [[nodiscard]] const OpenFoamParams& params() const { return params_; }
 
   /// Per-rank time breakdown for the TAU plugin. Returns, for `rank` of
   /// `ranks` total and a total runtime `total_seconds`, the seconds spent in
@@ -86,11 +70,11 @@ class OpenFoamModel final : public rp::ExecutionModel {
 
  private:
   const cluster::Platform* platform_;
-  OpenFoamParams params_;
+  double work_core_seconds_;
 };
 
 /// Convenience factory returning a shared model for task descriptions.
 std::shared_ptr<const OpenFoamModel> make_openfoam_model(
-    const cluster::Platform* platform, OpenFoamParams params = {});
+    const cluster::Platform* platform, double work_core_seconds = 7200.0);
 
 }  // namespace soma::workloads

@@ -153,6 +153,47 @@ TEST(AdvisorTest, AnalyzeHardwareGpuFields) {
   EXPECT_NEAR(report.mean_gpu_utilization(), 0.7, 1e-12);
 }
 
+TEST(AdvisorTest, ReadHostLeavesAreOptional) {
+  core::TimedRecord record{SimTime::from_seconds(1.0),
+                           hw_record("cn0001", 0.2, 1000)};
+  record.data["cn0001"]["123456790"]["Available RAM"].set(std::int64_t{800});
+  const HostReading reading = read_host(record, "cn0001");
+  EXPECT_EQ(reading.cpu, 0.2);
+  EXPECT_EQ(reading.gpu, std::nullopt);
+  EXPECT_EQ(reading.available_ram_mib, 800);  // the newest snapshot block
+
+  const HostReading absent = read_host(record, "cn0002");
+  EXPECT_EQ(absent.cpu, std::nullopt);
+  EXPECT_EQ(absent.gpu, std::nullopt);
+  EXPECT_EQ(absent.available_ram_mib, std::nullopt);
+}
+
+TEST(AdvisorTest, UtilizationSeriesSkipsRecordsWithoutCpu) {
+  core::DataStore store;
+  store.append(core::Namespace::kHardware, "cn0001",
+               SimTime::from_seconds(1.0), hw_record("cn0001", 0.2, 1000));
+  datamodel::Node gpu_only;
+  gpu_only["cn0001"]["gpu_utilization"].set(0.5);
+  store.append(core::Namespace::kHardware, "cn0001",
+               SimTime::from_seconds(2.0), std::move(gpu_only));
+  datamodel::Node both;
+  both["cn0001"]["cpu_utilization"].set(0.4);
+  both["cn0001"]["gpu_utilization"].set(0.6);
+  store.append(core::Namespace::kHardware, "cn0001",
+               SimTime::from_seconds(3.0), std::move(both));
+
+  const UtilizationSeries series = utilization_series(store.view());
+  ASSERT_EQ(series.size(), 1u);
+  const auto& samples = series.at("cn0001");
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].t, 1.0);
+  EXPECT_EQ(samples[0].cpu, 0.2);
+  EXPECT_EQ(samples[0].gpu, 0.0);  // no GPU leaf
+  EXPECT_EQ(samples[1].t, 3.0);
+  EXPECT_EQ(samples[1].cpu, 0.4);
+  EXPECT_EQ(samples[1].gpu, 0.6);
+}
+
 TEST(AdvisorTest, EmptyStoreReport) {
   core::DataStore store;
   const FreeResourceReport report = analyze_hardware(store.view());

@@ -251,15 +251,6 @@ TEST(OpenFoamExperimentTest, TuningRunProducesAllFigureData) {
   EXPECT_GT(result.makespan_seconds, 0.0);
 }
 
-TEST(OpenFoamExperimentTest, MonitoringOffStillRuns) {
-  OpenFoamExperimentConfig config = OpenFoamExperimentConfig::tuning(7);
-  config.monitoring = false;
-  const OpenFoamResult result = run_openfoam_experiment(config);
-  EXPECT_EQ(result.tasks.size(), 4u);
-  EXPECT_EQ(result.totals.soma_publishes, 0u);
-  EXPECT_TRUE(result.node_utilization.empty());
-}
-
 TEST(OpenFoamExperimentTest, ReducedOverloadSpreadsTasks) {
   OpenFoamExperimentConfig config = OpenFoamExperimentConfig::overloaded(7);
   config.instances_per_config = 5;  // keep the test quick

@@ -79,13 +79,13 @@ TEST(OpenFoamTest, SelfContentionPenalizesPacking) {
 }
 
 TEST(OpenFoamTest, CrossNodePenaltyExists) {
-  OpenFoamParams params;
-  params.self_contention = 0.0;  // isolate the cross-node term
-  OpenFoamModel model(nullptr, params);
-  const double one = model.contention_multiplier(single_node_placement(8));
+  // Two ranks on one node against two ranks on each of four nodes: the
+  // self-density is equal, so only the cross-node term differs.
+  OpenFoamModel model(nullptr);
+  const double one = model.contention_multiplier(single_node_placement(2));
   const double four = model.contention_multiplier(spread_placement(8, 4));
   EXPECT_GT(four, one);
-  EXPECT_NEAR(four - one, params.cross_node_penalty * 3.0, 1e-12);
+  EXPECT_NEAR(four - one, kCrossNodePenalty * 3.0, 1e-12);
 }
 
 TEST(OpenFoamTest, OtherTaskContentionReadsPlatform) {

@@ -1,18 +1,16 @@
 #include "cluster/proc.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
+#include <charconv>
+#include <iterator>
+#include <string>
+#include <string_view>
 
 namespace soma::cluster {
 namespace {
 
-// stat array layout: [user, nice, system, idle, iowait, irq]
-constexpr std::size_t kStatFields = 6;
-
-std::vector<std::int64_t> make_stat(double busy_seconds, double total_seconds,
-                                    double background_seconds, Rng& rng) {
+StatRow make_stat(double busy_seconds, double total_seconds,
+                  double background_seconds, Rng& rng) {
   // Split busy time between user (dominant for HPC codes) and system, with
   // slight per-snapshot jitter so different cores don't look identical.
   const double user_fraction = 0.92 + 0.02 * rng.uniform();
@@ -33,49 +31,44 @@ std::vector<std::int64_t> make_stat(double busy_seconds, double total_seconds,
 
 }  // namespace
 
-datamodel::Node make_proc_snapshot(const ComputeNode& node, SimTime now,
-                                   Rng& rng) {
-  // Every name below is new to its parent, so each level is appended
-  // without a lookup.
-  datamodel::Node snapshot;
-  datamodel::Node& host = snapshot.append_child(node.hostname());
-  datamodel::Node& at = host.append_child(std::to_string(now.nanos()));
+StatRow make_proc_snapshot(datamodel::PackWriter& out, const ComputeNode& node,
+                           SimTime now, Rng& rng) {
+  const int cores = node.usable_cores();
+  out.name(std::to_string(now.nanos()));
+  out.object(4);
 
   const double uptime = now.to_seconds();
-  at.append_child("Uptime").set(static_cast<std::int64_t>(uptime));
-  at.append_child("Num Processes")
-      .set(static_cast<std::int64_t>(kBaselineProcesses +
-                                     node.num_processes()));
-  at.append_child("Available RAM")
-      .set(static_cast<std::int64_t>(node.available_ram_mib()));
+  out.name("Uptime");
+  out.int64(static_cast<std::int64_t>(uptime));
+  out.name("Num Processes");
+  out.int64(static_cast<std::int64_t>(kBaselineProcesses +
+                                      node.num_processes()));
+  out.name("Available RAM");
+  out.int64(static_cast<std::int64_t>(node.available_ram_mib()));
 
-  datamodel::Node& stat = at.append_child("stat");
+  out.name("stat");
+  out.object(static_cast<std::uint32_t>(cores) + 1);
   const double background = uptime * kBackgroundActivity;
-  stat.reserve_children(static_cast<std::size_t>(node.usable_cores()) + 1);
-
   // Aggregate row over all usable cores.
-  stat.append_child("cpu").set(make_stat(node.busy_core_seconds(),
-                                         uptime * node.usable_cores(),
-                                         background * node.usable_cores(),
-                                         rng));
+  const StatRow total = make_stat(node.busy_core_seconds(), uptime * cores,
+                                  background * cores, rng);
+  out.name("cpu");
+  out.int64_array(total);
   // Per-core rows.
-  for (int c = 0; c < node.usable_cores(); ++c) {
-    std::string name = "cpu";
-    name += std::to_string(c);
-    stat.append_child(std::move(name))
-        .set(make_stat(node.core_busy_seconds(static_cast<CoreId>(c)), uptime,
-                       background, rng));
+  char name[16] = "cpu";
+  for (int c = 0; c < cores; ++c) {
+    const char* end = std::to_chars(name + 3, std::end(name), c).ptr;
+    out.name(std::string_view(name, static_cast<std::size_t>(end - name)));
+    out.int64_array(make_stat(node.core_busy_seconds(static_cast<CoreId>(c)),
+                              uptime, background, rng));
   }
-  return snapshot;
+  return total;
 }
 
-double utilization_from_stat(const std::vector<std::int64_t>& before,
-                             const std::vector<std::int64_t>& after) {
-  check(before.size() == kStatFields && after.size() == kStatFields,
-        "utilization_from_stat: malformed stat arrays");
+double utilization_from_stat(const StatRow& before, const StatRow& after) {
   std::int64_t busy_delta = 0;
   std::int64_t total_delta = 0;
-  for (std::size_t i = 0; i < kStatFields; ++i) {
+  for (std::size_t i = 0; i < before.size(); ++i) {
     const std::int64_t delta = after[i] - before[i];
     total_delta += delta;
     if (i != 3) busy_delta += delta;  // index 3 = idle

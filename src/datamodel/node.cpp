@@ -330,41 +330,89 @@ std::string Node::to_json(int indent) const {
   return out.str();
 }
 
-std::byte* Node::pack_into(std::byte* p) const {
+void PackWriter::grow(std::size_t n) {
+  const std::size_t at = size();
+  out_.resize(base_ + std::max(at + n, 2 * at));
+  at_ = out_.data() + base_ + at;
+  end_ = out_.data() + out_.size();
+}
+
+void PackWriter::object(std::uint32_t children) {
+  std::byte* p = room(1 + 4);
+  *p = static_cast<std::byte>(Tag::kObject);
+  bytes::store_u32(p + 1, children);
+}
+
+void PackWriter::name(std::string_view name) {
+  bytes::store_text(room(4 + name.size()), name);
+}
+
+void PackWriter::empty() { *room(1) = static_cast<std::byte>(Tag::kEmpty); }
+
+void PackWriter::int64(std::int64_t value) {
+  std::byte* p = room(1 + 8);
+  *p = static_cast<std::byte>(Tag::kInt64);
+  bytes::store_u64(p + 1, static_cast<std::uint64_t>(value));
+}
+
+void PackWriter::float64(double value) {
+  std::byte* p = room(1 + 8);
+  *p = static_cast<std::byte>(Tag::kFloat64);
+  bytes::store_u64(p + 1, std::bit_cast<std::uint64_t>(value));
+}
+
+void PackWriter::string(std::string_view value) {
+  std::byte* p = room(1 + 4 + value.size());
+  *p = static_cast<std::byte>(Tag::kString);
+  bytes::store_text(p + 1, value);
+}
+
+void PackWriter::int64_array(std::span<const std::int64_t> values) {
+  std::byte* p = room(1 + 4 + values.size_bytes());
+  *p = static_cast<std::byte>(Tag::kInt64Array);
+  bytes::store_words(p + 1, values);
+}
+
+void PackWriter::float64_array(std::span<const double> values) {
+  std::byte* p = room(1 + 4 + values.size_bytes());
+  *p = static_cast<std::byte>(Tag::kFloat64Array);
+  bytes::store_words(p + 1, values);
+}
+
+void PackWriter::packed(std::span<const std::byte> encoding) {
+  if (!encoding.empty()) {
+    std::memcpy(room(encoding.size()), encoding.data(), encoding.size());
+  }
+}
+
+void Node::pack(PackWriter& out) const {
   switch (type()) {
     case Type::kEmpty:
-      *p++ = static_cast<std::byte>(Tag::kEmpty);
+      out.empty();
       break;
     case Type::kObject:
-      *p++ = static_cast<std::byte>(Tag::kObject);
-      p = bytes::store_u32(p, static_cast<std::uint32_t>(number_of_children()));
+      out.object(static_cast<std::uint32_t>(number_of_children()));
       for (const Child& c : children()) {
-        p = bytes::store_text(p, c.name.view());
-        p = c.node.pack_into(p);
+        out.name(c.name.view());
+        c.node.pack(out);
       }
       break;
     case Type::kInt64:
-      *p++ = static_cast<std::byte>(Tag::kInt64);
-      p = bytes::store_u64(p, static_cast<std::uint64_t>(as_int64()));
+      out.int64(as_int64());
       break;
     case Type::kFloat64:
-      *p++ = static_cast<std::byte>(Tag::kFloat64);
-      p = bytes::store_u64(p, std::bit_cast<std::uint64_t>(as_float64()));
+      out.float64(as_float64());
       break;
     case Type::kString:
-      *p++ = static_cast<std::byte>(Tag::kString);
-      p = bytes::store_text(p, as_string());
+      out.string(as_string());
       break;
     case Type::kInt64Array:
-      *p++ = static_cast<std::byte>(Tag::kInt64Array);
-      p = bytes::store_words(p, std::span(as_int64_array()));
+      out.int64_array(as_int64_array());
       break;
     case Type::kFloat64Array:
-      *p++ = static_cast<std::byte>(Tag::kFloat64Array);
-      p = bytes::store_words(p, std::span(as_float64_array()));
+      out.float64_array(as_float64_array());
       break;
   }
-  return p;
 }
 
 void Node::pack(std::vector<std::byte>& out) const {
@@ -372,10 +420,9 @@ void Node::pack(std::vector<std::byte>& out) const {
 }
 
 void Node::pack(std::vector<std::byte>& out, std::size_t size) const {
-  const std::size_t base = out.size();
-  out.resize(base + size);
-  std::byte* end = pack_into(out.data() + base);
-  check(end == out.data() + base + size,
+  PackWriter writer(out, size);
+  pack(writer);
+  check(writer.size() == size,
         "Node::pack: packed_size out of sync with encoder");
 }
 

@@ -13,7 +13,10 @@
 //   * path access ("RP/task.000000/1698435412.606"),
 //   * deep merge (`update`), equality, JSON rendering, and a compact binary
 //     wire format used by the RPC transport, written and read through the
-//     byte codec of common/bytes.hpp that every binary format shares.
+//     byte codec of common/bytes.hpp that every binary format shares. One
+//     writer, `PackWriter`, writes that format: Node::pack writes through
+//     it, and so do producers that write a record without building its tree
+//     (the publish envelope, the hardware monitor's /proc snapshot).
 #pragma once
 
 #include <cstddef>
@@ -40,6 +43,62 @@ enum class PackTag : std::uint8_t {
   kString = 4,
   kInt64Array = 5,
   kFloat64Array = 6,
+};
+
+/// The one writer of the pack() format. Each call appends one piece of an
+/// encoding to a byte vector: an object's head (tag and child count), a
+/// child's name, or a leaf (tag and value). Calls in pack()'s order, an
+/// object's head followed by that many name-value pairs, write exactly the
+/// bytes pack() writes for the tree they describe; the writer does not check
+/// that order. `out` grows as needed and is trimmed to the bytes written
+/// when the writer is destroyed.
+class PackWriter {
+ public:
+  /// Appends to `out` behind its current bytes; `size_hint` bytes of room
+  /// are made up front, so a caller that knows the size writes without
+  /// growing.
+  explicit PackWriter(std::vector<std::byte>& out, std::size_t size_hint = 0)
+      : out_(out), base_(out.size()) {
+    out_.resize(base_ + size_hint);
+    at_ = out_.data() + base_;
+    end_ = out_.data() + out_.size();
+  }
+  PackWriter(const PackWriter&) = delete;
+  PackWriter& operator=(const PackWriter&) = delete;
+  ~PackWriter() { out_.resize(base_ + size()); }
+
+  /// An object's head; `children` name-value pairs follow.
+  void object(std::uint32_t children);
+  /// A child's name; its value follows.
+  void name(std::string_view name);
+  void empty();
+  void int64(std::int64_t value);
+  void float64(double value);
+  void string(std::string_view value);
+  void int64_array(std::span<const std::int64_t> values);
+  void float64_array(std::span<const double> values);
+  /// A value already in pack() encoding, copied verbatim.
+  void packed(std::span<const std::byte> encoding);
+
+  /// Bytes written so far.
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(at_ - (out_.data() + base_));
+  }
+
+ private:
+  /// Room for the next `n` bytes, which the caller fills.
+  std::byte* room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - at_) < n) grow(n);
+    std::byte* p = at_;
+    at_ += n;
+    return p;
+  }
+  void grow(std::size_t n);
+
+  std::vector<std::byte>& out_;
+  std::size_t base_;
+  std::byte* at_;   // next byte to write
+  std::byte* end_;  // end of out_'s current size
 };
 
 class Node {
@@ -156,6 +215,8 @@ class Node {
 
   /// Compact binary wire format (tag/length/value). Appends to `out`.
   void pack(std::vector<std::byte>& out) const;
+  /// Write this subtree's pack() encoding through `out`.
+  void pack(PackWriter& out) const;
   /// pack() for a caller that has already walked packed_size() (to size a
   /// frame around the body): `size` must equal packed_size().
   void pack(std::vector<std::byte>& out, std::size_t size) const;
@@ -250,9 +311,6 @@ class Node {
   /// The children, after discarding any leaf value.
   Children& make_object();
 
-  /// Write this subtree's pack() encoding at `p` (which must have
-  /// packed_size() bytes of room); returns one past the last byte written.
-  std::byte* pack_into(std::byte* p) const;
   /// Decode one encoded subtree at `offset` into the empty `node`.
   static void unpack_into(Node& node, std::span<const std::byte> buffer,
                           std::size_t& offset, std::size_t depth);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cluster/platform.hpp"
+#include "cluster/proc.hpp"
 #include "common/rng.hpp"
 #include "sim/simulation.hpp"
 #include "soma/client.hpp"
@@ -63,7 +64,7 @@ class HwMonitor {
   HwMonitorConfig config_;
   std::unique_ptr<sim::PeriodicTask> periodic_;
   std::uint64_t ticks_ = 0;
-  std::vector<std::int64_t> last_cpu_stat_;
+  cluster::StatRow last_cpu_stat_{};  ///< zeros until the first tick
   SimTime last_tick_;
   double last_gpu_busy_seconds_ = 0.0;
   std::vector<Sample> samples_;

@@ -91,11 +91,10 @@ constexpr std::size_t kInt64ValueBytes = 1 + 8;
 /// A batch record's dictionary index, publish time and payload length.
 constexpr std::size_t kRecordHeadBytes = 4 + 8 + 4;
 
-std::byte* put_string_field(std::byte* p, std::string_view name,
-                            std::string_view value) {
-  p = bytes::store_text(p, name);
-  *p++ = static_cast<std::byte>(PackTag::kString);
-  return bytes::store_text(p, value);
+void put_string_field(datamodel::PackWriter& out, std::string_view name,
+                      std::string_view value) {
+  out.name(name);
+  out.string(value);
 }
 
 }  // namespace
@@ -110,27 +109,34 @@ std::size_t publish_body_size(std::string_view ns, std::string_view source,
   return size;
 }
 
+Record::Record(const datamodel::Node& tree)
+    : tree_(&tree), size_(tree.packed_size()) {}
+
+Record::Record(std::span<const std::byte> packed)
+    : packed_(packed), size_(packed.size()) {}
+
+void Record::pack(datamodel::PackWriter& out) const {
+  if (tree_ != nullptr) {
+    tree_->pack(out);
+  } else {
+    out.packed(packed_);
+  }
+}
+
 void encode_publish_body(std::vector<std::byte>& out, std::string_view ns,
-                         std::string_view source, const datamodel::Node& data,
-                         std::size_t data_size,
+                         std::string_view source, const Record& data,
                          std::optional<std::int64_t> t) {
-  // Everything up to the record's name (a body with an empty-sized record
-  // and no time), then the record packed in place, then the optional time.
-  std::size_t at = out.size();
-  out.resize(at + publish_body_size(ns, source, 0, false));
-  std::byte* p = out.data() + at;
-  *p++ = static_cast<std::byte>(PackTag::kObject);
-  p = bytes::store_u32(p, t ? 4 : 3);
-  p = put_string_field(p, kNsField, ns);
-  p = put_string_field(p, kSourceField, source);
-  bytes::store_text(p, kDataField);
-  data.pack(out, data_size);
-  if (!t) return;
-  at = out.size();
-  out.resize(at + field_size(kTimeField, kInt64ValueBytes));
-  p = bytes::store_text(out.data() + at, kTimeField);
-  *p = static_cast<std::byte>(PackTag::kInt64);
-  bytes::store_u64(p + 1, static_cast<std::uint64_t>(*t));
+  datamodel::PackWriter body(
+      out, publish_body_size(ns, source, data.packed_size(), t.has_value()));
+  body.object(t ? 4 : 3);
+  put_string_field(body, kNsField, ns);
+  put_string_field(body, kSourceField, source);
+  body.name(kDataField);
+  data.pack(body);
+  if (t) {
+    body.name(kTimeField);
+    body.int64(*t);
+  }
 }
 
 PublishBodyView decode_publish_body(std::span<const std::byte> body) {
@@ -214,19 +220,10 @@ void BatchBodyWriter::append_record_head(const std::string& source,
 }
 
 std::size_t BatchBodyWriter::add(const std::string& source,
-                                 std::int64_t t_nanos,
-                                 const datamodel::Node& data) {
-  const std::size_t size = data.packed_size();
-  append_record_head(source, t_nanos, size);
-  data.pack(records_, size);
-  return ++count_;
-}
-
-std::size_t BatchBodyWriter::add_packed(const std::string& source,
-                                        std::int64_t t_nanos,
-                                        std::span<const std::byte> payload) {
-  append_record_head(source, t_nanos, payload.size());
-  records_.insert(records_.end(), payload.begin(), payload.end());
+                                 std::int64_t t_nanos, const Record& data) {
+  append_record_head(source, t_nanos, data.packed_size());
+  datamodel::PackWriter payload(records_, data.packed_size());
+  data.pack(payload);
   return ++count_;
 }
 

@@ -26,9 +26,11 @@
 // that are written and read without a tree: the single-record soma.publish
 // body (the exact Node::pack encoding of {ns, source, data[, t]}, encoded
 // field by field and read in place, decoding only the record) and the
-// soma.publish_batch body, which replication frames reuse. All of them store
-// and read their integers and strings through common/bytes.hpp, the byte
-// codec Node::pack uses too.
+// soma.publish_batch body, which replication frames reuse. The publish body
+// is written through datamodel::PackWriter, the writer Node::pack uses, and
+// a record is either a tree packed in place or bytes a producer already
+// packed (`Record`). All of them store and read their integers and strings
+// through common/bytes.hpp.
 #pragma once
 
 #include <cstddef>
@@ -114,11 +116,31 @@ void set_request_attempt(std::vector<std::byte>& frame, std::uint8_t attempt);
                                             std::size_t data_size,
                                             bool replay);
 
-/// Append a publish body to `out` (behind an already-written header).
-/// `data_size` must equal data.packed_size(); `t` is set on a replay.
+/// A record as its publisher hands it over: a tree, packed in place where
+/// the publish or batch body is written, or the pack() bytes of one, copied
+/// verbatim. Views its argument, which must outlive it.
+class Record {
+ public:
+  // Implicit, so a call site passes the tree or the bytes as they are.
+  Record(const datamodel::Node& tree);
+  Record(std::span<const std::byte> packed);
+
+  /// Size of the record's pack() encoding.
+  [[nodiscard]] std::size_t packed_size() const { return size_; }
+  /// Write the record's pack() encoding through `out`.
+  void pack(datamodel::PackWriter& out) const;
+
+ private:
+  const datamodel::Node* tree_ = nullptr;  ///< null for a packed record
+  std::span<const std::byte> packed_;
+  std::size_t size_;
+};
+
+/// Append a publish body to `out` (behind an already-written header); `t`
+/// is set on a replay.
 void encode_publish_body(std::vector<std::byte>& out, std::string_view ns,
-                         std::string_view source, const datamodel::Node& data,
-                         std::size_t data_size, std::optional<std::int64_t> t);
+                         std::string_view source, const Record& data,
+                         std::optional<std::int64_t> t);
 
 /// Decoded publish body; the views are valid as long as the frame's storage
 /// is (`data_bytes` views static storage when the body has no "data").
@@ -164,13 +186,9 @@ class BatchBodyWriter {
  public:
   explicit BatchBodyWriter(std::string ns);
 
-  /// Pack one record. Returns the record count after the add.
+  /// Add one record. Returns the record count after the add.
   std::size_t add(const std::string& source, std::int64_t t_nanos,
-                  const datamodel::Node& data);
-  /// Add one record whose Node::pack encoding is `payload`, copied
-  /// verbatim. Returns the record count after the add.
-  std::size_t add_packed(const std::string& source, std::int64_t t_nanos,
-                         std::span<const std::byte> payload);
+                  const Record& data);
 
   [[nodiscard]] std::size_t record_count() const { return count_; }
   /// Exact size of the encoded body in bytes.

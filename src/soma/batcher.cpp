@@ -26,7 +26,7 @@ PublishBatcher::~PublishBatcher() {
 }
 
 void PublishBatcher::add(std::size_t rank_index, const std::string& source,
-                         const datamodel::Node& data, SimTime published_at,
+                         const net::wire::Record& data, SimTime published_at,
                          std::function<void()> on_ack) {
   check(rank_index < ranks_.size(), "batcher rank index out of range");
   PerRank& rank = ranks_[rank_index];

@@ -14,8 +14,8 @@
 // The batcher is policy-free about delivery: the owner (SomaClient) supplies
 // the flush function. The packed body is the only copy of a batch's records;
 // when a batch fails, the RPC engine hands its kept body back and the owner
-// decodes each record, with its original timestamp, from it. A batch keeps
-// only what the body cannot carry: each record's ack callback.
+// copies each record's bytes, with its original timestamp, out of it. A
+// batch keeps only what the body cannot carry: each record's ack callback.
 #pragma once
 
 #include <cstdint>
@@ -72,11 +72,11 @@ class PublishBatcher {
   PublishBatcher(const PublishBatcher&) = delete;
   PublishBatcher& operator=(const PublishBatcher&) = delete;
 
-  /// Buffer one record for `rank_index`. `data` is packed into the wire body
-  /// immediately and not kept. May flush synchronously when a size/byte
+  /// Buffer one record for `rank_index`. `data` is written into the wire
+  /// body immediately and not kept. May flush synchronously when a size/byte
   /// trigger fires.
   void add(std::size_t rank_index, const std::string& source,
-           const datamodel::Node& data, SimTime published_at,
+           const net::wire::Record& data, SimTime published_at,
            std::function<void()> on_ack);
 
   /// Flush `rank_index`'s open batch now (no-op when empty).

@@ -66,6 +66,18 @@ void SomaClient::set_rank_down(std::size_t rank_index, bool down) {
 
 void SomaClient::publish(const std::string& source, datamodel::Node data,
                          std::function<void()> on_ack) {
+  publish_record(source, data, std::move(on_ack));
+}
+
+void SomaClient::publish_packed(const std::string& source,
+                                std::span<const std::byte> data,
+                                std::function<void()> on_ack) {
+  publish_record(source, data, std::move(on_ack));
+}
+
+void SomaClient::publish_record(const std::string& source,
+                                const net::wire::Record& data,
+                                std::function<void()> on_ack) {
   ++stats_.published;
   const SimTime now = network_.simulation().now();
   if (reliability_.degradation_enabled()) {
@@ -73,13 +85,18 @@ void SomaClient::publish(const std::string& source, datamodel::Node data,
     // parked: replay order must not let a fresh publish overtake a buffered
     // one from the same source.
     if (!buffer_.empty() || rank_down_[rank_index_for(source)]) {
-      enqueue_buffered(Buffered{source, std::move(data), now,
+      std::vector<std::byte> bytes;
+      {
+        datamodel::PackWriter out(bytes, data.packed_size());
+        data.pack(out);
+      }
+      enqueue_buffered(Buffered{source, std::move(bytes), now,
                                 std::move(on_ack)});
       return;
     }
   }
   if (batcher_) {
-    // Coalesce: the record is packed into its rank's open batch.
+    // Coalesce: the record is written into its rank's open batch.
     batcher_->add(rank_index_for(source), source, data, now,
                   std::move(on_ack));
     return;
@@ -92,7 +109,7 @@ void SomaClient::flush_batches() {
 }
 
 void SomaClient::send_publish(const std::string& source,
-                              const datamodel::Node& data,
+                              const net::wire::Record& data,
                               SimTime published_at,
                               std::function<void()> on_ack, bool replay,
                               bool from_batch) {
@@ -103,15 +120,14 @@ void SomaClient::send_publish(const std::string& source,
   // time so the service stores them under the timestamp the data was
   // produced at.
   const std::string_view ns = to_string(ns_);
-  const std::size_t data_size = data.packed_size();
   std::optional<std::int64_t> t;
   if (replay) t = published_at.nanos();
   const auto encode = [&](std::vector<std::byte>& frame) {
-    net::wire::encode_publish_body(frame, ns, source, data, data_size, t);
+    net::wire::encode_publish_body(frame, ns, source, data, t);
   };
 
   // The ack's body is never read. A failed record (only a client with a
-  // retry policy has failures) is decoded from the request body the engine
+  // retry policy has failures) is copied out of the request body the engine
   // kept for retransmission.
   const SimTime sent_at = network_.simulation().now();
   auto on_done = [this, idx, sent_at, published_at, from_batch,
@@ -122,15 +138,17 @@ void SomaClient::send_publish(const std::string& source,
       if (on_ack) on_ack();
       return;
     }
-    net::wire::PublishBodyView failed =
+    const net::wire::PublishBodyView failed =
         net::wire::decode_publish_body(result.body);
-    on_publish_failure(idx, Buffered{std::string(failed.source),
-                                     std::move(failed.data), published_at,
-                                     std::move(on_ack), from_batch});
+    on_publish_failure(
+        idx, Buffered{std::string(failed.source),
+                      {failed.data_bytes.begin(), failed.data_bytes.end()},
+                      published_at, std::move(on_ack), from_batch});
   };
-  engine_->call_raw(instance_ranks_[idx], "soma.publish",
-                    net::wire::publish_body_size(ns, source, data_size, replay),
-                    encode, std::move(on_done), reliability_.retry);
+  engine_->call_raw(
+      instance_ranks_[idx], "soma.publish",
+      net::wire::publish_body_size(ns, source, data.packed_size(), replay),
+      encode, std::move(on_done), reliability_.retry);
 }
 
 void SomaClient::record_acks(SimTime sent_at, std::size_t count) {
@@ -159,7 +177,7 @@ void SomaClient::send_batch(std::size_t rank_index,
       return;
     }
     // A failed batch degrades to the single-record reliability path: every
-    // record, decoded from the body the engine kept, re-buffers (or is
+    // record, copied out of the body the engine kept, re-buffers (or is
     // counted failed) with its original publish timestamp, so replay is
     // indistinguishable from a failed record-at-a-time run.
     const net::wire::BatchView failed =
@@ -169,7 +187,7 @@ void SomaClient::send_batch(std::size_t rank_index,
       on_publish_failure(
           rank_index,
           Buffered{std::string(record.source),
-                   datamodel::Node::unpack(record.payload),
+                   {record.payload.begin(), record.payload.end()},
                    SimTime(record.t_nanos), std::move(on_acks[i]),
                    /*from_batch=*/true});
     }
@@ -225,7 +243,8 @@ void SomaClient::flush_buffer() {
                    });
   for (Buffered& record : ready) {
     ++stats_.replayed;
-    send_publish(record.source, record.data, record.published_at,
+    send_publish(record.source, std::span<const std::byte>(record.data),
+                 record.published_at,
                  std::move(record.on_ack), /*replay=*/true,
                  record.from_batch);
   }

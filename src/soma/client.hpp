@@ -16,7 +16,9 @@
 // answers again. Each publish, batch or ping call has one engine
 // completion, and an ack's body is never read. The client keeps no copy of
 // a record it sends: the engine keeps the frame for retransmission and hands
-// a failed call's request body to the completion, which decodes the records.
+// a failed call's request body to the completion, which copies each record's
+// packed bytes out of it; a buffered record is bytes, and a replay sends
+// them as they are.
 // A source's records never leave its home rank, so each source's series
 // lives in one shard. The default config takes none of these paths, so
 // fault-free runs are byte-identical to the pre-reliability client.
@@ -26,12 +28,14 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "datamodel/node.hpp"
 #include "net/rpc.hpp"
+#include "net/wire.hpp"
 #include "sim/simulation.hpp"
 #include "soma/batcher.hpp"
 #include "soma/namespaces.hpp"
@@ -110,9 +114,15 @@ class SomaClient {
   [[nodiscard]] std::size_t buffered_pending() const { return buffer_.size(); }
 
   /// Publish `data` under `source` (hostname, task uid, ...). `on_ack`
-  /// (optional) fires when the service acknowledges.
+  /// (optional) fires when the service acknowledges. The tree is packed
+  /// straight into the frame or the batch body.
   void publish(const std::string& source, datamodel::Node data,
                std::function<void()> on_ack = nullptr);
+  /// publish() of a record its producer already wrote in pack() encoding
+  /// (datamodel::PackWriter). The bytes are copied; the caller keeps them.
+  void publish_packed(const std::string& source,
+                      std::span<const std::byte> data,
+                      std::function<void()> on_ack = nullptr);
 
   /// Ship any coalesced-but-unflushed batches now. No-op when batching is
   /// off; owners call this on shutdown so the tail of a run is not lost.
@@ -127,7 +137,7 @@ class SomaClient {
   /// One publish parked while its collector is down.
   struct Buffered {
     std::string source;
-    datamodel::Node data;
+    std::vector<std::byte> data;  ///< the record's pack() encoding
     SimTime published_at;
     std::function<void()> on_ack;
     bool from_batch = false;  ///< arrived via a failed batch
@@ -136,7 +146,10 @@ class SomaClient {
   /// The source's home rank: every publish from `source` ships there.
   [[nodiscard]] std::size_t rank_index_for(const std::string& source) const;
 
-  void send_publish(const std::string& source, const datamodel::Node& data,
+  /// The one publish path, for a tree or packed bytes.
+  void publish_record(const std::string& source, const net::wire::Record& data,
+                      std::function<void()> on_ack);
+  void send_publish(const std::string& source, const net::wire::Record& data,
                     SimTime published_at, std::function<void()> on_ack,
                     bool replay, bool from_batch = false);
   void send_batch(std::size_t rank_index, PublishBatcher::Batch batch);

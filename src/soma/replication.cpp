@@ -204,7 +204,8 @@ void ReplicationManager::ship(std::size_t owner, std::size_t link) {
   net::wire::BatchBodyWriter writer{std::string(to_string(rank.ns))};
   for (std::size_t i = base; i < end; ++i) {
     const LogEntry& entry = entries[i];
-    writer.add_packed(entry.source, entry.time.nanos(), entry.packed);
+    writer.add(entry.source, entry.time.nanos(),
+               net::wire::Record(entry.packed));
   }
 
   window.in_flight = true;

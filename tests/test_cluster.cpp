@@ -9,6 +9,7 @@
 #include "cluster/proc.hpp"
 #include "common/error.hpp"
 #include "sim/simulation.hpp"
+#include "test_proc.hpp"
 
 namespace soma::cluster {
 namespace {
@@ -151,8 +152,8 @@ TEST_F(ClusterTest, ProcSnapshotShape) {
   auto& node = platform.node(0);
   node.process_started();
   Rng rng(1);
-  const datamodel::Node snapshot =
-      make_proc_snapshot(node, SimTime::from_seconds(100.0), rng);
+  const datamodel::Node snapshot = datamodel::Node::unpack(
+      testutil::packed_proc_snapshot(node, SimTime::from_seconds(100.0), rng));
 
   ASSERT_TRUE(snapshot.has_child("cn0000"));
   const auto& host = snapshot.fetch_existing("cn0000");
@@ -178,57 +179,20 @@ TEST_F(ClusterTest, ProcJiffiesReflectOccupancy) {
   simulation.schedule(Duration::seconds(100.0), [] {});
   simulation.run();
 
-  const datamodel::Node before = make_proc_snapshot(
-      node, SimTime::zero(), rng);  // boot-time zeros equivalent
-  const datamodel::Node after =
-      make_proc_snapshot(node, simulation.now(), rng);
+  const datamodel::Node after = datamodel::Node::unpack(
+      testutil::packed_proc_snapshot(node, simulation.now(), rng));
   const auto& cpu =
       after.fetch_existing("cn0000").child_at(0).fetch_existing("stat/cpu");
-  (void)before;
-  const double utilization = utilization_from_stat(
-      std::vector<std::int64_t>(6, 0), cpu.as_int64_array());
-  EXPECT_NEAR(utilization, 0.5, 0.03);
+  ASSERT_EQ(cpu.as_int64_array().size(), 6u);
+  StatRow row{};
+  std::ranges::copy(cpu.as_int64_array(), row.begin());
+  // Against boot-time zeros.
+  EXPECT_NEAR(utilization_from_stat(StatRow{}, row), 0.5, 0.03);
 }
 
-// The snapshot layout as built by name lookups, one child() per key: the
-// reference make_proc_snapshot's appends must pack identically to.
-datamodel::Node lookup_built_snapshot(const ComputeNode& node, SimTime now,
-                                      Rng& rng) {
-  auto stat_row = [&](double busy, double total, double background) {
-    const double user = busy * (0.92 + 0.02 * rng.uniform());
-    auto jiffies = [&](double seconds) {
-      return static_cast<std::int64_t>(seconds * kJiffiesPerSecond);
-    };
-    return std::vector<std::int64_t>{
-        jiffies(user),
-        jiffies(0.0),
-        jiffies(busy - user + background * 0.5),
-        jiffies(std::max(0.0, total - busy - background)),
-        jiffies(background * 0.4),
-        jiffies(background * 0.1)};
-  };
-  datamodel::Node snapshot;
-  datamodel::Node& at =
-      snapshot[node.hostname()][std::to_string(now.nanos())];
-  const double uptime = now.to_seconds();
-  at["Uptime"].set(static_cast<std::int64_t>(uptime));
-  at["Num Processes"].set(static_cast<std::int64_t>(
-      kBaselineProcesses + node.num_processes()));
-  at["Available RAM"].set(static_cast<std::int64_t>(node.available_ram_mib()));
-  datamodel::Node& stat = at["stat"];
-  const double background = uptime * kBackgroundActivity;
-  stat["cpu"].set(stat_row(node.busy_core_seconds(),
-                           uptime * node.usable_cores(),
-                           background * node.usable_cores()));
-  for (int c = 0; c < node.usable_cores(); ++c) {
-    std::string name = "cpu";
-    name += std::to_string(c);
-    stat[name].set(stat_row(node.core_busy_seconds(static_cast<CoreId>(c)),
-                            uptime, background));
-  }
-  return snapshot;
-}
-
+// The written bytes pack like the lookup-built reference tree, over many
+// seeds, at boot (t = 0) and later, with busy and idle cores, and the
+// returned row is the reference's aggregate `cpu` row.
 TEST_F(ClusterTest, ProcSnapshotPacksLikeLookupBuiltOne) {
   Platform platform(simulation, summit(1));
   auto& node = platform.node(0);
@@ -239,23 +203,43 @@ TEST_F(ClusterTest, ProcSnapshotPacksLikeLookupBuiltOne) {
   node.claim_ram(2048.0);
   simulation.schedule(Duration::seconds(37.5), [] {});
   simulation.run();
+  ASSERT_GT(node.core_busy_seconds(0), 0.0);   // busy core
+  ASSERT_EQ(node.core_busy_seconds(41), 0.0);  // idle core
 
   for (const SimTime now : {SimTime::zero(), simulation.now()}) {
-    Rng appended_rng(7);
-    Rng looked_up_rng(7);
-    EXPECT_EQ(make_proc_snapshot(node, now, appended_rng).pack(),
-              lookup_built_snapshot(node, now, looked_up_rng).pack());
+    for (std::uint64_t seed = 0; seed < 128; ++seed) {
+      Rng written_rng(seed);
+      Rng looked_up_rng(seed);
+      std::vector<std::byte> bytes;
+      StatRow total{};
+      {
+        datamodel::PackWriter out(bytes);
+        out.object(1);
+        out.name(node.hostname());
+        out.object(1);
+        total = make_proc_snapshot(out, node, now, written_rng);
+      }
+      const datamodel::Node reference =
+          testutil::lookup_built_snapshot(node, now, looked_up_rng);
+      ASSERT_EQ(bytes, reference.pack()) << "seed " << seed;
+      const auto& cpu = reference.fetch_existing("cn0000")
+                            .child_at(0)
+                            .fetch_existing("stat/cpu")
+                            .as_int64_array();
+      EXPECT_TRUE(std::ranges::equal(total, cpu)) << "seed " << seed;
+      // Both drew the same number of values.
+      EXPECT_EQ(written_rng.next_u64(), looked_up_rng.next_u64());
+    }
   }
 }
 
 TEST_F(ClusterTest, UtilizationFromStatDiffs) {
   // busy delta 30, idle delta 70 -> 30%.
-  const std::vector<std::int64_t> before{100, 0, 50, 1000, 10, 5};
-  const std::vector<std::int64_t> after{120, 0, 55, 1070, 13, 7};
+  const StatRow before{100, 0, 50, 1000, 10, 5};
+  const StatRow after{120, 0, 55, 1070, 13, 7};
   EXPECT_NEAR(utilization_from_stat(before, after), 0.30, 1e-12);
   // No elapsed time -> 0.
   EXPECT_DOUBLE_EQ(utilization_from_stat(before, before), 0.0);
-  EXPECT_THROW(utilization_from_stat({1, 2}, {3, 4}), InternalError);
 }
 
 }  // namespace

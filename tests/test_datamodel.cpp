@@ -21,6 +21,7 @@
 #include "datamodel/node.hpp"
 #include "sim/simulation.hpp"
 #include "test_names.hpp"
+#include "test_proc.hpp"
 
 // Every heap allocation of this binary goes through these replacements, which
 // keep the requested size in a header so that NodeMemoryTest can count live
@@ -890,6 +891,125 @@ TEST(NodeTextTest, RepeatedHeapHeldNameKeepsFirstPositionWithLastValue) {
   EXPECT_EQ(node.child_at(1).as_int64(), 2);
 }
 
+// ---------- PackWriter: the one writer of the pack() format ----------
+
+/// The bytes `write` puts through a writer over an empty vector.
+template <typename Write>
+std::vector<std::byte> written(Write write, std::size_t size_hint = 0) {
+  std::vector<std::byte> out;
+  {
+    PackWriter writer(out, size_hint);
+    write(writer);
+  }
+  return out;
+}
+
+TEST(PackWriterTest, WritesWhatPackWritesForEveryTag) {
+  // The tree of NodeSerdeTest.PackOfEveryTagIsPinnedByteForByte.
+  Node root;
+  root["e"];
+  root["o"]["x"].set(std::int64_t{-2});
+  root["eo"].reserve_children(1);  // an object with no children
+  root["i"].set(std::int64_t{0x0102030405060708});
+  root["f"].set(1.5);
+  root["s"].set("ab");
+  root["I"].set(std::vector<std::int64_t>{1, -1});
+  root["F"].set(std::vector<double>{-0.5});
+  root["I0"].set(std::vector<std::int64_t>{});
+  root["F0"].set(std::vector<double>{});
+
+  const std::vector<std::int64_t> ints{1, -1};
+  const std::vector<double> floats{-0.5};
+  const auto write = [&](PackWriter& out) {
+    out.object(10);
+    out.name("e");
+    out.empty();
+    out.name("o");
+    out.object(1);
+    out.name("x");
+    out.int64(-2);
+    // pack() writes an object with no children as empty.
+    out.name("eo");
+    out.empty();
+    out.name("i");
+    out.int64(0x0102030405060708);
+    out.name("f");
+    out.float64(1.5);
+    out.name("s");
+    out.string("ab");
+    out.name("I");
+    out.int64_array(ints);
+    out.name("F");
+    out.float64_array(floats);
+    out.name("I0");
+    out.int64_array({});
+    out.name("F0");
+    out.float64_array({});
+  };
+  EXPECT_EQ(written(write), root.pack());
+  EXPECT_EQ(written(write, root.packed_size()), root.pack());
+  // Through the writer, Node::pack writes the same bytes.
+  EXPECT_EQ(written([&](PackWriter& out) { root.pack(out); }), root.pack());
+}
+
+TEST(PackWriterTest, EmptyObjectAndEmptyNode) {
+  Node empty;
+  EXPECT_EQ(written([](PackWriter& out) { out.empty(); }), empty.pack());
+  Node no_children;
+  no_children.reserve_children(4);
+  EXPECT_EQ(written([](PackWriter& out) { out.empty(); }),
+            no_children.pack());
+  // An object head with no children is an object on the wire; it reads
+  // back as the empty tree.
+  const std::vector<std::byte> head =
+      written([](PackWriter& out) { out.object(0); });
+  EXPECT_EQ(head.size(), 5u);
+  EXPECT_EQ(Node::unpack(head), empty);
+}
+
+TEST(PackWriterTest, NamesAndStringsOfEveryLength) {
+  // Inline and heap-held text, NUL bytes included, as names and leaves.
+  for (const std::string& text : text_cases()) {
+    Node node;
+    node[text].set(text);
+    node["n"][text];
+    const auto write = [&](PackWriter& out) {
+      out.object(2);
+      out.name(text);
+      out.string(text);
+      out.name("n");
+      out.object(1);
+      out.name(text);
+      out.empty();
+    };
+    EXPECT_EQ(written(write), node.pack()) << text.size();
+  }
+}
+
+TEST(PackWriterTest, AppendsBehindExistingBytesAndCopiesPackedValues) {
+  Node record;
+  record["a"].set(std::int64_t{1});
+  record["b"]["c"].set("long enough to live on the heap");
+  const std::vector<std::byte> packed = record.pack();
+
+  std::vector<std::byte> out{std::byte{0xaa}, std::byte{0xbb}};
+  {
+    PackWriter writer(out);
+    writer.object(1);
+    writer.name("r");
+    writer.packed(packed);
+    EXPECT_EQ(writer.size(), 5 + 5 + packed.size());
+  }
+  Node envelope;
+  envelope["r"] = record;
+  std::vector<std::byte> expected{std::byte{0xaa}, std::byte{0xbb}};
+  envelope.pack(expected);
+  EXPECT_EQ(out, expected);  // grown from no room and trimmed to fit
+
+  // A generous hint is trimmed away too.
+  EXPECT_EQ(written([&](PackWriter& w) { w.packed(packed); }, 4096), packed);
+}
+
 // ---------- property test: random trees round-trip ----------
 
 Node random_tree(Rng& rng, int depth) {
@@ -991,10 +1111,8 @@ TEST(NodeMemoryTest, UnpackedProcSnapshotStaysWithinOnePointSevenTimesPacked) {
   sim::Simulation simulation;
   cluster::Platform platform(simulation, cluster::summit(1));
   Rng rng(1);
-  const std::vector<std::byte> packed =
-      cluster::make_proc_snapshot(platform.node(0), SimTime::from_seconds(100),
-                                  rng)
-          .pack();
+  const std::vector<std::byte> packed = testutil::packed_proc_snapshot(
+      platform.node(0), SimTime::from_seconds(100), rng);
 
   const std::size_t before = heap_live_bytes;
   const Node snapshot = Node::unpack(packed);

@@ -38,6 +38,7 @@
 #include "soma/service.hpp"
 #include "soma/store.hpp"
 #include "test_names.hpp"
+#include "test_proc.hpp"
 
 namespace soma {
 namespace {
@@ -107,8 +108,8 @@ Node proc_snapshot() {
   sim::Simulation simulation;
   cluster::Platform platform(simulation, cluster::summit(1));
   Rng rng(1);
-  return cluster::make_proc_snapshot(platform.node(0),
-                                     SimTime::from_seconds(100), rng);
+  return Node::unpack(testutil::packed_proc_snapshot(
+      platform.node(0), SimTime::from_seconds(100), rng));
 }
 
 const auto unpack_node = [](Input input) { (void)Node::unpack(input); };

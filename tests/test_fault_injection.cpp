@@ -29,6 +29,7 @@
 #include "soma/service.hpp"
 #include "soma/storage_backend.hpp"
 #include "soma/store.hpp"
+#include "test_names.hpp"
 
 namespace soma {
 namespace {
@@ -742,6 +743,79 @@ TEST(FaultReplayTest, RetryOnlyClientDoesNotStayDegraded) {
   EXPECT_EQ(service.store_view().total_records(), 1u);
   EXPECT_FALSE(client.degraded());
 }
+
+// A record published packed is buffered as the bytes first sent. Across a
+// collector outage, one record per call or four per batch, every stored
+// record packs to exactly the bytes its producer wrote, although the
+// producer overwrote its buffer as soon as each publish returned.
+class FaultPackedReplayTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FaultPackedReplayTest, FailedPackedPublishReplaysTheBytesFirstSent) {
+  sim::Simulation simulation;
+  net::Network network{simulation, net::NetworkConfig{}};
+  ServiceConfig service_config;
+  service_config.namespaces = {Namespace::kHardware};
+  SomaService service(network, {0}, service_config);
+  const auto& ranks = service.instance(Namespace::kHardware).ranks;
+  net::FaultInjector& injector = network.install_faults(net::FaultConfig{});
+  injector.crash_endpoint(ranks[0], SimTime::from_seconds(10.0),
+                          SimTime::from_seconds(25.0));
+
+  ClientReliability reliability;
+  reliability.retry.max_attempts = 2;
+  reliability.retry.timeout = Duration::milliseconds(50);
+  reliability.buffer_on_failure = true;
+  reliability.probe_period = Duration::seconds(1);
+  core::BatchingConfig batching;
+  batching.max_records = GetParam();
+  batching.max_delay = Duration::seconds(10);
+  SomaClient client(network, 1, 6000, Namespace::kHardware, ranks,
+                    reliability, batching);
+
+  std::vector<std::vector<std::byte>> sent;
+  for (int i = 0; i < 80; ++i) {
+    simulation.schedule_at(
+        SimTime::from_seconds(0.5 * (i + 1)), [&client, &sent, i] {
+          std::vector<std::byte> record;
+          {
+            datamodel::PackWriter out(record);
+            out.object(2);
+            out.name("v");
+            out.int64(i);
+            out.name("text");
+            out.string(testutil::numbered("held on the heap, record ", i));
+          }
+          sent.push_back(record);
+          client.publish_packed("cn0001", record);
+          std::ranges::fill(record, std::byte{0xff});
+        });
+  }
+  simulation.schedule_at(SimTime::from_seconds(41.0),
+                         [&client] { client.flush_batches(); });
+  simulation.run();
+
+  const SomaClient::ClientStats stats = client.stats();
+  EXPECT_GT(stats.publish_failures, 0u);
+  EXPECT_GT(stats.buffered, 0u);
+  EXPECT_EQ(stats.replayed, stats.buffered);
+  EXPECT_EQ(client.buffered_pending(), 0u);
+  if (GetParam() > 0) {
+    EXPECT_GT(stats.batches_sent, 0u);
+  }
+  const auto series =
+      service.store_view().series(Namespace::kHardware, "cn0001");
+  ASSERT_EQ(series.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(series[i]->data.pack(), sent[i]) << "record " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Batching, FaultPackedReplayTest,
+                         ::testing::Values(std::size_t{0}, std::size_t{4}),
+                         [](const auto& info) {
+                           return info.param == 0 ? std::string("single")
+                                                  : std::string("batch4");
+                         });
 
 // ---------- Record conservation under crash-and-replay ----------
 

@@ -1,6 +1,7 @@
 // Unit tests for the RP workflow monitor and the hardware monitor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -9,6 +10,7 @@
 #include "monitors/hw_monitor.hpp"
 #include "monitors/rp_monitor.hpp"
 #include "soma/service.hpp"
+#include "test_proc.hpp"
 #include "workloads/ddmd.hpp"
 
 namespace soma::monitors {
@@ -577,6 +579,94 @@ TEST_F(HwMonitorTest, GpuUtilizationSampled) {
   EXPECT_NEAR(
       record->data.fetch_existing("cn0001/gpu_utilization").as_float64(), 0.5,
       1e-9);
+}
+
+// Every record a monitored run stores, the first tick's at t = 0 included,
+// is the lookup-built /proc tree plus the two utilization leaves, and the
+// monitor's samples hold the utilizations diffed from the reference rows.
+TEST_F(HwMonitorTest, StoredRecordsEqualLookupBuiltSnapshots) {
+  core::SomaService service(network, {0});
+  core::SomaClient client(network, 1, 6000, core::Namespace::kHardware,
+                          service.instance(core::Namespace::kHardware).ranks);
+  HwMonitorConfig config;
+  config.period = Duration::seconds(10.0);
+  cluster::ComputeNode& node = platform.node(1);
+  HwMonitor monitor(simulation, node, client, Rng{3}, config);
+
+  // Busy and idle cores, a GPU, and a change between two ticks.
+  node.process_started();
+  node.allocate_cores(9, "a", 0.8);
+  node.allocate_gpus(1, "a");
+  simulation.schedule(Duration::seconds(25.0), [&] {
+    node.allocate_cores(20, "b", 1.0);
+    node.allocate_gpus(2, "b");
+  });
+
+  // The reference ticks at the monitor's times, after it, with its seed.
+  struct Expected {
+    SimTime time;
+    datamodel::Node record;
+    HwMonitor::Sample sample;
+  };
+  std::vector<Expected> expected;
+  Rng reference_rng{3};
+  cluster::StatRow last_cpu{};
+  double last_gpu_busy = 0.0;
+  SimTime last_tick;
+  sim::PeriodicTask reference(simulation, config.period, [&] {
+    const SimTime now = simulation.now();
+    datamodel::Node record =
+        testutil::lookup_built_snapshot(node, now, reference_rng);
+    const std::vector<std::int64_t>& cpu =
+        record.fetch_existing("cn0001").child_at(0).fetch_existing(
+            "stat/cpu").as_int64_array();
+    cluster::StatRow cpu_now{};
+    std::ranges::copy(cpu, cpu_now.begin());
+    const double utilization =
+        cluster::utilization_from_stat(last_cpu, cpu_now);
+    last_cpu = cpu_now;
+    const double window = (now - last_tick).to_seconds();
+    const double gpu_busy = node.busy_gpu_seconds();
+    const double gpu_utilization =
+        window > 0.0
+            ? std::clamp((gpu_busy - last_gpu_busy) /
+                             (window * cluster::kNodeGpus),
+                         0.0, 1.0)
+            : 0.0;
+    last_gpu_busy = gpu_busy;
+    last_tick = now;
+    record["cn0001"]["cpu_utilization"].set(utilization);
+    record["cn0001"]["gpu_utilization"].set(gpu_utilization);
+    expected.push_back(Expected{now, std::move(record),
+                                {now, utilization, gpu_utilization}});
+  });
+  monitor.start();
+  reference.start();
+  simulation.run_until(SimTime::from_seconds(65.0));
+  monitor.stop();
+  reference.stop();
+  simulation.run();
+
+  ASSERT_EQ(expected.size(), 7u);  // 0, 10, ..., 60 s
+  EXPECT_EQ(expected.front().time, SimTime::zero());
+  const auto series =
+      service.store_view().series(core::Namespace::kHardware, "cn0001");
+  ASSERT_EQ(series.size(), expected.size());
+  ASSERT_EQ(monitor.samples().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(series[i]->data, expected[i].record) << "tick " << i;
+    EXPECT_EQ(series[i]->data.pack(), expected[i].record.pack())
+        << "tick " << i;
+    const HwMonitor::Sample& sample = monitor.samples()[i];
+    EXPECT_EQ(sample.time, expected[i].sample.time) << "tick " << i;
+    EXPECT_EQ(sample.utilization, expected[i].sample.utilization)
+        << "tick " << i;
+    EXPECT_EQ(sample.gpu_utilization, expected[i].sample.gpu_utilization)
+        << "tick " << i;
+  }
+  // The windows saw load: the checks above compare more than zeros.
+  EXPECT_GT(monitor.samples().back().utilization, 0.5);
+  EXPECT_GT(monitor.samples().back().gpu_utilization, 0.4);
 }
 
 TEST_F(RpMonitorTest, DwellTimesReported) {

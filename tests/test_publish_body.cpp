@@ -329,8 +329,7 @@ std::vector<std::byte> packed(T value) {
 std::vector<std::byte> client_body(const Node& data,
                                    std::optional<std::int64_t> t = {}) {
   std::vector<std::byte> body;
-  wire::encode_publish_body(body, "hardware", "cn0001", data,
-                            data.packed_size(), t);
+  wire::encode_publish_body(body, "hardware", "cn0001", data, t);
   return body;
 }
 

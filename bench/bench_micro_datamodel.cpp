@@ -1,13 +1,19 @@
 // Micro-benchmarks (google-benchmark): the Conduit-like data model.
 //
 // The data model sits on every publish path; these measure the operations
-// the monitors perform per tick: building a /proc-style snapshot, packing it
-// for the wire, unpacking at the service, and path lookups.
+// the monitors perform per tick: building a /proc-style snapshot and packing
+// it for the wire, or writing it packed with no tree, unpacking at the
+// service, and path lookups.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <charconv>
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench_micro_main.hpp"
 #include "common/rng.hpp"
@@ -50,6 +56,57 @@ void BM_Pack(benchmark::State& state) {
                           static_cast<std::int64_t>(node.packed_size()));
 }
 BENCHMARK(BM_Pack)->Arg(8)->Arg(42);
+
+// make_proc_like's record written straight through the PackWriter, as the
+// hardware monitor writes its /proc snapshot: no tree is built.
+void write_proc_like(PackWriter& out, int cores) {
+  constexpr std::array<std::int64_t, 6> kRow{10749, 865, 685, 9293, 999, 745};
+  out.object(1);
+  out.name("cn0001");
+  out.object(1);
+  out.name("1698435412606003000");
+  out.object(4);
+  out.name("Uptime");
+  out.int64(49902);
+  out.name("Num Processes");
+  out.int64(3);
+  out.name("Available RAM");
+  out.int64(8422);
+  out.name("stat");
+  out.object(static_cast<std::uint32_t>(cores) + 1);
+  out.name("cpu");
+  out.int64_array(kRow);
+  char name[16] = "cpu";
+  for (int c = 0; c < cores; ++c) {
+    const char* end = std::to_chars(name + 3, std::end(name), c).ptr;
+    out.name(std::string_view(name, static_cast<std::size_t>(end - name)));
+    out.int64_array(kRow);
+  }
+}
+
+void BM_WriteProcSnapshot(benchmark::State& state) {
+  const int cores = static_cast<int>(state.range(0));
+  std::vector<std::byte> expected;
+  {
+    PackWriter out(expected);
+    write_proc_like(out, cores);
+  }
+  if (expected != make_proc_like(cores).pack()) {
+    state.SkipWithError("written bytes differ from make_proc_like().pack()");
+    return;
+  }
+  for (auto _ : state) {
+    std::vector<std::byte> wire;
+    {
+      PackWriter out(wire, expected.size());
+      write_proc_like(out, cores);
+    }
+    benchmark::DoNotOptimize(wire);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(expected.size()));
+}
+BENCHMARK(BM_WriteProcSnapshot)->Arg(8)->Arg(42);
 
 void BM_Unpack(benchmark::State& state) {
   const Node node = make_proc_like(static_cast<int>(state.range(0)));

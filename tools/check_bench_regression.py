@@ -16,16 +16,31 @@ walk every child name and string leaf the Node layout holds. Remaining
 entries are recorded for trend-watching but too machine-sensitive to gate
 on.
 
+A baseline recorded in one run on one host state drifts with the host, so
+the paired mode compares two builds in the same job instead: it runs the
+micro benches of a parent build and of a change build alternately, round
+after round, and compares the medians of the guarded cells against the same
+bound. Each run works in a fresh temporary directory, so the checked-in
+BENCH_micro.json is not touched.
+
 Usage:
   python3 tools/check_bench_regression.py \
       --baseline BENCH_micro.json --candidate /tmp/bench/BENCH_micro.json \
       [--threshold 0.20] [--suite micro_rpc] \
       [--guard BM_EventDispatch --guard BM_RpcRoundTrip]
+  python3 tools/check_bench_regression.py \
+      --paired PARENT_BUILD_DIR CHANGE_BUILD_DIR [--rounds 5] \
+      [--min-time 0.2] [--threshold 0.20] [--suite ...] [--guard ...]
 """
 
 import argparse
 import json
+import os
+import re
+import statistics
+import subprocess
 import sys
+import tempfile
 
 DEFAULT_GUARDS = {
     "micro_rpc": [
@@ -54,12 +69,94 @@ def load_suite(path, suite):
     return document[suite]
 
 
+# The binary that records each suite, under a build directory.
+SUITE_BINARIES = {
+    "micro_rpc": "bench/bench_micro_rpc",
+    "micro_datamodel": "bench/bench_micro_datamodel",
+}
+
+
+def run_suite(build_dir, suite, guards, min_time):
+    """ns/op of the guarded cells in one run of `suite`'s binary."""
+    binary = os.path.join(os.path.abspath(build_dir), SUITE_BINARIES[suite])
+    pattern = "|".join("^" + re.escape(guard) for guard in guards)
+    command = [binary, "--benchmark_filter=" + pattern]
+    if min_time is not None:
+        command.append(f"--benchmark_min_time={min_time}")
+    with tempfile.TemporaryDirectory() as workdir:
+        subprocess.run(command, cwd=workdir, check=True,
+                       stdout=subprocess.DEVNULL)
+        cells = load_suite(os.path.join(workdir, "BENCH_micro.json"), suite)
+    return {name: float(entry["ns_per_op"]) for name, entry in cells.items()}
+
+
+def paired(args, suites):
+    """Run parent and change alternately; compare the medians per cell."""
+    parent_dir, change_dir = args.paired
+    samples = {}  # (suite, name) -> {"parent": [...], "change": [...]}
+    for round_index in range(args.rounds):
+        for side, build_dir in (("parent", parent_dir),
+                                ("change", change_dir)):
+            for suite in suites:
+                guards = args.guard or DEFAULT_GUARDS.get(suite, [])
+                cells = run_suite(build_dir, suite, guards, args.min_time)
+                for name, ns in cells.items():
+                    slot = samples.setdefault((suite, name),
+                                              {"parent": [], "change": []})
+                    slot[side].append(ns)
+        print(f"  round {round_index + 1}/{args.rounds} done", flush=True)
+
+    failures = []
+    for (suite, name), slot in sorted(samples.items()):
+        if len(slot["parent"]) != args.rounds:
+            continue  # the parent has no such cell: nothing to compare
+        if len(slot["change"]) != args.rounds:
+            failures.append(f"{suite}/{name}: missing from the change build")
+            continue
+        parent_ns = statistics.median(slot["parent"])
+        change_ns = statistics.median(slot["change"])
+        ratio = change_ns / parent_ns if parent_ns > 0 else float("inf")
+        status = "ok"
+        if ratio > 1.0 + args.threshold:
+            status = "REGRESSED"
+            failures.append(
+                f"{suite}/{name}: median {parent_ns:.0f} ns/op -> "
+                f"{change_ns:.0f} ns/op ({(ratio - 1.0) * 100.0:+.1f}%, "
+                f"limit +{args.threshold * 100.0:.0f}%)")
+        print(f"  {suite}/{name}: median {parent_ns:.0f} -> {change_ns:.0f} "
+              f"ns/op ({(ratio - 1.0) * 100.0:+.1f}%) {status}")
+    return report(failures, sum(1 for slot in samples.values()
+                                if len(slot["parent"]) == args.rounds),
+                  args.threshold, "paired ")
+
+
+def report(failures, checked, threshold, mode=""):
+    if checked == 0:
+        sys.exit("error: no guarded benchmarks found")
+    if failures:
+        print(f"\n{mode}bench regression check FAILED:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print(f"\n{mode}bench regression check passed ({checked} benchmarks "
+          f"within +{threshold * 100.0:.0f}%)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True,
+    parser.add_argument("--baseline",
                         help="checked-in BENCH_micro.json")
-    parser.add_argument("--candidate", required=True,
+    parser.add_argument("--candidate",
                         help="freshly generated BENCH_micro.json")
+    parser.add_argument("--paired", nargs=2,
+                        metavar=("PARENT_BUILD_DIR", "CHANGE_BUILD_DIR"),
+                        help="run both builds' micro benches alternately "
+                             "instead of reading two files")
+    parser.add_argument("--rounds", type=int, default=5,
+                        help="paired mode: runs per build (default 5)")
+    parser.add_argument("--min-time", type=float, default=None,
+                        help="paired mode: --benchmark_min_time per cell")
     parser.add_argument("--suite", action="append", default=None,
                         help="suite to check (repeatable; default: "
                              f"{', '.join(DEFAULT_GUARDS)})")
@@ -70,10 +167,17 @@ def main():
                              "checked suite (repeatable; default: the "
                              "suite's own list)")
     args = parser.parse_args()
+    suites = args.suite or list(DEFAULT_GUARDS)
+    if args.paired:
+        if args.rounds < 1:
+            parser.error("--rounds must be at least 1")
+        return paired(args, suites)
+    if not args.baseline or not args.candidate:
+        parser.error("give --baseline and --candidate, or --paired")
 
     failures = []
     checked = 0
-    for suite in args.suite or list(DEFAULT_GUARDS):
+    for suite in suites:
         guards = args.guard or DEFAULT_GUARDS.get(suite, [])
         baseline = load_suite(args.baseline, suite)
         candidate = load_suite(args.candidate, suite)
@@ -97,16 +201,7 @@ def main():
                   f"({(ratio - 1.0) * 100.0:+.1f}%) {status}")
             checked += 1
 
-    if checked == 0:
-        sys.exit("error: no guarded benchmarks found in baseline")
-    if failures:
-        print("\nbench regression check FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print(f"\nbench regression check passed ({checked} benchmarks "
-          f"within +{args.threshold * 100.0:.0f}%)")
-    return 0
+    return report(failures, checked, args.threshold)
 
 
 if __name__ == "__main__":

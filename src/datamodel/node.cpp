@@ -337,82 +337,36 @@ void PackWriter::grow(std::size_t n) {
   end_ = out_.data() + out_.size();
 }
 
-void PackWriter::object(std::uint32_t children) {
-  std::byte* p = room(1 + 4);
-  *p = static_cast<std::byte>(Tag::kObject);
-  bytes::store_u32(p + 1, children);
-}
-
-void PackWriter::name(std::string_view name) {
-  bytes::store_text(room(4 + name.size()), name);
-}
-
-void PackWriter::empty() { *room(1) = static_cast<std::byte>(Tag::kEmpty); }
-
-void PackWriter::int64(std::int64_t value) {
-  std::byte* p = room(1 + 8);
-  *p = static_cast<std::byte>(Tag::kInt64);
-  bytes::store_u64(p + 1, static_cast<std::uint64_t>(value));
-}
-
-void PackWriter::float64(double value) {
-  std::byte* p = room(1 + 8);
-  *p = static_cast<std::byte>(Tag::kFloat64);
-  bytes::store_u64(p + 1, std::bit_cast<std::uint64_t>(value));
-}
-
-void PackWriter::string(std::string_view value) {
-  std::byte* p = room(1 + 4 + value.size());
-  *p = static_cast<std::byte>(Tag::kString);
-  bytes::store_text(p + 1, value);
-}
-
-void PackWriter::int64_array(std::span<const std::int64_t> values) {
-  std::byte* p = room(1 + 4 + values.size_bytes());
-  *p = static_cast<std::byte>(Tag::kInt64Array);
-  bytes::store_words(p + 1, values);
-}
-
-void PackWriter::float64_array(std::span<const double> values) {
-  std::byte* p = room(1 + 4 + values.size_bytes());
-  *p = static_cast<std::byte>(Tag::kFloat64Array);
-  bytes::store_words(p + 1, values);
-}
-
-void PackWriter::packed(std::span<const std::byte> encoding) {
-  if (!encoding.empty()) {
-    std::memcpy(room(encoding.size()), encoding.data(), encoding.size());
-  }
-}
-
-void Node::pack(PackWriter& out) const {
+std::byte* Node::pack_into(std::byte* p) const {
   switch (type()) {
     case Type::kEmpty:
-      out.empty();
-      break;
+      return PackWriter::empty_at(p);
     case Type::kObject:
-      out.object(static_cast<std::uint32_t>(number_of_children()));
+      p = PackWriter::object_at(
+          p, static_cast<std::uint32_t>(number_of_children()));
       for (const Child& c : children()) {
-        out.name(c.name.view());
-        c.node.pack(out);
+        p = PackWriter::name_at(p, c.name.view());
+        p = c.node.pack_into(p);
       }
-      break;
+      return p;
     case Type::kInt64:
-      out.int64(as_int64());
-      break;
+      return PackWriter::int64_at(p, as_int64());
     case Type::kFloat64:
-      out.float64(as_float64());
-      break;
+      return PackWriter::float64_at(p, as_float64());
     case Type::kString:
-      out.string(as_string());
-      break;
+      return PackWriter::string_at(p, as_string());
     case Type::kInt64Array:
-      out.int64_array(as_int64_array());
-      break;
+      return PackWriter::array_at(p, std::span(as_int64_array()));
     case Type::kFloat64Array:
-      out.float64_array(as_float64_array());
-      break;
+      return PackWriter::array_at(p, std::span(as_float64_array()));
   }
+  return p;
+}
+
+void Node::pack(PackWriter& out, std::size_t size) const {
+  std::byte* p = out.room(size);
+  check(pack_into(p) == p + size,
+        "Node::pack: packed_size out of sync with encoder");
 }
 
 void Node::pack(std::vector<std::byte>& out) const {
@@ -421,9 +375,7 @@ void Node::pack(std::vector<std::byte>& out) const {
 
 void Node::pack(std::vector<std::byte>& out, std::size_t size) const {
   PackWriter writer(out, size);
-  pack(writer);
-  check(writer.size() == size,
-        "Node::pack: packed_size out of sync with encoder");
+  pack(writer, size);
 }
 
 std::vector<std::byte> Node::pack() const {

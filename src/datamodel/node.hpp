@@ -19,6 +19,7 @@
 //     (the publish envelope, the hardware monitor's /proc snapshot).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -26,15 +27,18 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "common/bytes.hpp"
+
 namespace soma::datamodel {
 
-/// Type tag that opens every encoded subtree of Node::pack. Codecs that
-/// write or read pack() encodings outside node.cpp (the soma.publish body)
-/// take the values from here.
+/// Type tag that opens every encoded subtree of Node::pack. PackWriter
+/// writes it; decoders that read pack() encodings outside node.cpp (the
+/// soma.publish body) take the values from here.
 enum class PackTag : std::uint8_t {
   kEmpty = 0,
   kObject = 1,
@@ -51,7 +55,7 @@ enum class PackTag : std::uint8_t {
 /// object's head followed by that many name-value pairs, write exactly the
 /// bytes pack() writes for the tree they describe; the writer does not check
 /// that order. `out` grows as needed and is trimmed to the bytes written
-/// when the writer is destroyed.
+/// when the writer is destroyed; until then, only the writer touches it.
 class PackWriter {
  public:
   /// Appends to `out` behind its current bytes; `size_hint` bytes of room
@@ -68,31 +72,78 @@ class PackWriter {
   ~PackWriter() { out_.resize(base_ + size()); }
 
   /// An object's head; `children` name-value pairs follow.
-  void object(std::uint32_t children);
+  void object(std::uint32_t children) { object_at(room(1 + 4), children); }
   /// A child's name; its value follows.
-  void name(std::string_view name);
-  void empty();
-  void int64(std::int64_t value);
-  void float64(double value);
-  void string(std::string_view value);
-  void int64_array(std::span<const std::int64_t> values);
-  void float64_array(std::span<const double> values);
+  void name(std::string_view name) { name_at(room(4 + name.size()), name); }
+  void empty() { empty_at(room(1)); }
+  void int64(std::int64_t value) { int64_at(room(1 + 8), value); }
+  void float64(double value) { float64_at(room(1 + 8), value); }
+  void string(std::string_view value) {
+    string_at(room(1 + 4 + value.size()), value);
+  }
+  void int64_array(std::span<const std::int64_t> values) {
+    array_at(room(1 + 4 + values.size_bytes()), values);
+  }
+  void float64_array(std::span<const double> values) {
+    array_at(room(1 + 4 + values.size_bytes()), values);
+  }
   /// A value already in pack() encoding, copied verbatim.
-  void packed(std::span<const std::byte> encoding);
+  void packed(std::span<const std::byte> encoding) {
+    if (!encoding.empty()) {
+      std::memcpy(room(encoding.size()), encoding.data(), encoding.size());
+    }
+  }
 
   /// Bytes written so far.
   [[nodiscard]] std::size_t size() const {
     return static_cast<std::size_t>(at_ - (out_.data() + base_));
   }
 
- private:
-  /// Room for the next `n` bytes, which the caller fills.
+  /// Room for the next `n` bytes, for a caller that fills them through the
+  /// encoders below (Node::pack sizes a whole tree once and writes it with
+  /// its position in a register).
   std::byte* room(std::size_t n) {
     if (static_cast<std::size_t>(end_ - at_) < n) grow(n);
     std::byte* p = at_;
     at_ += n;
     return p;
   }
+
+  // The encoders behind every call above. Each writes one piece at `p`,
+  // which has room for it, and returns the position behind it.
+  static std::byte* object_at(std::byte* p, std::uint32_t children) {
+    *p = static_cast<std::byte>(PackTag::kObject);
+    return bytes::store_u32(p + 1, children);
+  }
+  static std::byte* name_at(std::byte* p, std::string_view name) {
+    return bytes::store_text(p, name);
+  }
+  static std::byte* empty_at(std::byte* p) {
+    *p = static_cast<std::byte>(PackTag::kEmpty);
+    return p + 1;
+  }
+  static std::byte* int64_at(std::byte* p, std::int64_t value) {
+    *p = static_cast<std::byte>(PackTag::kInt64);
+    return bytes::store_u64(p + 1, static_cast<std::uint64_t>(value));
+  }
+  static std::byte* float64_at(std::byte* p, double value) {
+    *p = static_cast<std::byte>(PackTag::kFloat64);
+    return bytes::store_u64(p + 1, std::bit_cast<std::uint64_t>(value));
+  }
+  static std::byte* string_at(std::byte* p, std::string_view value) {
+    *p = static_cast<std::byte>(PackTag::kString);
+    return bytes::store_text(p + 1, value);
+  }
+  /// An int64 or float64 array.
+  template <typename T>
+  static std::byte* array_at(std::byte* p, std::span<const T> values) {
+    *p = static_cast<std::byte>(std::is_same_v<T, double>
+                                    ? PackTag::kFloat64Array
+                                    : PackTag::kInt64Array);
+    return bytes::store_words(p + 1, values);
+  }
+
+ private:
   void grow(std::size_t n);
 
   std::vector<std::byte>& out_;
@@ -215,8 +266,9 @@ class Node {
 
   /// Compact binary wire format (tag/length/value). Appends to `out`.
   void pack(std::vector<std::byte>& out) const;
-  /// Write this subtree's pack() encoding through `out`.
-  void pack(PackWriter& out) const;
+  /// Write this subtree's pack() encoding through `out`; `size` must equal
+  /// packed_size().
+  void pack(PackWriter& out, std::size_t size) const;
   /// pack() for a caller that has already walked packed_size() (to size a
   /// frame around the body): `size` must equal packed_size().
   void pack(std::vector<std::byte>& out, std::size_t size) const;
@@ -311,6 +363,9 @@ class Node {
   /// The children, after discarding any leaf value.
   Children& make_object();
 
+  /// Write this subtree's pack() encoding at `p`, which has room for it,
+  /// through PackWriter's encoders; returns the position behind it.
+  std::byte* pack_into(std::byte* p) const;
   /// Decode one encoded subtree at `offset` into the empty `node`.
   static void unpack_into(Node& node, std::span<const std::byte> buffer,
                           std::size_t& offset, std::size_t depth);

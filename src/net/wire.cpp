@@ -117,7 +117,7 @@ Record::Record(std::span<const std::byte> packed)
 
 void Record::pack(datamodel::PackWriter& out) const {
   if (tree_ != nullptr) {
-    tree_->pack(out);
+    tree_->pack(out, size_);
   } else {
     out.packed(packed_);
   }

@@ -949,7 +949,10 @@ TEST(PackWriterTest, WritesWhatPackWritesForEveryTag) {
   EXPECT_EQ(written(write), root.pack());
   EXPECT_EQ(written(write, root.packed_size()), root.pack());
   // Through the writer, Node::pack writes the same bytes.
-  EXPECT_EQ(written([&](PackWriter& out) { root.pack(out); }), root.pack());
+  EXPECT_EQ(written([&](PackWriter& out) {
+              root.pack(out, root.packed_size());
+            }),
+            root.pack());
 }
 
 TEST(PackWriterTest, EmptyObjectAndEmptyNode) {

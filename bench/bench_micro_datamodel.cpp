@@ -101,7 +101,8 @@ void BM_WriteProcSnapshot(benchmark::State& state) {
       PackWriter out(wire, expected.size());
       write_proc_like(out, cores);
     }
-    benchmark::DoNotOptimize(wire);
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(expected.size()));

@@ -84,8 +84,11 @@ def run_suite(build_dir, suite, guards, min_time):
     if min_time is not None:
         command.append(f"--benchmark_min_time={min_time}")
     with tempfile.TemporaryDirectory() as workdir:
-        subprocess.run(command, cwd=workdir, check=True,
-                       stdout=subprocess.DEVNULL)
+        run = subprocess.run(command, cwd=workdir, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True)
+        if run.returncode != 0:
+            sys.exit(f"error: {binary} exited with {run.returncode}:\n"
+                     f"{run.stderr}")
         cells = load_suite(os.path.join(workdir, "BENCH_micro.json"), suite)
     return {name: float(entry["ns_per_op"]) for name, entry in cells.items()}
 

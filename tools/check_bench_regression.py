@@ -30,7 +30,7 @@ Usage:
       [--guard BM_EventDispatch --guard BM_RpcRoundTrip]
   python3 tools/check_bench_regression.py \
       --paired PARENT_BUILD_DIR CHANGE_BUILD_DIR [--rounds 5] \
-      [--min-time 0.2] [--threshold 0.20] [--suite ...] [--guard ...]
+      [--threshold 0.20] [--suite ...] [--guard ...]
 """
 
 import argparse
@@ -76,13 +76,11 @@ SUITE_BINARIES = {
 }
 
 
-def run_suite(build_dir, suite, guards, min_time):
+def run_suite(build_dir, suite, guards):
     """ns/op of the guarded cells in one run of `suite`'s binary."""
     binary = os.path.join(os.path.abspath(build_dir), SUITE_BINARIES[suite])
     pattern = "|".join("^" + re.escape(guard) for guard in guards)
     command = [binary, "--benchmark_filter=" + pattern]
-    if min_time is not None:
-        command.append(f"--benchmark_min_time={min_time}")
     with tempfile.TemporaryDirectory() as workdir:
         run = subprocess.run(command, cwd=workdir, stdout=subprocess.DEVNULL,
                              stderr=subprocess.PIPE, text=True)
@@ -102,7 +100,7 @@ def paired(args, suites):
                                 ("change", change_dir)):
             for suite in suites:
                 guards = args.guard or DEFAULT_GUARDS.get(suite, [])
-                cells = run_suite(build_dir, suite, guards, args.min_time)
+                cells = run_suite(build_dir, suite, guards)
                 for name, ns in cells.items():
                     slot = samples.setdefault((suite, name),
                                               {"parent": [], "change": []})
@@ -158,8 +156,6 @@ def main():
                              "instead of reading two files")
     parser.add_argument("--rounds", type=int, default=5,
                         help="paired mode: runs per build (default 5)")
-    parser.add_argument("--min-time", type=float, default=None,
-                        help="paired mode: --benchmark_min_time per cell")
     parser.add_argument("--suite", action="append", default=None,
                         help="suite to check (repeatable; default: "
                              f"{', '.join(DEFAULT_GUARDS)})")

@@ -7,17 +7,18 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
-#include <charconv>
+#include <cstddef>
 #include <cstdio>
-#include <iterator>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_micro_main.hpp"
+#include "cluster/platform.hpp"
+#include "cluster/proc.hpp"
 #include "common/rng.hpp"
+#include "common/types.hpp"
 #include "datamodel/node.hpp"
+#include "sim/simulation.hpp"
 
 using namespace soma;
 using namespace soma::datamodel;
@@ -57,57 +58,38 @@ void BM_Pack(benchmark::State& state) {
 }
 BENCHMARK(BM_Pack)->Arg(8)->Arg(42);
 
-// make_proc_like's record written straight through the PackWriter, as the
-// hardware monitor writes its /proc snapshot: no tree is built.
-void write_proc_like(PackWriter& out, int cores) {
-  constexpr std::array<std::int64_t, 6> kRow{10749, 865, 685, 9293, 999, 745};
-  out.object(1);
-  out.name("cn0001");
-  out.object(1);
-  out.name("1698435412606003000");
-  out.object(4);
-  out.name("Uptime");
-  out.int64(49902);
-  out.name("Num Processes");
-  out.int64(3);
-  out.name("Available RAM");
-  out.int64(8422);
-  out.name("stat");
-  out.object(static_cast<std::uint32_t>(cores) + 1);
-  out.name("cpu");
-  out.int64_array(kRow);
-  char name[16] = "cpu";
-  for (int c = 0; c < cores; ++c) {
-    const char* end = std::to_chars(name + 3, std::end(name), c).ptr;
-    out.name(std::string_view(name, static_cast<std::size_t>(end - name)));
-    out.int64_array(kRow);
-  }
-}
-
+// The /proc snapshot as the hardware monitor writes it each tick: the host
+// head and cluster::make_proc_snapshot on a Summit node (42 usable cores, so
+// 43 stat rows, the shape of make_proc_like(42)), packed with no tree.
 void BM_WriteProcSnapshot(benchmark::State& state) {
-  const int cores = static_cast<int>(state.range(0));
-  std::vector<std::byte> expected;
-  {
-    PackWriter out(expected);
-    write_proc_like(out, cores);
-  }
-  if (expected != make_proc_like(cores).pack()) {
-    state.SkipWithError("written bytes differ from make_proc_like().pack()");
+  sim::Simulation simulation;
+  const cluster::Platform platform(simulation, cluster::summit(1));
+  const cluster::ComputeNode& node = platform.node(0);
+  const SimTime now = SimTime::from_seconds(100);
+  Rng rng(1);
+  auto write = [&](std::vector<std::byte>& wire, std::size_t size_hint) {
+    PackWriter out(wire, size_hint);
+    out.object(1);
+    out.name(node.hostname());
+    out.object(1);
+    cluster::make_proc_snapshot(out, node, now, rng);
+  };
+  std::vector<std::byte> first;
+  write(first, 0);
+  if (Node::unpack(first).pack() != first) {
+    state.SkipWithError("written snapshot does not round-trip through unpack");
     return;
   }
   for (auto _ : state) {
     std::vector<std::byte> wire;
-    {
-      PackWriter out(wire, expected.size());
-      write_proc_like(out, cores);
-    }
+    write(wire, first.size());
     benchmark::DoNotOptimize(wire.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(expected.size()));
+                          static_cast<std::int64_t>(first.size()));
 }
-BENCHMARK(BM_WriteProcSnapshot)->Arg(8)->Arg(42);
+BENCHMARK(BM_WriteProcSnapshot);
 
 void BM_Unpack(benchmark::State& state) {
   const Node node = make_proc_like(static_cast<int>(state.range(0)));

@@ -22,7 +22,7 @@ soma_add_bench(bench_overhead_analysis soma_experiments)
 soma_add_bench(bench_ablation_publish_cost soma_core soma_sim)
 soma_add_bench(bench_ablation_batch_publish soma_core soma_sim)
 soma_add_bench(bench_ablation_shared_sched soma_experiments)
-soma_add_bench(bench_micro_datamodel soma_datamodel benchmark::benchmark)
+soma_add_bench(bench_micro_datamodel soma_cluster benchmark::benchmark)
 soma_add_bench(bench_micro_rpc soma_core soma_net benchmark::benchmark)
 soma_add_bench(bench_ablation_placement_policy soma_experiments)
 soma_add_bench(bench_raptor_throughput soma_raptor)
